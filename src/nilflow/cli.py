@@ -92,6 +92,20 @@ DEFAULTS = {
 }
 
 
+# JSON types a config file may give each key; ``analysis_out`` names an extra
+# report file written by ``analyze``.
+_TEXT, _OPTIONAL_TEXT = (str,), (str, type(None))
+_INTEGER, _SCALAR = (int,), (str, int, float)
+CONFIG_TYPES = {
+    "substitution": _TEXT, "context": _OPTIONAL_TEXT, "seed": _INTEGER,
+    "iters": _INTEGER, "samples": _INTEGER, "length": _INTEGER,
+    "radius": _INTEGER, "threshold": (int, float), "s": _SCALAR,
+    "s_prime": _SCALAR, "theta": _SCALAR, "kind": _TEXT,
+    "start": _OPTIONAL_TEXT, "step": _SCALAR, "format": _TEXT, "out": _TEXT,
+    "analysis_out": _OPTIONAL_TEXT,
+}
+
+
 def load_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
@@ -102,6 +116,16 @@ def load_config(args: argparse.Namespace) -> dict:
                 raise ParseError(f"bad config JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ParseError("config must be a JSON object")
+        for key, value in loaded.items():
+            if key not in CONFIG_TYPES:
+                raise ParseError(f"unknown config key {key!r}")
+            # exact types: JSON true/false must not pass as an integer
+            if type(value) not in CONFIG_TYPES[key]:
+                raise ParseError(
+                    f"config key {key!r} must be "
+                    f"{' or '.join(t.__name__ for t in CONFIG_TYPES[key])}, "
+                    f"got {type(value).__name__}"
+                )
         cfg.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config"):
@@ -247,7 +271,10 @@ def cmd_orbit(cfg: dict) -> int:
 def cmd_broken_line(cfg: dict) -> int:
     sub = parse_substitution(cfg["substitution"])
     n = int(cfg["length"])
-    word = fixed_point_prefix(sub, n)
+    try:
+        word = fixed_point_prefix(sub, n)
+    except ValueError as exc:  # not positive, or not prolongable from 'a'
+        raise HypothesisError(str(exc)) from exc
     counts = broken_line_counts(word)
     endo = factor(sub)
     rows = []

@@ -20,6 +20,7 @@ witnesses rather than rounded away.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1117,16 +1118,28 @@ def weyl_sums_skew_product(chars, n_iter: int, u0: float = 0.0, v0: float = 0.0,
     return {pq: abs(s) / n_iter for pq, s in sums.items()}
 
 
+def off_field_step(disc: int) -> float:
+    """sqrt(m) for the smallest squarefree m >= 2 with sqrt(m) outside Q(sqrt(disc)).
+
+    sqrt(m) lies in the field exactly when disc = m * k^2 for an integer k,
+    which at most one of m = 2 and m = 3 can satisfy.
+    """
+    half = disc // 2
+    return math.sqrt(3 if disc % 2 == 0 and math.isqrt(half) ** 2 == half else 2)
+
+
 def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
-                      step: float = 2.0 ** 0.5, chunk: int = 1_000_000) -> dict:
+                      step: float | None = None, chunk: int = 1_000_000) -> dict:
     """Birkhoff averages of base characters along a sampled nilflow orbit.
 
-    The sampling step must be rationally independent of the eigenvector
-    entries; sqrt(2) is independent of any real quadratic field containing
-    them except Q(sqrt 2) itself, which cannot occur for unimodular traces
-    sampled here (their fields contain sqrt(T^2 - 4D) with the step chosen
-    off-field).  Orbit positions come from the closed flow formula.
+    The sampling step must lie outside the field of the eigenvector entries,
+    so that 1, step*alpha and step*beta are rationally independent; the
+    default is :func:`off_field_step` of the field (sqrt(2) for Q(sqrt 5),
+    sqrt(3) for Q(sqrt 2)).  Orbit positions come from the closed flow
+    formula.
     """
+    if step is None:
+        step = off_field_step(data.context.disc)
     alpha = scalar_float(data.alpha)
     beta = scalar_float(data.beta)
     sums = {pq: 0.0 + 0.0j for pq in chars}

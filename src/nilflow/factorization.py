@@ -385,11 +385,19 @@ def eigen_data(endo: HeisenbergEndo) -> EigenData:
     s_a = (t_a * alpha - 1) / alpha_p
     s_b = t_b * alpha / alpha_p
     # Parallelism identities defining t_a, t_b, and the closed forms for the
-    # section endpoints.
-    assert (t_a * alpha - 1) * beta_p == t_a * beta * alpha_p
-    assert t_b * alpha * beta_p == (t_b * beta - 1) * alpha_p
-    assert s_a == beta / delta and s_b == -alpha / delta
-    assert t_a > 0 and t_b > 0 and s_a < 0 and s_b > 0
+    # section endpoints; explicit raises, so they also hold under python -O.
+    for holds, identity in (
+        ((t_a * alpha - 1) * beta_p == t_a * beta * alpha_p,
+         "(t_a*alpha - 1)*beta' == t_a*beta*alpha'"),
+        (t_b * alpha * beta_p == (t_b * beta - 1) * alpha_p,
+         "t_b*alpha*beta' == (t_b*beta - 1)*alpha'"),
+        (s_a == beta / delta and s_b == -alpha / delta,
+         "s_a == beta/Delta and s_b == -alpha/Delta"),
+    ):
+        if not holds:
+            raise ArithmeticError(f"eigen_data identity failed: {identity}")
+    if not (t_a > 0 and t_b > 0 and s_a < 0 and s_b > 0):
+        raise EigenSignError("expected t_a, t_b > 0 and s_a < 0 < s_b")
 
     gamma = gamma_from_integers(endo, lam, alpha, beta, endo.e, endo.f)
     gamma_p = gamma_from_integers(endo, lam_p, alpha_p, beta_p, endo.e, endo.f)

@@ -3,9 +3,9 @@
 A field element is ``a + b*l`` where ``l`` is the larger root of
 ``X^2 - T*X + D`` for integers ``T``, ``D`` with positive, non-square
 discriminant.  Everything here is exact: signs, floors and comparisons are
-decided against the minimal polynomial, never by floating point.  Floats
-only appear through :meth:`QuadraticNumber.to_float`, which also returns a
-certified absolute error bound.
+decided by integer square roots, never by floating point.  Floats only
+appear through :meth:`QuadraticNumber.to_float`, which returns the correctly
+rounded double and a bound on its error.
 """
 
 from __future__ import annotations
@@ -32,13 +32,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 class QuadraticContext:
     """The field Q(l) for l = (T + sqrt(T^2 - 4D)) / 2, the larger root.
 
@@ -47,7 +40,7 @@ class QuadraticContext:
     ``floor`` total.
     """
 
-    __slots__ = ("trace", "det", "disc", "_lo", "_hi")
+    __slots__ = ("trace", "det", "disc")
 
     def __init__(self, trace: int, det: int):
         if not isinstance(trace, int) or not isinstance(det, int):
@@ -55,22 +48,13 @@ class QuadraticContext:
         disc = trace * trace - 4 * det
         if disc <= 0:
             raise ValueError(f"discriminant {disc} is not positive")
-        if _is_perfect_square(disc):
+        if math.isqrt(disc) ** 2 == disc:
             raise ValueError(f"discriminant {disc} is a perfect square")
-        self.trace = trace
-        self.det = det
-        self.disc = disc
-        # Initial enclosure of the larger root from the integer square root.
-        r = math.isqrt(disc)
-        self._lo = Fraction(trace + r, 2)
-        self._hi = Fraction(trace + r + 1, 2)
+        self.trace, self.det, self.disc = trace, det, disc
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QuadraticContext)
-            and self.trace == other.trace
-            and self.det == other.det
-        )
+        return (isinstance(other, QuadraticContext)
+                and (self.trace, self.det) == (other.trace, other.det))
 
     def __hash__(self) -> int:
         return hash((self.trace, self.det))
@@ -93,169 +77,175 @@ class QuadraticContext:
         """The distinguished root as a field element."""
         return QuadraticNumber(0, 1, self)
 
-    def root_exceeds(self, q: Fraction) -> bool:
-        """Exact test ``l > q``.
 
-        ``p(q) < 0`` iff q lies strictly between the two roots; otherwise q
-        is outside them and the vertex T/2 decides the side.  Equality never
-        happens because the root is irrational.
-        """
-        p = q * q - self.trace * q + self.det
-        if p < 0:
-            return True
-        return q < Fraction(self.trace, 2)
+def _root_floor(P: int, B: int, disc: int, den: int) -> int:
+    """``floor((P + B*sqrt(disc)) / den)`` for B != 0 and den > 0.
 
-    def bracket(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Rational enclosure of the root, bisected down to ``width``.
-
-        The cached enclosure only ever shrinks, so values stay correct under
-        concurrent use (a torn read still brackets the root).
-        """
-        lo, hi = self._lo, self._hi
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if self.root_exceeds(mid):
-                lo = mid
-            else:
-                hi = mid
-        self._lo, self._hi = lo, hi
-        return lo, hi
+    ``r = isqrt(B^2 disc) < |B|*sqrt(disc) < r + 1``, so the numerator lies
+    strictly between two integers and its floor over ``den`` is exact.
+    """
+    r = math.isqrt(B * B * disc)
+    return (P + r) // den if B > 0 else (P - r - 1) // den
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected a rational, got {type(value).__name__}")
+def _make(A: int, B: int, d: int, ctx: QuadraticContext) -> "QuadraticNumber":
+    """The element ``(A + B*l)/d`` (d > 0) in lowest terms."""
+    g = math.gcd(A, B, d)
+    if g != 1:
+        A, B, d = A // g, B // g, d // g
+    x = _new(QuadraticNumber)
+    x.A, x.B, x.d, x.ctx = A, B, d, ctx
+    return x
 
 
 class QuadraticNumber:
-    """Exact element ``a + b*l`` of a quadratic field."""
+    """Exact element ``a + b*l`` of a quadratic field.
 
-    __slots__ = ("a", "b", "ctx")
+    Stored as integers ``(A + B*l)/d`` with ``d > 0`` and
+    ``gcd(A, B, d) = 1``, so equal elements have equal triples.  ``a`` and
+    ``b`` are the rational coordinates, computed on demand.  With
+    ``P = 2A + B*T`` the element is ``(P + B*sqrt(disc)) / 2d``; sign, floor
+    and float export are decided on that form.
+    """
+
+    __slots__ = ("A", "B", "d", "ctx")
 
     def __init__(self, a, b, ctx: QuadraticContext):
-        self.a = _as_fraction(a)
-        self.b = _as_fraction(b)
+        if type(a) is int and type(b) is int:
+            self.A, self.B, self.d = a, b, 1
+        elif isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+            q, s = a.denominator, b.denominator
+            d = q * s // math.gcd(q, s)
+            # lowest-terms coordinates give gcd(A, B, d) = 1 over their lcm
+            self.A, self.B, self.d = a.numerator * (d // q), b.numerator * (d // s), d
+        else:
+            raise TypeError("expected rationals, got "
+                            f"{type(a).__name__}, {type(b).__name__}")
         self.ctx = ctx
 
-    # -- construction helpers -------------------------------------------
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.d)
 
-    def _wrap(self, a: Fraction, b: Fraction) -> "QuadraticNumber":
-        return QuadraticNumber(a, b, self.ctx)
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.d)
 
-    def _coerce(self, other) -> "QuadraticNumber | None":
+    def _parts(self, other) -> "tuple[int, int, int] | None":
+        """``other`` as a triple in this field; None for foreign types."""
         if isinstance(other, QuadraticNumber):
-            if other.ctx != self.ctx:
-                raise ValueError(
-                    f"context mismatch: {self.ctx!r} vs {other.ctx!r}"
-                )
-            return other
+            if other.ctx is self.ctx or other.ctx == self.ctx:
+                return other.A, other.B, other.d
+            raise ValueError(f"context mismatch: {self.ctx!r} vs {other.ctx!r}")
         if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(other, 0, self.ctx)
+            return other.numerator, 0, other.denominator
         return None
 
     # -- ring/field operations ------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
+    def _add(self, other, s: int):
+        """``self + s*other`` for s = 1 or -1; NotImplemented for foreign types."""
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self._wrap(self.a + o.a, self.b + o.b)
+        A, B, d = o
+        if d == self.d:
+            return _make(self.A + s * A, self.B + s * B, d, self.ctx)
+        return _make(self.A * d + s * A * self.d, self.B * d + s * B * self.d,
+                     self.d * d, self.ctx)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(-self.a, -self.b)
+        return _make(-self.A, -self.B, self.d, self.ctx)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(self.a - o.a, self.b - o.b)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        diff = self._add(other, -1)
+        return diff if diff is NotImplemented else -diff
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        # (a + b l)(c + d l) with l^2 = T l - D
-        t, d = self.ctx.trace, self.ctx.det
-        bd = self.b * o.b
-        return self._wrap(
-            self.a * o.a - d * bd,
-            self.a * o.b + self.b * o.a + t * bd,
-        )
+        # (A1 + B1 l)(A2 + B2 l) with l^2 = T l - D
+        A2, B2, d2 = o
+        A1, B1, ctx = self.A, self.B, self.ctx
+        bb = B1 * B2
+        return _make(A1 * A2 - ctx.det * bb, A1 * B2 + B1 * A2 + ctx.trace * bb,
+                     self.d * d2, ctx)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        n = o.field_norm()
-        if n == 0:
+        # x/y = x conj(y) / N(y): (A1 + B1 l)(C - B2 l) with C = A2 + B2 T
+        A1, B1, ctx = self.A, self.B, self.ctx
+        A2, B2, d2 = o
+        T, D = ctx.trace, ctx.det
+        norm = A2 * A2 + A2 * B2 * T + B2 * B2 * D
+        if norm == 0:
             raise ZeroDivisionError("division by zero in quadratic field")
-        # x / y = x * conj(y) / N(y), N(y) rational
-        num = self * o.conjugate()
-        return self._wrap(num.a / n, num.b / n)
+        C, bb = A2 + B2 * T, B1 * B2
+        A, B = (A1 * C + D * bb) * d2, (B1 * C - A1 * B2 - T * bb) * d2
+        den = self.d * norm
+        if den < 0:
+            A, B, den = -A, -B, -den
+        return _make(A, B, den, ctx)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _make(*o, self.ctx) / self
 
     def conjugate(self) -> "QuadraticNumber":
         """Ring automorphism a + b*l -> (a + b*T) - b*l."""
-        return self._wrap(self.a + self.b * self.ctx.trace, -self.b)
+        return _make(self.A + self.B * self.ctx.trace, -self.B, self.d, self.ctx)
 
     def field_norm(self) -> Fraction:
         """N(a + b*l) = a^2 + a*b*T + b^2*D, zero only for the zero element."""
-        a, b = self.a, self.b
-        return a * a + a * b * self.ctx.trace + b * b * self.ctx.det
+        A, B = self.A, self.B
+        return Fraction(A * A + A * B * self.ctx.trace + B * B * self.ctx.det,
+                        self.d * self.d)
 
     # -- order structure --------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign under the distinguished-root embedding."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        # a + b*l compared with 0 reduces to l compared with -a/b.
-        q = -self.a / self.b
-        exceeds = self.ctx.root_exceeds(q)
-        if self.b > 0:
-            return 1 if exceeds else -1
-        return -1 if exceeds else 1
+        A, B, ctx = self.A, self.B, self.ctx
+        if B == 0:
+            return (A > 0) - (A < 0)
+        P, sb = 2 * A + B * ctx.trace, 1 if B > 0 else -1
+        if P == 0 or (P > 0) == (B > 0):
+            return sb
+        # opposite signs: the larger magnitude wins (sqrt(disc) is irrational)
+        return sb if B * B * ctx.disc > P * P else -sb
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self.A != 0 or self.B != 0
 
     def __eq__(self, other) -> bool:
         try:
-            o = self._coerce(other)
+            o = self._parts(other)
         except ValueError:
             return False
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return NotImplemented if o is None else (self.A, self.B, self.d) == o
 
     def __hash__(self) -> int:
-        if self.b == 0:
+        if self.B == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.ctx.trace, self.ctx.det))
 
     def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare with {type(other).__name__}")
-        return (self - o).sign()
+        return (self - other).sign()
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -272,32 +262,46 @@ class QuadraticNumber:
     # -- floor / float export ---------------------------------------------
 
     def floor(self) -> int:
-        if self.b == 0:
-            return math.floor(self.a)
-        n = math.floor(self.to_float()[0])
-        # Certify with exact sign tests; the estimate is off by at most one.
-        while (self - n).sign() < 0:
-            n -= 1
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        return n
+        if self.B == 0:
+            return self.A // self.d
+        ctx = self.ctx
+        return _root_floor(2 * self.A + self.B * ctx.trace, self.B, ctx.disc,
+                           2 * self.d)
 
     def frac(self) -> "QuadraticNumber":
         return self - self.floor()
 
     def to_float(self, precision: int = 53) -> tuple[float, float]:
-        """Certified approximation: value and an absolute error bound."""
+        """Correctly rounded double and the bound ``|v| * 2^-53`` on its error.
+
+        The double is the same for every ``precision`` (at least 32 bits).
+        For ``B != 0`` x is irrational; with ``n = floor(2^k x)`` and
+        ``|n| > 2^55`` every point of ``(2n, 2n + 2)`` rounds like ``2n + 1``,
+        since the rounding boundaries there are multiples of 8.  Subnormal
+        and overflowing values are not covered.
+        """
         if precision < 32:
             raise ValueError("precision must be at least 32 bits")
-        if self.b == 0:
-            v = float(self.a)
-            return v, abs(v) * 2.0 ** (1 - precision)
-        width = Fraction(1, 2 ** (precision + 3)) / abs(self.b)
-        lo, hi = self.ctx.bracket(width)
-        mid = self.a + self.b * (lo + hi) / 2
-        half = abs(self.b) * (hi - lo) / 2
-        v = float(mid)
-        return v, float(half) + abs(v) * 2.0 ** (1 - precision)
+        A, B, d = self.A, self.B, self.d
+        if B == 0:
+            v = A / d
+            return v, abs(v) * 2.0 ** -53
+        ctx = self.ctx
+        P, disc, den = 2 * A + B * ctx.trace, ctx.disc, 2 * d
+        # e: a lower bound on log2 |P + B*sqrt(disc)|, where
+        # 2^h <= |B|*sqrt(disc) < 2^(h+1)
+        h = ((B * B * disc).bit_length() - 1) >> 1
+        if P == 0 or (P > 0) == (B > 0):
+            e = max(P.bit_length() - 1, h)
+        else:
+            # |P + B sqrt(disc)| = |P^2 - B^2 disc| / (|P| + |B| sqrt(disc))
+            e = (abs(P * P - B * B * disc).bit_length() - 2
+                 - max(P.bit_length(), h + 1))
+        k = 56 + den.bit_length() - e  # makes |2^k x| >= 2^56
+        n = (_root_floor(P << k, B << k, disc, den) if k >= 0
+             else _root_floor(P, B, disc, den << -k))
+        v = math.ldexp(float(2 * n + 1), -k - 1)
+        return v, abs(v) * 2.0 ** -53
 
     def __float__(self) -> float:
         return self.to_float()[0]
@@ -305,13 +309,14 @@ class QuadraticNumber:
     # -- text ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.b >= 0:
-            return f"{self.a}+{self.b}*l"
-        return f"{self.a}-{-self.b}*l"
+        a, b = self.a, self.b
+        return f"{a}+{b}*l" if b >= 0 else f"{a}-{-b}*l"
 
     def __repr__(self) -> str:
         return f"QuadraticNumber({self.a!r}, {self.b!r}, {self.ctx!r})"
 
+
+_new = object.__new__
 
 # The golden field: l = (1 + sqrt(5)) / 2.
 GOLDEN = QuadraticContext(1, -1)
@@ -319,39 +324,22 @@ GOLDEN = QuadraticContext(1, -1)
 
 def floor_mod1(x):
     """Split ``x = n + r`` with integer ``n`` and ``r`` in [0, 1), exactly."""
-    if isinstance(x, QuadraticNumber):
-        n = x.floor()
-        return n, x - n
-    if isinstance(x, (int, Fraction)):
-        f = _as_fraction(x)
-        n = math.floor(f)
-        return n, f - n
-    n = math.floor(x)
+    if isinstance(x, int):
+        x = Fraction(x)
+    n = x.floor() if isinstance(x, QuadraticNumber) else math.floor(x)
     return n, x - n
 
 
-def scalar_sign(x) -> int:
-    if isinstance(x, QuadraticNumber):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
 def scalar_floor(x) -> int:
-    if isinstance(x, QuadraticNumber):
-        return x.floor()
-    return math.floor(x)
+    return x.floor() if isinstance(x, QuadraticNumber) else math.floor(x)
 
 
 def scalar_float(x) -> float:
-    if isinstance(x, QuadraticNumber):
-        return x.to_float()[0]
-    return float(x)
+    return x.to_float()[0] if isinstance(x, QuadraticNumber) else float(x)
 
 
 def scalar_str(x) -> str:
-    if isinstance(x, QuadraticNumber):
-        return str(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (QuadraticNumber, int, Fraction)):
         return str(x)
     return repr(x)
 
@@ -380,8 +368,7 @@ def parse_scalar(text: str, ctx: QuadraticContext | None = None):
         return parse_rational(s)
     if ctx is None:
         raise ParseError(f"{text!r} needs a quadratic context")
-    a = Fraction(0)
-    b = Fraction(0)
+    a = b = Fraction(0)
     pos = 0
     while pos < len(s):
         sign = 1

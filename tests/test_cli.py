@@ -107,3 +107,36 @@ def test_equidistribution_artifact(tmp_path, capsys):
     report = json.loads((tmp_path / "weyl-sums.json").read_text())
     assert set(report) == {"skew", "nilflow"}
     assert report["skew"]["passed"]
+
+
+def test_csv_floats_do_not_depend_on_earlier_commands(tmp_path):
+    skew = ["orbit", "--kind", "skew", "--iters", 30, "--format", "csv"]
+    assert run([*skew, "--out", tmp_path / "first"]) == 0
+    assert run(["orbit", "--kind", "strip", "--iters", 30, "--format", "csv",
+                "--out", tmp_path / "strip"]) == 0
+    assert run([*skew, "--out", tmp_path / "again"]) == 0
+    first = (tmp_path / "first" / "orbit-skew.csv").read_bytes()
+    assert first == (tmp_path / "again" / "orbit-skew.csv").read_bytes()
+
+
+def test_unknown_config_key_is_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"lenght": 5, "out": str(tmp_path)}))
+    assert run(["broken-line", "--config", cfg]) == 2
+    assert "'lenght'" in capsys.readouterr().err
+    assert not (tmp_path / "broken-line.csv").exists()
+
+
+def test_config_value_of_wrong_type_is_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    for bad in ({"iters": "abc"}, {"iters": True}, {"threshold": "x"},
+                {"substitution": 5}):
+        cfg.write_text(json.dumps({**bad, "out": str(tmp_path)}))
+        assert run(["orbit", "--config", cfg]) == 2
+        assert repr(next(iter(bad))) in capsys.readouterr().err
+
+
+def test_broken_line_without_fixed_point_is_hypothesis_violation(tmp_path, capsys):
+    assert run(["broken-line", "--substitution", "a->ba;b->a",
+                "--out", tmp_path]) == 3
+    assert "prolongable" in capsys.readouterr().err

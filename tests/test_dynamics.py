@@ -39,7 +39,7 @@ from nilflow.dynamics import (
     strip_return_count,
 )
 from nilflow.factorization import eigen_data, factor
-from nilflow.freegroup import FIBONACCI
+from nilflow.freegroup import FIBONACCI, parse_substitution
 from nilflow.heisenberg import GroupPoint
 from nilflow.verification import random_hyperbolic_data
 
@@ -363,6 +363,17 @@ def test_equidistribution_small():
     rep2 = equidistribution_report("nilflow", 50_000, radius=2, threshold=0.1,
                                    escalation=1)
     assert rep2["passed"]
+
+
+def test_nilflow_step_lies_outside_the_field():
+    from nilflow.dynamics import off_field_step
+    assert off_field_step(5) == 2 ** 0.5  # Fibonacci: Q(sqrt 5)
+    assert off_field_step(8) == 3 ** 0.5  # a->aab;b->a: Q(sqrt 2)
+    assert off_field_step(18) == 3 ** 0.5 and off_field_step(12) == 2 ** 0.5
+    data = eigen_data(factor(parse_substitution("a->aab;b->a")))
+    assert data.context.disc == 8
+    rep = equidistribution_report("nilflow", 10**5, data=data, escalation=1)
+    assert rep["passed"], rep["worst_modulus"]
 
 
 def test_zero_character_is_one():

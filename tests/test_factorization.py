@@ -319,3 +319,18 @@ def test_endo_power():
     s5 = GENERATOR_ENDOS["s5"]
     assert endo_power(s5, 4) == HeisenbergEndo(1, 0, 0, 1, 4, 0)
     assert endo_power(s5, -2) == HeisenbergEndo(1, 0, 0, 1, -2, 0)
+
+
+def test_package_has_no_assert_statements():
+    # invariants must survive python -O, which strips assert statements
+    import ast
+    from pathlib import Path
+
+    import nilflow
+
+    found = []
+    for path in sorted(Path(nilflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,5 +1,6 @@
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -178,3 +179,101 @@ def test_ordering_is_exact_near_ties():
     # lam against close rationals from its convergents
     assert LAM > Fraction(987, 610)
     assert LAM < Fraction(1597, 987)
+
+
+def _mp_floor(x: QuadraticNumber) -> int:
+    return int(mpmath.floor(mp_value(x)))
+
+
+def test_integer_triple_is_canonical():
+    x = qn(Fraction(1, 2), Fraction(1, 3))
+    assert (x.A, x.B, x.d) == (3, 2, 6)
+    assert x.a == Fraction(1, 2) and x.b == Fraction(1, 3)
+    y = qn(Fraction(5, 6), Fraction(2, 3)) - qn(Fraction(1, 3), Fraction(1, 3))
+    assert (y.A, y.B, y.d) == (3, 2, 6) and y == x and hash(y) == hash(x)
+    assert hash(qn(3, 0)) == hash(3) and qn(Fraction(3, 4), 0) == Fraction(3, 4)
+    assert hash(qn(Fraction(3, 4), 0)) == hash(Fraction(3, 4))
+    assert (x - x).A == 0 and (x - x).d == 1
+
+
+def test_floor_huge_coefficient_is_exact_and_fast():
+    mpmath.mp.dps = 60
+    x = QuadraticNumber(3, 10**20 + 1, GOLDEN)
+    start = time.perf_counter()
+    n = x.floor()
+    elapsed = time.perf_counter() - start
+    assert n == _mp_floor(x)
+    assert elapsed < 0.05
+
+
+def test_floor_and_float_beyond_double_range():
+    mpmath.mp.dps = 500
+    x = QuadraticNumber(3, 10**400, GOLDEN)
+    assert x.floor() == _mp_floor(x)
+    assert (x - x.floor()).sign() >= 0 and (x - x.floor() - 1).sign() < 0
+    y = QuadraticNumber(3, 10**200, GOLDEN)
+    assert y.to_float()[0] == float(mp_value(y))
+
+
+def _random_elements(rng, ctx, count, max_bits):
+    for _ in range(count):
+        bits = rng.randrange(1, max_bits + 1)
+
+        def coeff():
+            num = rng.getrandbits(bits) * rng.choice((-1, 1))
+            return Fraction(num, rng.getrandbits(rng.randrange(bits + 1)) + 1)
+
+        yield QuadraticNumber(coeff(), coeff(), ctx)
+
+
+def _near_rational_elements(ctx, count):
+    """p - q*l for the continued-fraction convergents p/q of l: values near 0."""
+    p0, q0, p1, q1 = 1, 0, ctx.lam.floor(), 1
+    x = ctx.lam
+    for _ in range(count):
+        yield QuadraticNumber(p1, -q1, ctx)
+        yield QuadraticNumber(Fraction(-p1, 7), Fraction(q1, 7), ctx)
+        x = 1 / (x - x.floor())
+        a = x.floor()
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+
+
+def test_sign_and_floor_match_mpmath_at_height_200():
+    mpmath.mp.dps = 300
+    rng = random.Random(11)
+    for ctx in CONTEXTS:
+        elements = [*_random_elements(rng, ctx, 300, 200),
+                    *_near_rational_elements(ctx, 60)]
+        for x in elements:
+            v = mp_value(x)
+            assert x.sign() == mpmath.sign(v)
+            assert x.floor() == int(mpmath.floor(v))
+
+
+def test_to_float_is_correctly_rounded():
+    mpmath.mp.dps = 300
+    rng = random.Random(12)
+    for known in CONTEXTS:
+        # a fresh context, and the small values first: nothing computed
+        # earlier may sharpen the result
+        ctx = QuadraticContext(known.trace, known.det)
+        elements = [*_near_rational_elements(ctx, 60),
+                    *_random_elements(rng, ctx, 300, 200)]
+        for x in elements:
+            v, err = x.to_float()
+            assert v == float(mp_value(x))
+            assert abs(mp_value(x) - v) <= err
+
+
+def test_to_float_does_not_depend_on_earlier_calls():
+    ctx = QuadraticContext(1, -1)  # a fresh context, nothing cached on it
+    rng = random.Random(13)
+    values = [QuadraticNumber(Fraction(rng.randrange(-10**6, 10**6), 97),
+                              Fraction(rng.randrange(1, 10**6), 89), ctx)
+              for _ in range(200)]
+    first = [x.to_float() for x in values]
+    for precision in (32, 40, 53, 120, 400):
+        for x in _random_elements(rng, ctx, 20, 300):
+            x.to_float(precision)
+    assert [x.to_float() for x in values] == first
+    assert [x.to_float(precision=40) for x in values] == first
