@@ -104,6 +104,8 @@ CONFIG_TYPES = {
     "start": _OPTIONAL_TEXT, "step": _SCALAR, "format": _TEXT, "out": _TEXT,
     "analysis_out": _OPTIONAL_TEXT,
 }
+# sizes, from a flag or the config file, must be at least 1
+POSITIVE_KEYS = ("iters", "samples", "length", "radius")
 
 
 def load_config(args: argparse.Namespace) -> dict:
@@ -132,6 +134,9 @@ def load_config(args: argparse.Namespace) -> dict:
             continue
         if value is not None:
             cfg[key] = value
+    for key in POSITIVE_KEYS:
+        if cfg[key] < 1:
+            raise ParseError(f"--{key} must be a positive integer, got {cfg[key]}")
     return cfg
 
 

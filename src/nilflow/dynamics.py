@@ -300,14 +300,12 @@ def renormalization_check(s, s_prime, theta, n_points: int = 101) -> dict:
     us = [Fraction(i, n_points) for i in range(n_points)]
     us.extend([INV_PHI2, INV_PHI4, INV_PHI])
     failures = []
-    checked = 0
     for i, u in enumerate(us):
         pt = TorusPoint2(golden(u), golden(Fraction(i % 3, 3)))
         down = transfer_inv(pt)
         rec = first_return(base, region, down, max_iter=16)
         lhs = transfer(rec.point)
         rhs = target(pt)
-        checked += 1
         if lhs != rhs:
             failures.append({
                 "witness": (scalar_str(pt.u), scalar_str(pt.v)),
@@ -319,7 +317,7 @@ def renormalization_check(s, s_prime, theta, n_points: int = 101) -> dict:
         "b": scalar_str(b),
         "theta_prime": scalar_str(theta_prime),
         "theta_prime_float": scalar_float(theta_prime),
-        "checked": checked,
+        "checked": len(us),
         "failures": failures,
         "passed": not failures,
     }
@@ -405,10 +403,7 @@ class SigmaSection:
         self.vec = flow_of(data, "lam")
 
     def contains(self, p: SectionPoint) -> bool:
-        return (
-            self.data.s_a <= p.s < self.data.s_b
-            and -HALF <= p.zoff < HALF
-        )
+        return self.data.s_a <= p.s < self.data.s_b and -HALF <= p.zoff < HALF
 
     def point(self, s, zoff) -> SectionPoint:
         p = SectionPoint(golden_like(s, self.data), golden_like(zoff, self.data))
@@ -750,8 +745,6 @@ def fibonacci_chart_equivalence(n_verify: int = 100, seed: int = 41) -> dict:
     """
     data = eigen_data(factor(FIBONACCI))
     diag = DiagonalSection(data, 0, 0)
-    alpha = data.alpha
-    beta = data.beta
     c_p = -HALF_INV_PHI3
     rng = random.Random(seed)
 
@@ -809,8 +802,8 @@ def fibonacci_chart_equivalence(n_verify: int = 100, seed: int = 41) -> dict:
                                 "w1": scalar_str(w1),
                                 "c2": "0 (free fiber rotation)",
                                 "verified_points": n_verify,
-                                "rotation_chart": scalar_str(alpha),
-                                "rotation_target": scalar_str(beta),
+                                "rotation_chart": scalar_str(data.alpha),
+                                "rotation_target": scalar_str(data.beta),
                                 "passed": True,
                             }
     return {"found": False, "passed": False,
@@ -987,12 +980,11 @@ def rprime_return_audit(coeffs: RegionCoeffs | None = None,
 def counterexample_suite(coeffs: RegionCoeffs | None = None,
                          n_points: int = 100, seed: int = 3) -> dict:
     c = coeffs if coeffs is not None else RegionCoeffs.default_coeffs()
-    origin_in_d2 = in_d2(c, golden(0), golden(0))
     return {
         "affine_identity": affine_identity_check(n_points=n_points, seed=seed),
         "region_invariance": region_invariance_audit(c),
         "return_counts": rprime_return_audit(c, seed=seed),
-        "origin_in_D2": origin_in_d2,
+        "origin_in_D2": in_d2(c, golden(0), golden(0)),
         "p0": scalar_str(c.p(golden(0))),
         "r0": scalar_str(c.r(golden(0))),
     }
@@ -1065,12 +1057,35 @@ def conjugation_suite(data: EigenData, x0, samples: int = 100, seed: int = 9,
 
 
 def character_grid(radius: int = 3) -> list[tuple[int, int]]:
-    return [
-        (p, q)
-        for p in range(-radius, radius + 1)
-        for q in range(-radius, radius + 1)
-        if (p, q) != (0, 0)
-    ]
+    return [(p, q) for p in range(-radius, radius + 1)
+            for q in range(-radius, radius + 1) if (p, q) != (0, 0)]
+
+
+def _character_sums(x, y, radius: int) -> np.ndarray:
+    """sum_n e(p x_n + q y_n) for |p|, |q| <= radius, at [p + radius, q + radius]:
+    powers of e(x) and e(y) (conjugates for p, q < 0) and one complex product
+    of a (2r+1) x N by an N x (2r+1) matrix."""
+    def powers(t):
+        rows = np.empty((2 * radius + 1, len(t)), dtype=np.complex128)
+        rows[radius] = 1.0
+        if radius:
+            phase = 2 * np.pi * t
+            rows[radius + 1].real, rows[radius + 1].imag = np.cos(phase), np.sin(phase)
+        for k in range(radius + 2, 2 * radius + 1):
+            np.multiply(rows[k - 1], rows[radius + 1], out=rows[k])
+        np.conjugate(rows[:radius:-1], out=rows[:radius])
+        return rows
+    return powers(x) @ powers(y).T
+
+
+def _birkhoff_moduli(chars, n_iter: int, chunk: int, points) -> dict:
+    """|S_N|/N of each character; ``points(k0, n)`` gives orbit points k0 .. k0+n-1."""
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be positive, got {n_iter}")
+    radius = max((max(abs(p), abs(q)) for p, q in chars), default=0)
+    total = sum(_character_sums(*points(k0, min(chunk, n_iter - k0)), radius)
+                for k0 in range(0, n_iter, chunk))
+    return {(p, q): abs(total[p + radius, q + radius]) / n_iter for p, q in chars}
 
 
 def weyl_sums_skew_exact(chars, n_iter: int, sample_every: int = 1) -> dict:
@@ -1080,42 +1095,35 @@ def weyl_sums_skew_exact(chars, n_iter: int, sample_every: int = 1) -> dict:
     the cross-check path: characters are evaluated at float images of exact
     orbit points, optionally every ``sample_every`` steps.
     """
-    u, v = golden(0), golden(0)
-    sums = {pq: 0.0 + 0.0j for pq in chars}
-    count = 0
+    u, v, pts = golden(0), golden(0), []
     for k in range(n_iter):
         if k % sample_every == 0:
-            uf, vf = scalar_float(u), scalar_float(v)
-            for p, q in chars:
-                sums[(p, q)] += np.exp(2j * np.pi * (p * uf + q * vf))
-            count += 1
+            pts.append((scalar_float(u), scalar_float(v)))
         u, v = golden_skew_step(u, v)
-    return {pq: abs(s) / count for pq, s in sums.items()}
+    return _birkhoff_moduli(chars, len(pts), 1 << 14,
+                            lambda k0, n: np.array(pts[k0:k0 + n]).T)
 
 
 def weyl_sums_skew_product(chars, n_iter: int, u0: float = 0.0, v0: float = 0.0,
-                           chunk: int = 1_000_000) -> dict:
+                           chunk: int = 1 << 14) -> dict:
     """Birkhoff averages of characters along the golden skew product orbit.
 
-    The orbit is evaluated in closed form per chunk (base rotation plus a
-    cumulative sum in the fiber), so no per-step rounding accumulates.
+    Each chunk starts from the orbit point k0 decided exactly in Q(sqrt 5),
+    u = {u0 + k0/phi^2}, v = {v0 + k0 u0 + k0(k0-1)/(2 phi^2) - k0/(2 phi^3)},
+    and exported as correctly rounded doubles.  Inside a chunk the base steps
+    by the float 1/phi^2 and the fiber is a float cumulative sum, so rounding
+    builds up over at most ``chunk`` steps and never across chunks.
     """
-    beta = float(INV_PHI2)
-    c = -float(HALF_INV_PHI3)
-    sums = {pq: 0.0 + 0.0j for pq in chars}
-    carry = v0
-    done = 0
-    while done < n_iter:
-        count = min(chunk, n_iter - done)
-        k = np.arange(done, done + count, dtype=np.float64)
-        u = (u0 + k * beta) % 1.0
-        w = u + c
-        v = (carry + np.cumsum(w) - w) % 1.0
-        carry = (carry + float(np.sum(w))) % 1.0
-        for p, q in chars:
-            sums[(p, q)] += np.sum(np.exp(2j * np.pi * (p * u + q * v)))
-        done += count
-    return {pq: abs(s) / n_iter for pq, s in sums.items()}
+    u0, v0 = golden(u0), golden(v0)
+
+    def points(k0, n):
+        us = floor_mod1(u0 + k0 * INV_PHI2)[1]
+        vs = floor_mod1(v0 + k0 * u0 + k0 * (k0 - 1) // 2 * INV_PHI2
+                        - k0 * HALF_INV_PHI3)[1]
+        u = (scalar_float(us) + np.arange(n) * float(INV_PHI2)) % 1.0
+        w = u - float(HALF_INV_PHI3)
+        return u, (scalar_float(vs) + np.cumsum(w) - w) % 1.0
+    return _birkhoff_moduli(chars, n_iter, chunk, points)
 
 
 def off_field_step(disc: int) -> float:
@@ -1129,7 +1137,7 @@ def off_field_step(disc: int) -> float:
 
 
 def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
-                      step: float | None = None, chunk: int = 1_000_000) -> dict:
+                      step: float | None = None, chunk: int = 1 << 14) -> dict:
     """Birkhoff averages of base characters along a sampled nilflow orbit.
 
     The sampling step must lie outside the field of the eigenvector entries,
@@ -1140,19 +1148,12 @@ def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
     """
     if step is None:
         step = off_field_step(data.context.disc)
-    alpha = scalar_float(data.alpha)
-    beta = scalar_float(data.beta)
-    sums = {pq: 0.0 + 0.0j for pq in chars}
-    done = 0
-    while done < n_iter:
-        count = min(chunk, n_iter - done)
-        t = (np.arange(done, done + count, dtype=np.float64)) * step
-        x = (t * alpha) % 1.0
-        y = (t * beta) % 1.0
-        for p, q in chars:
-            sums[(p, q)] += np.sum(np.exp(2j * np.pi * (p * x + q * y)))
-        done += count
-    return {pq: abs(s) / n_iter for pq, s in sums.items()}
+    alpha, beta = scalar_float(data.alpha), scalar_float(data.beta)
+
+    def points(k0, n):
+        t = np.arange(k0, k0 + n, dtype=np.float64) * step
+        return (t * alpha) % 1.0, (t * beta) % 1.0
+    return _birkhoff_moduli(chars, n_iter, chunk, points)
 
 
 def equidistribution_report(kind: str, n_iter: int, radius: int = 3,
@@ -1171,12 +1172,10 @@ def equidistribution_report(kind: str, n_iter: int, radius: int = 3,
         raise ValueError(f"unknown orbit kind {kind!r}")
 
     table = run(n_iter)
-    worst = max(table.values())
-    escalated = False
-    if worst >= threshold and escalation > 1:
+    escalated = escalation > 1 and bool(max(table.values()) >= threshold)
+    if escalated:
         table = run(n_iter * escalation)
-        worst = max(table.values())
-        escalated = True
+    worst = max(table.values())
     return {
         "kind": kind,
         "n_iter": n_iter * (escalation if escalated else 1),

@@ -140,3 +140,21 @@ def test_broken_line_without_fixed_point_is_hypothesis_violation(tmp_path, capsy
     assert run(["broken-line", "--substitution", "a->ba;b->a",
                 "--out", tmp_path]) == 3
     assert "prolongable" in capsys.readouterr().err
+
+
+def test_non_positive_sizes_are_parse_errors(tmp_path, capsys):
+    for args, flag in [
+        (["equidistribution", "--iters", 0], "--iters"),
+        (["equidistribution", "--radius", 0], "--radius"),
+        (["equidistribution", "--iters", -5], "--iters"),
+        (["orbit", "--iters", -5], "--iters"),
+        (["broken-line", "--length", 0], "--length"),
+        (["induce", "--samples", 0], "--samples"),
+    ]:
+        assert run([*args, "--out", tmp_path]) == 2, args
+        assert flag in capsys.readouterr().err
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"iters": 0, "out": str(tmp_path)}))
+    assert run(["orbit", "--config", cfg]) == 2
+    assert "--iters" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]

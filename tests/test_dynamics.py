@@ -389,3 +389,104 @@ def test_exact_orbit_agrees_with_closed_form():
     fast = weyl_sums_skew_product(chars, 2000)
     for pq in chars:
         assert abs(exact[pq] - fast[pq]) < 1e-9
+
+
+
+NON_GRID = [(0, 0), (3, -1), (-2, 0), (1, 3)]
+
+
+def _direct_moduli(chars, x, y):
+    """|S_N|/N by one complex exponential per character over all samples."""
+    import numpy as np
+    return {(p, q): abs(np.exp(2j * np.pi * (p * x + q * y)).sum()) / len(x)
+            for p, q in chars}
+
+
+def _exact_skew_orbit(u0, v0, n):
+    import numpy as np
+    from nilflow.scalar import scalar_float
+    u, v, pts = golden(Fraction(u0)), golden(Fraction(v0)), []
+    for _ in range(n):
+        pts.append((scalar_float(u), scalar_float(v)))
+        u, v = golden_skew_step(u, v)
+    return np.array(pts).T
+
+
+def test_weyl_kernel_matches_direct_exponential_sums():
+    import numpy as np
+    from nilflow.dynamics import (
+        off_field_step, weyl_sums_nilflow, weyl_sums_skew_exact,
+        weyl_sums_skew_product,
+    )
+    from nilflow.scalar import scalar_float
+
+    n = 3000
+    t = np.arange(n) * off_field_step(5)
+    alpha, beta = scalar_float(FIB_DATA.alpha), scalar_float(FIB_DATA.beta)
+    want = _direct_moduli(NON_GRID, (t * alpha) % 1.0, (t * beta) % 1.0)
+    got = weyl_sums_nilflow(FIB_DATA, NON_GRID, n)
+    assert set(got) == set(NON_GRID)
+    for pq in NON_GRID:
+        assert abs(got[pq] - want[pq]) < 1e-12, pq
+    # chunks of 1000 re-seed the closed form at k0 = 1000 and 2000
+    for u0, v0 in ((0.0, 0.0), (0.25, 0.5)):
+        want = _direct_moduli(NON_GRID, *_exact_skew_orbit(u0, v0, n))
+        fast = weyl_sums_skew_product(NON_GRID, n, u0=u0, v0=v0, chunk=1000)
+        for pq in NON_GRID:
+            assert abs(fast[pq] - want[pq]) < 1e-9, (u0, v0, pq)
+    want = _direct_moduli(NON_GRID, *_exact_skew_orbit(0, 0, n))
+    exact = weyl_sums_skew_exact(NON_GRID, n)
+    for pq in NON_GRID:
+        assert abs(exact[pq] - want[pq]) < 1e-12, pq
+    with pytest.raises(ValueError):
+        weyl_sums_skew_product(NON_GRID, 0)
+
+
+def test_weyl_sums_do_not_depend_on_the_chunk():
+    from nilflow.dynamics import (
+        character_grid, weyl_sums_nilflow, weyl_sums_skew_product,
+    )
+    chars, n = character_grid(3), 100_003
+    pairs = [
+        (weyl_sums_skew_product(chars, n, chunk=1 << 10),
+         weyl_sums_skew_product(chars, n)),
+        (weyl_sums_skew_product(chars, n, u0=0.125, v0=0.75, chunk=1 << 10),
+         weyl_sums_skew_product(chars, n, u0=0.125, v0=0.75)),
+        (weyl_sums_nilflow(FIB_DATA, chars, n, chunk=1 << 10),
+         weyl_sums_nilflow(FIB_DATA, chars, n)),
+    ]
+    for small, default in pairs:
+        assert max(abs(small[pq] - default[pq]) for pq in chars) < 1e-10
+
+
+def test_nilflow_weyl_sums_match_the_geometric_series():
+    mpmath = pytest.importorskip("mpmath")
+    from nilflow.dynamics import character_grid, weyl_sums_nilflow
+    n = 10**5
+    table = weyl_sums_nilflow(FIB_DATA, character_grid(3), n)
+    with mpmath.workdps(40):
+        phi = (1 + mpmath.sqrt(5)) / 2
+
+        def real(x):  # a + b*phi in the golden field
+            return (mpmath.mpf(x.a.numerator) / x.a.denominator
+                    + mpmath.mpf(x.b.numerator) / x.b.denominator * phi)
+
+        alpha, beta = real(FIB_DATA.alpha), real(FIB_DATA.beta)
+        for (p, q), got in table.items():
+            theta = mpmath.sqrt(2) * (p * alpha + q * beta)
+            want = abs(mpmath.sin(mpmath.pi * n * theta)
+                       / (n * mpmath.sin(mpmath.pi * theta)))
+            assert abs(got - float(want)) < 1e-9, (p, q)
+
+
+def test_skew_weyl_sums_stay_small_in_memory():
+    import tracemalloc
+    from nilflow.dynamics import character_grid, weyl_sums_skew_product
+    chars = character_grid(3)
+    tracemalloc.start()
+    try:
+        weyl_sums_skew_product(chars, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
