@@ -394,13 +394,28 @@ class SigmaSection:
     A chart point (s, w) is the group element over s*(alpha_p, beta_p) at
     central offset w from the surface.  The first-return map is a
     two-interval exchange in s with translations {s_a, s_b} and return
-    times {t_a, t_b}.
+    times {t_a, t_b}.  ``table`` holds it, derived once from the flow
+    geometry: for [s_a, 0) and [0, s_b), the :class:`Branch` (domain, du,
+    fiber increment affine in s), return time and lattice offset (n, m).
+    :meth:`_step` and :meth:`replay` flow the group point as oracles.
     """
 
     def __init__(self, data: EigenData, quadric: SurfaceQuadric | None = None):
-        self.data = data
+        self.data = d = data
         self.quadric = quadric if quadric is not None else surface_quadric(data)
         self.vec = flow_of(data, "lam")
+        zero = data.zero()
+        self.table = (
+            (self._derive_branch(d.s_a, zero, d.s_b, d.t_b, 0, -1), d.t_b, (0, -1)),
+            (self._derive_branch(zero, d.s_b, d.s_a, d.t_a, -1, 0), d.t_a, (-1, 0)),
+        )
+        self._rho, self._sigma, self._inv_sb = d.t_a / d.t_b, d.s_a / d.s_b, 1 / d.s_b
+        # float sizes of the flight by branch and of the section ends: the
+        # lattice window of _crossing_step
+        self._flight = tuple((abs(scalar_float(d.alpha * t)), abs(scalar_float(d.beta * t)))
+                             for t in (d.t_b, d.t_a))
+        self._ends = max(abs(scalar_float(c * e)) for c in (d.alpha_p, d.beta_p)
+                         for e in (d.s_a, d.s_b))
 
     def contains(self, p: SectionPoint) -> bool:
         return self.data.s_a <= p.s < self.data.s_b and -HALF <= p.zoff < HALF
@@ -422,29 +437,50 @@ class SigmaSection:
             raise ValueError("point is not on the section line")
         return SectionPoint(s, g.z - self.quadric.evaluate(g.x, g.y))
 
-    def _step(self, s, zoff):
-        """One return step; valid for s in [s_a, s_b] (closed right end)."""
-        d = self.data
-        if s >= 0:
-            t, shift, nm = d.t_a, d.s_a, (-1, 0)
-        else:
-            t, shift, nm = d.t_b, d.s_b, (0, -1)
-        g = GroupPoint(d.alpha_p * s, d.beta_p * s,
-                       self.quadric.evaluate(d.alpha_p * s, d.beta_p * s) + zoff)
-        g1 = flow(self.vec, t, g)
-        s2 = s + shift
-        x2, y2 = d.alpha_p * s2, d.beta_p * s2
-        n, m = nm
+    def _flow_offset(self, s, zoff, t, u, n, m):
+        """Flow the chart point (s, zoff) for time t; the central offset from
+        the surface of the landing over parameter u, lattice-corrected by
+        (n, m) and not reduced mod 1."""
+        d, q = self.data, self.quadric
+        x, y = d.alpha_p * s, d.beta_p * s
+        g1 = flow(self.vec, t, GroupPoint(x, y, q.evaluate(x, y) + zoff))
+        x2, y2 = d.alpha_p * u, d.beta_p * u
         if g1.x + n != x2 or g1.y + m != y2:
             raise AssertionError("lattice correction does not close the step")
-        w = g1.z + g1.x * m - self.quadric.evaluate(x2, y2)
-        pc = -(w + HALF).floor()
-        return SectionPoint(s2, w + pc), t, (n, m, pc)
+        return g1.z + g1.x * m - q.evaluate(x2, y2)
+
+    def _derive_branch(self, lo, hi, du, t, n, m) -> Branch:
+        """The fiber increment of one branch, exact on all of [lo, hi).
+
+        The flow offset is a polynomial of degree at most 2 in s, so its
+        values at lo, the midpoint and hi fix it; the s^2 terms of the two
+        surface heights cancel, which the derivation checks.
+        """
+        h = (hi - lo) / 2
+        w0, w1, w2 = (self._flow_offset(s, 0, t, s + du, n, m)
+                      for s in (lo, lo + h, hi))
+        a2 = (w2 - 2 * w1 + w0) / (2 * h * h)
+        if a2 != 0:
+            raise ArithmeticError("section return is not affine in the fiber")
+        a1 = (w1 - w0) / h
+        return Branch(lo, hi, du, a2, a1, w0 - a1 * lo)
+
+    def _step(self, s, zoff):
+        """One return by flowing the group point; valid for s in [s_a, s_b]
+        (closed right end)."""
+        d = self.data
+        if s >= 0:
+            t, u, nm = d.t_a, s + d.s_a, (-1, 0)
+        else:
+            t, u, nm = d.t_b, s + d.s_b, (0, -1)
+        return _reduced(u, self._flow_offset(s, zoff, t, u, *nm), t, nm)
 
     def return_map(self, p: SectionPoint) -> ReturnRecord:
         if not self.contains(p):
             raise ValueError("not a valid section point")
-        point, t, lat = self._step(p.s, p.zoff)
+        b, t, nm = self.table[p.s >= 0]
+        # a2 = 0 on both branches (checked by _derive_branch)
+        point, t, lat = _reduced(p.s + b.du, p.zoff + b.a1 * p.s + b.a0, t, nm)
         if not self.contains(point):
             raise AssertionError("return left the section chart")
         return ReturnRecord(point, t, 1, (lat,))
@@ -455,45 +491,44 @@ class SigmaSection:
             g = g * GroupPoint(*lat)
         return g == self.to_group(record.point)
 
+    def _crossing_rows(self, s, w):
+        """Row n of the lattice window [-w, w]^2 with the range of m where the
+        crossing comes at t > 0 and s_a <= u <= s_b, decided by floors: the
+        line through (n, m) is met at t = n t_a + m t_b and parameter
+        u = s + n s_a + m s_b, with t_b, s_b > 0 (eigen_data)."""
+        v = s * self._inv_sb                    # (s + n s_a) / s_b at n = 0
+        for n in range(-w, w + 1):
+            vn = v + n * self._sigma
+            yield n, range(max(-w, (-n * self._rho).floor() + 1,
+                               -(vn - self._sigma).floor()),
+                           min(w, (1 - vn).floor()) + 1)
+
     def _crossing_step(self, s, zoff):
         """First crossing of the CLOSED segment [s_a, s_b], any lattice offset.
 
         The half-open section never contains the line point at parameter
         s_b, but the automorphism image of the section can (exactly when
         lam' * s_a = s_b), so induction iterations must see crossings there
-        as well.  The branch landing seeds the search; every lattice
-        translate reachable within that flight is then solved exactly.
+        as well.  The branch landing seeds the search; in each lattice row
+        of the window the earliest admissible crossing is the smallest m of
+        its range, since t grows with m.
         """
         d = self.data
-        if s >= 0:
+        right = s >= 0
+        if right:
             t_br, shift, offset = d.t_a, d.s_a, (1, 0)
         else:
             t_br, shift, offset = d.t_b, d.s_b, (0, 1)
         # (n, m) is the plane offset: position at the crossing = u*(a_p, b_p) + (n, m)
         best = (t_br, s + shift, offset)
-        x0, y0 = d.alpha_p * s, d.beta_p * s
-        span = max(
-            abs(scalar_float(x0)) + abs(scalar_float(d.alpha * t_br)),
-            abs(scalar_float(y0)) + abs(scalar_float(d.beta * t_br)),
-            abs(scalar_float(d.alpha_p * d.s_a)), abs(scalar_float(d.alpha_p * d.s_b)),
-            abs(scalar_float(d.beta_p * d.s_a)), abs(scalar_float(d.beta_p * d.s_b)),
-        )
-        w = int(span) + 2
-        for n in range(-w, w + 1):
-            for m in range(-w, w + 1):
-                t = (d.beta_p * (n - x0) - d.alpha_p * (m - y0)) / d.delta
-                u = (d.beta * (n - x0) - d.alpha * (m - y0)) / d.delta
-                if 0 < t < best[0] and d.s_a <= u <= d.s_b:
-                    best = (t, u, (n, m))
+        ax, by = self._flight[right]
+        w = int(max(abs(scalar_float(d.alpha_p * s)) + ax,
+                    abs(scalar_float(d.beta_p * s)) + by, self._ends)) + 2
+        for n, ms in self._crossing_rows(s, w):
+            if ms and (t := n * d.t_a + ms[0] * d.t_b) < best[0]:
+                best = (t, s + n * d.s_a + ms[0] * d.s_b, (n, ms[0]))
         t, u, (n, m) = best
-        g = GroupPoint(x0, y0, self.quadric.evaluate(x0, y0) + zoff)
-        g1 = flow(self.vec, t, g)
-        x2, y2 = d.alpha_p * u, d.beta_p * u
-        if g1.x - n != x2 or g1.y - m != y2:
-            raise AssertionError("crossing solve does not close")
-        wz = g1.z + g1.x * (-m) - self.quadric.evaluate(x2, y2)
-        pc = -(wz + HALF).floor()
-        return SectionPoint(u, wz + pc), t, (-n, -m, pc)
+        return _reduced(u, self._flow_offset(s, zoff, t, u, -n, -m), t, (-n, -m))
 
     def early_crossing_audit(self, p: SectionPoint, window: int = 4) -> dict:
         """Certify the step time is the first crossing of the section line.
@@ -503,25 +538,27 @@ class SigmaSection:
         positive time and parameter inside [s_a, s_b).
         """
         d = self.data
-        x0, y0 = d.alpha_p * p.s, d.beta_p * p.s
         t_branch = d.t_a if p.s >= 0 else d.t_b
         early = []
         found_return = False
-        for n in range(-window, window + 1):
-            for m in range(-window, window + 1):
-                t = (d.beta_p * (n - x0) - d.alpha_p * (m - y0)) / d.delta
-                u = (d.beta * (n - x0) - d.alpha * (m - y0)) / d.delta
-                if not d.s_a <= u < d.s_b:
-                    continue
-                if 0 < t < t_branch:
-                    early.append({"n": n, "m": m, "t": scalar_str(t)})
-                if t == t_branch:
-                    found_return = True
+        for n, ms in self._crossing_rows(p.s, window):
+            for m in ms:
+                t = n * d.t_a + m * d.t_b
+                if p.s + n * d.s_a + m * d.s_b < d.s_b:
+                    if t < t_branch:
+                        early.append({"n": n, "m": m, "t": scalar_str(t)})
+                    found_return = found_return or t == t_branch
         return {
             "early_crossings": early,
             "return_seen_in_window": found_return,
             "passed": not early and found_return,
         }
+
+
+def _reduced(u, w, t, nm):
+    """The point over u with w reduced into [-1/2, 1/2) by pc, t, (n, m, pc)."""
+    pc = -(w + HALF).floor()
+    return SectionPoint(u, w + pc), t, (*nm, pc)
 
 
 def golden_like(x, data: EigenData) -> QuadraticNumber:

@@ -51,7 +51,7 @@ from .heisenberg import (
     log_point,
     norm4,
 )
-from .scalar import GOLDEN, QuadraticNumber
+from .scalar import GOLDEN, QuadraticNumber, scalar_str
 
 
 @dataclass
@@ -81,47 +81,72 @@ def _rand_in_context(rng: random.Random, ctx) -> QuadraticNumber:
     return QuadraticNumber(_rand_fraction(rng), _rand_fraction(rng), ctx)
 
 
+class _Failures:
+    """Failure count of a check and its first failing case, as exact text."""
+
+    def __init__(self):
+        self.count = 0
+        self.witness = None
+
+    def record(self, holds: bool, law: str, **case) -> None:
+        if not holds:
+            self.count += 1
+            if self.witness is None:
+                self.witness = {"law": law, **{k: _exact(v) for k, v in case.items()}}
+
+
+def _exact(v):
+    if isinstance(v, AlgebraVector):
+        return f"({scalar_str(v.alpha)}, {scalar_str(v.beta)}, {scalar_str(v.gamma)})"
+    if isinstance(v, (list, tuple)):
+        return [_exact(x) for x in v]
+    return v if isinstance(v, (str, int)) else str(v)
+
+
+def _with_witness(details: dict, *failures: _Failures) -> dict:
+    """``details`` plus the first recorded witness; unchanged when none failed."""
+    witness = next((f.witness for f in failures if f.witness is not None), None)
+    return details if witness is None else {**details, "witness": witness}
+
+
 def check_group_suite(seed: int, cases: int = 1000) -> CheckResult:
     """Associativity, inverses, BCH, exp/log round trips, norm symmetry."""
     rng = random.Random(seed)
-    bad = 0
+    bad = _Failures()
     for _ in range(cases):
         a, b, c = _rand_point(rng), _rand_point(rng), _rand_point(rng)
-        if (a * b) * c != a * (b * c):
-            bad += 1
-        if a * a.inverse() != GroupPoint.identity():
-            bad += 1
-        if norm4(a) != norm4(a.inverse()):
-            bad += 1
-        if canonicalize(a).rep != canonicalize(a * rng.choice(
-            [GroupPoint(1, 0, 0), GroupPoint(0, 1, 0), GroupPoint(0, 0, 1),
-             GroupPoint(-2, 3, 5)]
-        )).rep:
-            bad += 1
+        bad.record((a * b) * c == a * (b * c), "associativity", a=a, b=b, c=c)
+        bad.record(a * a.inverse() == GroupPoint.identity(), "inverse", a=a)
+        bad.record(norm4(a) == norm4(a.inverse()), "norm symmetry", a=a)
+        w = rng.choice([GroupPoint(1, 0, 0), GroupPoint(0, 1, 0), GroupPoint(0, 0, 1),
+                        GroupPoint(-2, 3, 5)])
+        bad.record(canonicalize(a).rep == canonicalize(a * w).rep,
+                   "lattice coset representative", a=a, w=w)
         t = _rand_fraction(rng)
-        if dilate(t, a).x != a.x * t or norm4(dilate(t, a)) != t ** 4 * norm4(a):
-            bad += 1
+        bad.record(dilate(t, a).x == a.x * t and norm4(dilate(t, a)) == t ** 4 * norm4(a),
+                   "dilation", a=a, t=t)
     for _ in range(cases):
         u, v = _rand_vector(rng), _rand_vector(rng)
-        if exp_point(u + v) * exp_point(bracket(u, v)) != exp_point(u) * exp_point(v):
-            bad += 1
-        if log_point(exp_point(u)) != u:
-            bad += 1
-    return CheckResult("group.suite", bad == 0, {"cases": cases, "failures": bad})
+        bad.record(exp_point(u + v) * exp_point(bracket(u, v)) == exp_point(u) * exp_point(v),
+                   "BCH", u=u, v=v)
+        bad.record(log_point(exp_point(u)) == u, "exp/log round trip", u=u)
+    return CheckResult("group.suite", bad.count == 0,
+                       _with_witness({"cases": cases, "failures": bad.count}, bad))
 
 
 def check_flow_exchange(seed: int, cases: int = 100) -> CheckResult:
     """Flow exchange with the resolved central exponent, and centrality."""
     rng = random.Random(seed)
-    bad = 0
+    bad = _Failures()
     for _ in range(cases):
         u, v, g = _rand_vector(rng), _rand_vector(rng), _rand_point(rng)
         t, s = _rand_fraction(rng), _rand_fraction(rng)
-        if not flow_exchange_holds(u, v, t, s, g):
-            bad += 1
-        if central_flow(s, flow(u, t, g)) != flow(u, t, central_flow(s, g)):
-            bad += 1
-    return CheckResult("flows.exchange", bad == 0, {"cases": cases, "failures": bad})
+        bad.record(flow_exchange_holds(u, v, t, s, g), "flow exchange",
+                   u=u, v=v, t=t, s=s, g=g)
+        bad.record(central_flow(s, flow(u, t, g)) == flow(u, t, central_flow(s, g)),
+                   "central flow commutes", u=u, t=t, s=s, g=g)
+    return CheckResult("flows.exchange", bad.count == 0,
+                       _with_witness({"cases": cases, "failures": bad.count}, bad))
 
 
 def _random_positive_substitution(rng: random.Random, max_len: int = 6):
@@ -217,24 +242,23 @@ def check_surface(seed: int, cases: int = 1000) -> CheckResult:
     rng = random.Random(seed)
     data = eigen_data(factor(FIBONACCI))
     quadric = surface_quadric(data)
-    bad = 0
+    bad, action_bad = _Failures(), _Failures()
     for _ in range(cases):
         t, s = _rand_golden(rng), _rand_golden(rng)
         x, y = xy_of_ts(data, t, s)
-        if quadric.evaluate(x, y) != z_of_ts(data, t, s):
-            bad += 1
-    action_bad = 0
+        bad.record(quadric.evaluate(x, y) == z_of_ts(data, t, s), "surface identity",
+                   t=t, s=s)
     for _ in range(100):
         t, s = _rand_golden(rng), _rand_golden(rng)
         x, y = xy_of_ts(data, t, s)
         g = GroupPoint(x, y, quadric.evaluate(x, y))
-        image = data.endo.apply(g)
         x2, y2 = xy_of_ts(data, data.lam * t, data.lam_prime * s)
-        if image != GroupPoint(x2, y2, quadric.evaluate(x2, y2)):
-            action_bad += 1
+        action_bad.record(data.endo.apply(g) == GroupPoint(x2, y2, quadric.evaluate(x2, y2)),
+                          "automorphism acts by (lam t, lam' s)", t=t, s=s)
     return CheckResult(
-        "surface.identity", bad == 0 and action_bad == 0,
-        {"cases": cases, "failures": bad, "action_failures": action_bad},
+        "surface.identity", bad.count == 0 and action_bad.count == 0,
+        _with_witness({"cases": cases, "failures": bad.count,
+                       "action_failures": action_bad.count}, bad, action_bad),
     )
 
 
@@ -404,7 +428,7 @@ def check_broken_line(k_counts: int = 10_000, k_proj: int = 100_000) -> CheckRes
 def check_decompose(seed: int, cases: int = 50, max_factors: int = 10) -> CheckResult:
     rng = random.Random(seed)
     names = list(GENERATOR_ENDOS)
-    bad = 0
+    bad = _Failures()
     for _ in range(cases):
         word = [
             (rng.choice(names), rng.choice([-1, 1]))
@@ -413,13 +437,14 @@ def check_decompose(seed: int, cases: int = 50, max_factors: int = 10) -> CheckR
         endo = recompose(word)
         try:
             again = decompose(endo)
-        except Exception:
-            bad += 1
+        except Exception as exc:
+            bad.record(False, "decompose raised", word=word,
+                       error=f"{type(exc).__name__}: {exc}")
             continue
-        if (recompose(again) if again else HeisenbergEndo.identity()) != endo:
-            bad += 1
-    return CheckResult("decompose.roundtrip", bad == 0,
-                       {"cases": cases, "failures": bad})
+        bad.record((recompose(again) if again else HeisenbergEndo.identity()) == endo,
+                   "recompose(decompose(endo)) == endo", word=word)
+    return CheckResult("decompose.roundtrip", bad.count == 0,
+                       _with_witness({"cases": cases, "failures": bad.count}, bad))
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:

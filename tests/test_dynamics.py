@@ -23,6 +23,7 @@ from nilflow.dynamics import (
     first_return,
     gamma_zero,
     golden,
+    golden_like,
     iet_orbit_check,
     in_d2,
     nonresonance_report,
@@ -40,7 +41,7 @@ from nilflow.dynamics import (
 )
 from nilflow.factorization import eigen_data, factor
 from nilflow.freegroup import FIBONACCI, parse_substitution
-from nilflow.heisenberg import GroupPoint
+from nilflow.heisenberg import GroupPoint, flow
 from nilflow.verification import random_hyperbolic_data
 
 FIB_DATA = eigen_data(factor(FIBONACCI))
@@ -197,6 +198,121 @@ def test_sigma_group_reconstruction():
     for q in section_samples(FIB_DATA, 10, seed=4):
         g = section.to_group(q)
         assert section.from_group(g) == q
+
+
+SECTION_DATA = [FIB_DATA] + random_hyperbolic_data(random.Random(1), 8)
+
+
+def test_sigma_table_equals_flow_geometry():
+    for data in SECTION_DATA:
+        section = SigmaSection(data)
+        lo, hi = section.table
+        assert (lo[0].lo, lo[0].hi, lo[0].du, lo[1]) == (data.s_a, 0, data.s_b, data.t_b)
+        assert (hi[0].lo, hi[0].hi, hi[0].du, hi[1]) == (0, data.s_b, data.s_a, data.t_a)
+        assert lo[0].a2 == 0 and hi[0].a2 == 0
+        samples = section_samples(data, 40, seed=13)
+        assert samples[0].s == data.s_a and samples[1].s == 0
+        # the largest parameter section_samples can draw below s_b
+        top = data.s_a + (data.s_b - data.s_a) * Fraction(996, 997)
+        samples.append(SectionPoint(top, golden_like(Fraction(-1, 2), data)))
+        for q in samples:
+            rec = section.return_map(q)
+            point, t, lat = section._step(q.s, q.zoff)
+            assert (rec.point, rec.time, rec.lattice_word) == (point, t, (lat,))
+            assert section.replay(q, rec)
+
+
+def test_sigma_table_derivation_guards(monkeypatch):
+    section = SigmaSection(FIB_DATA)
+    d = FIB_DATA
+    with pytest.raises(AssertionError, match="does not close"):
+        section._flow_offset(golden(0), 0, d.t_a, d.s_a, 0, 0)
+    flow_offset = SigmaSection._flow_offset
+
+    def curved(self, s, zoff, t, u, n, m):
+        return flow_offset(self, s, zoff, t, u, n, m) + s * s
+    monkeypatch.setattr(SigmaSection, "_flow_offset", curved)
+    with pytest.raises(ArithmeticError, match="not affine"):
+        SigmaSection(FIB_DATA)
+
+
+def _scan_crossing_step(section, s, zoff):
+    """The (2w+1)^2 lattice window scan that the per-row solve replaced."""
+    d = section.data
+    if s >= 0:
+        t_br, shift, offset = d.t_a, d.s_a, (1, 0)
+    else:
+        t_br, shift, offset = d.t_b, d.s_b, (0, 1)
+    best = (t_br, s + shift, offset)
+    x0, y0 = d.alpha_p * s, d.beta_p * s
+    span = max(
+        abs(float(x0)) + abs(float(d.alpha * t_br)),
+        abs(float(y0)) + abs(float(d.beta * t_br)),
+        abs(float(d.alpha_p * d.s_a)), abs(float(d.alpha_p * d.s_b)),
+        abs(float(d.beta_p * d.s_a)), abs(float(d.beta_p * d.s_b)),
+    )
+    w = int(span) + 2
+    for n in range(-w, w + 1):
+        for m in range(-w, w + 1):
+            t = (d.beta_p * (n - x0) - d.alpha_p * (m - y0)) / d.delta
+            u = (d.beta * (n - x0) - d.alpha * (m - y0)) / d.delta
+            if 0 < t < best[0] and d.s_a <= u <= d.s_b:
+                best = (t, u, (n, m))
+    t, u, (n, m) = best
+    g = GroupPoint(x0, y0, section.quadric.evaluate(x0, y0) + zoff)
+    g1 = flow(section.vec, t, g)
+    x2, y2 = d.alpha_p * u, d.beta_p * u
+    assert g1.x - n == x2 and g1.y - m == y2
+    wz = g1.z + g1.x * (-m) - section.quadric.evaluate(x2, y2)
+    pc = -(wz + Fraction(1, 2)).floor()
+    return SectionPoint(u, wz + pc), t, (-n, -m, pc)
+
+
+def _scan_early_crossings(section, p, window=4):
+    """The window scan of early_crossing_audit before the per-row solve."""
+    d = section.data
+    x0, y0 = d.alpha_p * p.s, d.beta_p * p.s
+    t_branch = d.t_a if p.s >= 0 else d.t_b
+    early, found = [], False
+    for n in range(-window, window + 1):
+        for m in range(-window, window + 1):
+            t = (d.beta_p * (n - x0) - d.alpha_p * (m - y0)) / d.delta
+            u = (d.beta * (n - x0) - d.alpha * (m - y0)) / d.delta
+            if not d.s_a <= u < d.s_b:
+                continue
+            if 0 < t < t_branch:
+                early.append({"n": n, "m": m, "t": str(t)})
+            found = found or t == t_branch
+    return {"early_crossings": early, "return_seen_in_window": found,
+            "passed": not early and found}
+
+
+def test_crossing_solve_equals_window_scan(monkeypatch):
+    visited = []
+    solve = SigmaSection._crossing_step
+
+    def recording(self, s, zoff):
+        result = solve(self, s, zoff)
+        visited.append((self, s, zoff, result))
+        return result
+    monkeypatch.setattr(SigmaSection, "_crossing_step", recording)
+    closed_end = 0
+    for data in SECTION_DATA:
+        del visited[:]
+        assert self_induction_check(data, samples=12, seed=7)["passed"]
+        assert visited
+        for section, s, zoff, result in visited:
+            assert result == _scan_crossing_step(section, s, zoff)
+            closed_end += s == data.s_b
+        # the audit, also off the section where early crossings exist
+        section = visited[0][0]
+        points = section_samples(data, 6, seed=2) + [
+            SectionPoint(k * data.s_b, golden_like(0, data)) for k in (2, 5, -3)]
+        for p in points:
+            assert section.early_crossing_audit(p) == _scan_early_crossings(section, p)
+        assert not all(section.early_crossing_audit(p)["passed"] for p in points)
+    # lam' * s_a = s_b for one automorphism: the closed right end is visited
+    assert closed_end
 
 
 def test_self_induction_fibonacci():
