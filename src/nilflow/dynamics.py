@@ -617,18 +617,25 @@ def iet_orbit_check(data: EigenData, iterates: int, start=None) -> dict:
 
 def self_induction_check(
     data: EigenData, samples: list[SectionPoint] | int = 100,
-    seed: int = 23, max_iter: int = 400,
+    seed: int = 23, max_iter: int | None = None,
 ) -> dict:
     """Exact check that conjugating the induced map undoes the automorphism.
 
     For each sample q the return map image T(q) must equal the pullback of
     the first return to the automorphism image of the section started from
     the pushforward of q.  Membership in the image section is tested exactly
-    by pulling candidate hits back.
+    by pulling candidate hits back.  The automorphism turns return times
+    into |lam| times them and a crossing lasts at least min(t_a, t_b), so
+    ``ceil(|lam| t_max / t_min) + 1`` crossings, the default ``max_iter``,
+    bound one induced return.
     """
     section = SigmaSection(data)
     d = data
     det = d.endo.det_m()
+    if max_iter is None:
+        t_min, t_max = sorted((d.t_a, d.t_b))
+        lam = d.lam if d.lam > 0 else -d.lam
+        max_iter = -(-lam * t_max / t_min).floor() + 1
     if isinstance(samples, int):
         samples = section_samples(data, samples, seed=seed)
     # Image endpoints must stay inside the closed section parameter range.
@@ -650,12 +657,13 @@ def self_induction_check(
             if d.s_a <= back < d.s_b:
                 hit = (back, floor_mod1(det * w_cur + HALF)[1] - HALF)
                 break
+        witness = {"witness": scalar_str(q.s), "zoff": scalar_str(q.zoff)}
         if hit is None:
-            failures.append({"witness": scalar_str(q.s), "reason": "no return found"})
+            failures.append({**witness, "reason": "no return found"})
             continue
         if hit[0] != rhs.s or hit[1] != rhs.zoff:
             failures.append({
-                "witness": scalar_str(q.s),
+                **witness,
                 "lhs": (scalar_str(hit[0]), scalar_str(hit[1])),
                 "rhs": (scalar_str(rhs.s), scalar_str(rhs.zoff)),
             })

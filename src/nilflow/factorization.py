@@ -86,15 +86,21 @@ class HeisenbergEndo:
 
     __call__ = apply
 
+    def _central_int(self, x: int, y: int) -> int:
+        """P(x, y) at a lattice point, in integers: x(x - 1)/2 is exact."""
+        return (self.a * self.c * (x * (x - 1) // 2)
+                + self.b * self.d * (y * (y - 1) // 2)
+                + self.b * self.c * x * y + self.e * x + self.f * y)
+
     def compose(self, other: "HeisenbergEndo") -> "HeisenbergEndo":
-        """self after other."""
-        a = self.a * other.a + self.b * other.c
-        b = self.a * other.b + self.b * other.d
-        c = self.c * other.a + self.d * other.c
-        d = self.c * other.b + self.d * other.d
-        na = self.apply(other.apply(GroupPoint(1, 0, 0)))
-        nb = self.apply(other.apply(GroupPoint(0, 1, 0)))
-        return HeisenbergEndo(a, b, c, d, _int_of(na.z), _int_of(nb.z))
+        """self after other; the central data are the z-images of the generators."""
+        det = self.det_m()
+        return HeisenbergEndo(
+            self.a * other.a + self.b * other.c, self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c, self.c * other.b + self.d * other.d,
+            det * other.e + self._central_int(other.a, other.c),
+            det * other.f + self._central_int(other.b, other.d),
+        )
 
     def invert(self) -> "HeisenbergEndo":
         det = self.det_m()
@@ -102,26 +108,22 @@ class HeisenbergEndo:
             raise ValueError("endomorphism is not invertible over the lattice")
         na, nb, nc, nd = det * self.d, -det * self.b, -det * self.c, det * self.a
         # Central parts solve L(L^{-1}(n_a)) = n_a and likewise for n_b.
-        e = -det * _int_of(self.central_poly(na, nc))
-        f = -det * _int_of(self.central_poly(nb, nd))
-        return HeisenbergEndo(na, nb, nc, nd, e, f)
+        return HeisenbergEndo(na, nb, nc, nd, -det * self._central_int(na, nc),
+                              -det * self._central_int(nb, nd))
+
+    def _key(self) -> tuple[int, ...]:
+        return (self.a, self.b, self.c, self.d, self.e, self.f)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeisenbergEndo):
             return NotImplemented
-        return (
-            (self.a, self.b, self.c, self.d, self.e, self.f)
-            == (other.a, other.b, other.c, other.d, other.e, other.f)
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d, self.e, self.f))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        return (
-            f"HeisenbergEndo({self.a}, {self.b}, {self.c}, {self.d}, "
-            f"{self.e}, {self.f})"
-        )
+        return f"HeisenbergEndo{self._key()}"
 
 
 def factor(sub: Endomorphism) -> HeisenbergEndo:
@@ -133,11 +135,7 @@ def factor(sub: Endomorphism) -> HeisenbergEndo:
     """
     na = broken_line(sub.image_a)[-1]
     nb = broken_line(sub.image_b)[-1]
-    endo = HeisenbergEndo(
-        _int_of(na.x), _int_of(nb.x),
-        _int_of(na.y), _int_of(nb.y),
-        _int_of(na.z), _int_of(nb.z),
-    )
+    endo = HeisenbergEndo(*map(_int_of, (na.x, nb.x, na.y, nb.y, na.z, nb.z)))
     ga, gb = GroupPoint(1, 0, 0), GroupPoint(0, 1, 0)
     probes = [
         (ga, na),
@@ -166,12 +164,14 @@ GENERATOR_ENDOS = _generator_endos()
 
 
 def endo_power(base: HeisenbergEndo, k: int) -> HeisenbergEndo:
+    """base^k by binary powering: O(log |k|) compositions."""
     if k < 0:
-        base = base.invert()
-        k = -k
+        base, k = base.invert(), -k
     out = HeisenbergEndo.identity()
-    for _ in range(k):
-        out = out.compose(base)
+    while k:
+        if k & 1:
+            out = out.compose(base)
+        base, k = base.compose(base), k >> 1
     return out
 
 
@@ -231,7 +231,7 @@ def decompose(endo: HeisenbergEndo) -> list[tuple[str, int]]:
         word.append(("s5", cur.e))
     if cur.f:
         word.append(("s6", -cur.f))
-    check = recompose(word) if word else HeisenbergEndo.identity()
+    check = recompose(word)
     if check != endo:
         raise DecompositionError(
             f"recomposition check failed: got {check!r}, want {endo!r}"

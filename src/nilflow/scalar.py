@@ -88,6 +88,17 @@ def _root_floor(P: int, B: int, disc: int, den: int) -> int:
     return (P + r) // den if B > 0 else (P - r - 1) // den
 
 
+def _sign(A: int, B: int, ctx: QuadraticContext) -> int:
+    """Exact sign of ``A + B*l`` under the distinguished-root embedding."""
+    if B == 0:
+        return (A > 0) - (A < 0)
+    P, sb = 2 * A + B * ctx.trace, 1 if B > 0 else -1
+    if P == 0 or (P > 0) == (B > 0):
+        return sb
+    # opposite signs: the larger magnitude wins (sqrt(disc) is irrational)
+    return sb if B * B * ctx.disc > P * P else -sb
+
+
 def _make(A: int, B: int, d: int, ctx: QuadraticContext) -> "QuadraticNumber":
     """The element ``(A + B*l)/d`` (d > 0) in lowest terms."""
     g = math.gcd(A, B, d)
@@ -220,14 +231,7 @@ class QuadraticNumber:
 
     def sign(self) -> int:
         """Exact sign under the distinguished-root embedding."""
-        A, B, ctx = self.A, self.B, self.ctx
-        if B == 0:
-            return (A > 0) - (A < 0)
-        P, sb = 2 * A + B * ctx.trace, 1 if B > 0 else -1
-        if P == 0 or (P > 0) == (B > 0):
-            return sb
-        # opposite signs: the larger magnitude wins (sqrt(disc) is irrational)
-        return sb if B * B * ctx.disc > P * P else -sb
+        return _sign(self.A, self.B, self.ctx)
 
     def __bool__(self) -> bool:
         return self.A != 0 or self.B != 0
@@ -245,7 +249,14 @@ class QuadraticNumber:
         return hash((self.a, self.b, self.ctx.trace, self.ctx.det))
 
     def _cmp(self, other) -> int:
-        return (self - other).sign()
+        """Sign of ``self - other`` from the cross-multiplied numerator, no gcd."""
+        o = self._parts(other)
+        if o is None:
+            return (self - other).sign()  # foreign types raise TypeError there
+        A, B, d = o
+        if d == self.d:
+            return _sign(self.A - A, self.B - B, self.ctx)
+        return _sign(self.A * d - A * self.d, self.B * d - B * self.d, self.ctx)
 
     def __lt__(self, other):
         return self._cmp(other) < 0

@@ -100,6 +100,8 @@ def _exact(v):
         return f"({scalar_str(v.alpha)}, {scalar_str(v.beta)}, {scalar_str(v.gamma)})"
     if isinstance(v, (list, tuple)):
         return [_exact(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _exact(x) for k, x in v.items()}
     return v if isinstance(v, (str, int)) else str(v)
 
 
@@ -322,14 +324,22 @@ def check_sigma_section(seed: int, iterates: int = 10_000) -> CheckResult:
 def check_self_induction(seed: int, samples: int = 100, autos: int = 5) -> CheckResult:
     rng = random.Random(seed)
     fib = eigen_data(factor(FIBONACCI))
-    main = dyn.self_induction_check(fib, samples=samples, seed=seed)
-    others = []
-    for data in random_hyperbolic_data(rng, autos, max_len=5):
-        others.append(dyn.self_induction_check(data, samples=12, seed=seed)["passed"])
+    reports = [(fib, dyn.self_induction_check(fib, samples=samples, seed=seed))]
+    reports += [(data, dyn.self_induction_check(data, samples=12, seed=seed))
+                for data in random_hyperbolic_data(rng, autos, max_len=5)]
+    bad = _Failures()
+    for data, rep in reports:
+        bad.record(rep["containment"], "image section inside the section",
+                   automorphism=repr(data.endo))
+        if rep["failures"]:
+            bad.record(False, "T = Lambda^-1 . (T induced on lam' Sigma) . Lambda",
+                       automorphism=repr(data.endo), failure=rep["failures"][0])
     return CheckResult(
         "sigma.self_induction",
-        main["passed"] and all(others),
-        {"fibonacci": main["passed"], "random_automorphisms": others},
+        all(rep["passed"] for _, rep in reports),
+        _with_witness({"fibonacci": reports[0][1]["passed"],
+                       "random_automorphisms": [rep["passed"] for _, rep in reports[1:]]},
+                      bad),
     )
 
 

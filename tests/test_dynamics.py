@@ -42,6 +42,7 @@ from nilflow.dynamics import (
 from nilflow.factorization import eigen_data, factor
 from nilflow.freegroup import FIBONACCI, parse_substitution
 from nilflow.heisenberg import GroupPoint, flow
+from nilflow.scalar import GOLDEN, parse_scalar
 from nilflow.verification import random_hyperbolic_data
 
 FIB_DATA = eigen_data(factor(FIBONACCI))
@@ -332,6 +333,24 @@ def test_self_induction_random_automorphisms():
     rng = random.Random(6)
     for data in random_hyperbolic_data(rng, 5, max_len=5):
         assert self_induction_check(data, samples=10, seed=7)["passed"]
+
+
+@pytest.mark.parametrize("k", [420, 500])
+def test_self_induction_long_returns(k):
+    # an induced return of a->a^k b;b->a needs about k crossings; a fixed
+    # cap of 400 reported "no return found" on this self-induced system
+    data = eigen_data(factor(parse_substitution("a->" + "a" * k + "b;b->a")))
+    rep = self_induction_check(data, samples=4)
+    assert rep["passed"], rep["failures"][:1]
+
+
+def test_self_induction_max_iter_override():
+    rep = self_induction_check(FIB_DATA, samples=12, seed=5, max_iter=1)
+    assert not rep["passed"]
+    failure = rep["failures"][0]
+    assert failure["reason"] == "no return found"
+    point = SectionPoint(*(parse_scalar(failure[k], GOLDEN) for k in ("witness", "zoff")))
+    assert self_induction_check(FIB_DATA, samples=[point])["passed"]
 
 
 # -- diagonal section ---------------------------------------------------------

@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilflow.factorization import (
     GENERATOR_ENDOS,
@@ -319,6 +322,89 @@ def test_endo_power():
     s5 = GENERATOR_ENDOS["s5"]
     assert endo_power(s5, 4) == HeisenbergEndo(1, 0, 0, 1, 4, 0)
     assert endo_power(s5, -2) == HeisenbergEndo(1, 0, 0, 1, -2, 0)
+
+
+def test_endo_power_equals_repeated_compose():
+    for name, gen in GENERATOR_ENDOS.items():
+        for sign, base in ((1, gen), (-1, gen.invert())):
+            out = HeisenbergEndo.identity()
+            for k in range(21):
+                assert endo_power(gen, sign * k) == out, (name, sign * k)
+                out = out.compose(base)
+
+
+def test_decompose_at_height_10_22():
+    big = 10 ** 22
+    shear = HeisenbergEndo(1, big, 0, 1, 0, 0)
+    assert decompose(shear) == [("s3", big)]
+    word = [("s1", big + 3), ("s3", -big), ("s5", 7), ("s2", -1), ("s6", big - 1),
+            ("s4", 1), ("s1", -(big // 3))]
+    endo = recompose(word)
+    assert max(abs(v) for row in endo.matrix() for v in row) > big
+    for target in (shear, endo, endo.invert()):
+        start = time.perf_counter()
+        again = decompose(target)
+        assert recompose(again) == target
+        assert time.perf_counter() - start < 1.0
+
+
+# -- the closed-form algebra against the group law ---------------------------
+
+
+def _int(value) -> int:
+    value = Fraction(value)
+    assert value.denominator == 1
+    return value.numerator
+
+
+def compose_by_apply(g: HeisenbergEndo, h: HeisenbergEndo) -> HeisenbergEndo:
+    """g after h, its central data read off images of the lattice generators."""
+    (a, b), (c, d) = g.matrix()
+    (p, q), (r, s) = h.matrix()
+    na = g.apply(h.apply(GroupPoint(1, 0, 0)))
+    nb = g.apply(h.apply(GroupPoint(0, 1, 0)))
+    return HeisenbergEndo(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s,
+                          _int(na.z), _int(nb.z))
+
+
+def invert_by_apply(g: HeisenbergEndo) -> HeisenbergEndo:
+    """The inverse whose generator images g maps back to the generators."""
+    det = g.det_m()
+    na, nb, nc, nd = det * g.d, -det * g.b, -det * g.c, det * g.a
+    return HeisenbergEndo(na, nb, nc, nd, -det * _int(g.central_poly(na, nc)),
+                          -det * _int(g.central_poly(nb, nd)))
+
+
+HEIGHT = st.integers(-10 ** 22, 10 ** 22)
+
+
+@st.composite
+def endos(draw, unimodular: bool = False):
+    if unimodular:
+        # shear . lower shear . optional reflection: det is 1 or -1
+        p, q, sign = draw(HEIGHT), draw(HEIGHT), draw(st.sampled_from([1, -1]))
+        a, b, c, d = 1 + p * q, sign * p, q, sign
+    else:
+        a, b, c, d = (draw(HEIGHT) for _ in range(4))
+    return HeisenbergEndo(a, b, c, d, draw(HEIGHT), draw(HEIGHT))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=endos(), h=endos())
+def test_compose_equals_group_law_route(g, h):
+    assert g.compose(h) == compose_by_apply(g, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=endos(unimodular=True), h=endos(unimodular=True))
+def test_invert_equals_group_law_route(g, h):
+    assert g.det_m() in (1, -1)
+    inv = g.invert()
+    assert inv == invert_by_apply(g)
+    assert inv.compose(g) == g.compose(inv) == HeisenbergEndo.identity()
+    point = GroupPoint(Fraction(3, 7), -2, Fraction(-5, 11))
+    assert inv.apply(g.apply(point)) == point
+    assert compose_by_apply(g, h).invert() == h.invert().compose(inv)
 
 
 def test_package_has_no_assert_statements():

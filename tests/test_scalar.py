@@ -181,6 +181,34 @@ def test_ordering_is_exact_near_ties():
     assert LAM < Fraction(1597, 987)
 
 
+def test_comparisons_match_sign_of_difference():
+    # comparisons take the sign of the cross-multiplied numerator, never the
+    # reduced difference; both must agree on every pair
+    rng = random.Random(12)
+
+    def rand_rational():
+        return Fraction(rng.randrange(-60, 61), rng.choice([1, 2, 3, 6, 7, 10, 97]))
+
+    for ctx in (GOLDEN, QuadraticContext(2, -1)):
+        for _ in range(400):
+            x = QuadraticNumber(rand_rational(), rand_rational(), ctx)
+            y = rng.choice([
+                QuadraticNumber(rand_rational(), rand_rational(), ctx),
+                QuadraticNumber(rand_rational(), 0, ctx),
+                rand_rational(),
+                rng.randrange(-20, 21),
+                x,
+            ])
+            want = (x - y).sign()
+            assert (x < y, x <= y, x > y, x >= y) == (
+                want < 0, want <= 0, want > 0, want >= 0)
+            assert (y < x, y >= x) == (want > 0, want <= 0)
+    with pytest.raises(TypeError):
+        LAM < 1.5
+    with pytest.raises(ValueError):
+        LAM < QuadraticContext(2, -1).lam
+
+
 def _mp_floor(x: QuadraticNumber) -> int:
     return int(mpmath.floor(mp_value(x)))
 

@@ -1,6 +1,7 @@
 """Failure witnesses of the verify battery: present and exact when a case
 fails, absent (so the report bytes are unchanged) when every case passes."""
 
+import json
 from fractions import Fraction
 
 from nilflow import verification as ver
@@ -11,6 +12,7 @@ from nilflow.factorization import (
     surface_quadric,
     xy_of_ts,
 )
+from nilflow.dynamics import SectionPoint
 from nilflow.freegroup import FIBONACCI
 from nilflow.heisenberg import AlgebraVector, exp_point, log_point
 from nilflow.scalar import GOLDEN, parse_scalar
@@ -74,3 +76,21 @@ def test_decompose_witness(monkeypatch):
     monkeypatch.setattr(ver, "decompose", lambda endo: [])
     witness = ver.check_decompose(11, cases=3).details["witness"]
     assert witness["law"] == "recompose(decompose(endo)) == endo"
+
+
+def test_self_induction_witness(monkeypatch):
+    check = ver.dyn.self_induction_check
+    assert "witness" not in ver.check_self_induction(7, samples=6, autos=1).details
+    # a cap of one crossing misses the longer returns: a genuine failure
+    monkeypatch.setattr(ver.dyn, "self_induction_check",
+                        lambda data, **kw: check(data, max_iter=1, **kw))
+    result = ver.check_self_induction(7, samples=6, autos=1)
+    assert not result.passed and result.details["fibonacci"] is False
+    witness = result.details["witness"]
+    assert witness["law"] == "T = Lambda^-1 . (T induced on lam' Sigma) . Lambda"
+    assert witness["automorphism"] == repr(factor(FIBONACCI))
+    failure = witness["failure"]
+    assert failure["reason"] == "no return found"
+    point = SectionPoint(*(parse_scalar(failure[k], GOLDEN) for k in ("witness", "zoff")))
+    assert check(eigen_data(factor(FIBONACCI)), samples=[point])["passed"]
+    json.dumps(result.details)
