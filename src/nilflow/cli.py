@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import verification
@@ -43,7 +42,7 @@ from .factorization import (
 )
 from .freegroup import broken_line_counts, fixed_point_prefix, parse_substitution
 from .heisenberg import canonicalize, exp_point, flow, parse_group_point
-from .scalar import GOLDEN, ParseError, parse_scalar, scalar_float, scalar_str
+from .scalar import GOLDEN, ParseError, _rational, parse_scalar, scalar_float, scalar_str
 
 
 def _fmt_float(x: float) -> str:
@@ -143,7 +142,7 @@ def load_config(args: argparse.Namespace) -> dict:
 def _scalar_arg(cfg: dict, key: str):
     value = cfg[key]
     if isinstance(value, (int, float)):
-        return Fraction(value) if isinstance(value, int) else value
+        return _rational(value) if isinstance(value, int) else value
     ctx = GOLDEN
     if cfg.get("context"):
         from .scalar import QuadraticContext
@@ -219,11 +218,15 @@ def _orbit_rows_flow(cfg: dict):
         if cfg["start"] else GroupPoint(0, 0, 0)
     )
     dt = _scalar_arg(cfg, "step")
-    t = dt - dt
+    # the time-dt flow is a left translation, so it acts on right cosets of
+    # the lattice: one group product per step from the canonical
+    # representative; the time-0 flow gives the first point the scalar
+    # types of the later ones
+    step = exp_point(vec.scale(dt))
+    rep = canonicalize(flow(vec, dt - dt, start)).rep
     for k in range(int(cfg["iters"]) + 1):
-        rep = canonicalize(flow(vec, t, start)).rep
         yield k, ("x", "y", "z"), (rep.x, rep.y, rep.z)
-        t = t + dt
+        rep = canonicalize(step * rep).rep
 
 
 def _orbit_rows_skew(cfg: dict):
@@ -310,7 +313,7 @@ def cmd_induce(cfg: dict) -> int:
     region = strip_region()
     counts = []
     for i in range(24):
-        u = golden(Fraction(i, 63))
+        u = golden(_rational(i, 63))
         if region.contains(u):
             rec = first_return(pmap, region, TorusPoint2(u, golden(0)), 16)
             counts.append({"u": scalar_str(u), "n": rec.iterates})

@@ -20,6 +20,7 @@ witnesses rather than rounded away.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -46,13 +47,14 @@ from .heisenberg import (
 from .scalar import (
     GOLDEN,
     QuadraticNumber,
+    _rational,
     floor_mod1,
     scalar_float,
     scalar_floor,
     scalar_str,
 )
 
-HALF = Fraction(1, 2)
+HALF = _rational(1, 2)
 
 # Golden-field constants: PHI is the distinguished root, so PHI = phi.
 PHI = GOLDEN.lam
@@ -60,7 +62,7 @@ INV_PHI = PHI - 1            # 1/phi
 INV_PHI2 = 2 - PHI           # 1/phi^2
 INV_PHI3 = 2 * PHI - 3       # 1/phi^3
 INV_PHI4 = 5 - 3 * PHI       # 1/phi^4
-HALF_INV_PHI3 = PHI - Fraction(3, 2)   # 1/(2 phi^3)
+HALF_INV_PHI3 = PHI - _rational(3, 2)   # 1/(2 phi^3)
 PHI2 = PHI + 1
 PHI3 = 2 * PHI + 1
 
@@ -71,7 +73,9 @@ def golden(x):
         if x.ctx != GOLDEN:
             raise ValueError("expected a golden-field scalar")
         return x
-    return QuadraticNumber(Fraction(x), 0, GOLDEN)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)  # floats and decimal strings convert exactly
+    return QuadraticNumber(x, 0, GOLDEN)
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +301,11 @@ def renormalization_check(s, s_prime, theta, n_points: int = 101) -> dict:
         w = p.u / PHI2
         return TorusPoint2(w, p.v - a * w * w - b * w)
 
-    us = [Fraction(i, n_points) for i in range(n_points)]
+    us = [_rational(i, n_points) for i in range(n_points)]
     us.extend([INV_PHI2, INV_PHI4, INV_PHI])
     failures = []
     for i, u in enumerate(us):
-        pt = TorusPoint2(golden(u), golden(Fraction(i % 3, 3)))
+        pt = TorusPoint2(golden(u), golden(_rational(i % 3, 3)))
         down = transfer_inv(pt)
         rec = first_return(base, region, down, max_iter=16)
         lhs = transfer(rec.point)
@@ -354,7 +358,7 @@ def psi_identity_check(n_points: int = 100) -> dict:
     corrected_failures = []
     opposite_sign_failures = 0
     for i in range(n_points):
-        y = golden(Fraction(i, n_points))
+        y = golden(_rational(i, n_points))
         shifted = floor_mod1(y - INV_PHI2)[1]
         base = p(shifted) - p(y) - y
         if psi_value(y) != base - HALF_INV_PHI3:
@@ -566,7 +570,9 @@ def golden_like(x, data: EigenData) -> QuadraticNumber:
         if x.ctx != data.context:
             raise ValueError("wrong field for this eigen data")
         return x
-    return QuadraticNumber(Fraction(x), 0, data.context)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)  # floats and decimal strings convert exactly
+    return QuadraticNumber(x, 0, data.context)
 
 
 def section_samples(
@@ -579,10 +585,10 @@ def section_samples(
     if include_boundary:
         pts.append(SectionPoint(data.s_a, golden_like(0, data)))
         # exact s = 0 sample exercises the branch boundary
-        pts.append(SectionPoint(golden_like(0, data), golden_like(Fraction(1, 3), data)))
+        pts.append(SectionPoint(golden_like(0, data), golden_like(_rational(1, 3), data)))
     while len(pts) < count:
-        r = Fraction(rng.randrange(0, 997), 997)
-        w = Fraction(rng.randrange(-498, 499), 998)
+        r = _rational(rng.randrange(0, 997), 997)
+        w = _rational(rng.randrange(-498, 499), 998)
         pts.append(SectionPoint(data.s_a + width * r, golden_like(w, data)))
     return pts[:count]
 
@@ -624,18 +630,15 @@ def self_induction_check(
     For each sample q the return map image T(q) must equal the pullback of
     the first return to the automorphism image of the section started from
     the pushforward of q.  Membership in the image section is tested exactly
-    by pulling candidate hits back.  The automorphism turns return times
-    into |lam| times them and a crossing lasts at least min(t_a, t_b), so
-    ``ceil(|lam| t_max / t_min) + 1`` crossings, the default ``max_iter``,
-    bound one induced return.
+    by pulling candidate hits back.  The automorphism turns the return time
+    t(q) into |lam| t(q), so the search sums the exact crossing times and
+    stops at the first crossing that reaches |lam| t(q) without a hit;
+    ``max_iter``, if given, also caps the number of crossings.
     """
     section = SigmaSection(data)
     d = data
     det = d.endo.det_m()
-    if max_iter is None:
-        t_min, t_max = sorted((d.t_a, d.t_b))
-        lam = d.lam if d.lam > 0 else -d.lam
-        max_iter = -(-lam * t_max / t_min).floor() + 1
+    lam = d.lam if d.lam > 0 else -d.lam
     if isinstance(samples, int):
         samples = section_samples(data, samples, seed=seed)
     # Image endpoints must stay inside the closed section parameter range.
@@ -644,18 +647,22 @@ def self_induction_check(
     containment = d.s_a <= image_ends[0] and image_ends[1] <= d.s_b
     failures = []
     for q in samples:
-        rhs = section.return_map(q).point
+        rec = section.return_map(q)
+        rhs, due = rec.point, lam * rec.time
         s_cur = d.lam_prime * q.s
         w_cur = floor_mod1(det * q.zoff + HALF)[1] - HALF
+        elapsed = 0
         hit = None
-        for _ in range(max_iter):
+        for _ in range(max_iter) if max_iter is not None else itertools.count():
             if not d.s_a <= s_cur <= d.s_b:
                 break
-            point, _, _ = section._crossing_step(s_cur, w_cur)
-            s_cur, w_cur = point.s, point.zoff
+            point, t, _ = section._crossing_step(s_cur, w_cur)
+            s_cur, w_cur, elapsed = point.s, point.zoff, elapsed + t
             back = s_cur / d.lam_prime
             if d.s_a <= back < d.s_b:
                 hit = (back, floor_mod1(det * w_cur + HALF)[1] - HALF)
+                break
+            if elapsed >= due:
                 break
         witness = {"witness": scalar_str(q.s), "zoff": scalar_str(q.zoff)}
         if hit is None:
@@ -715,7 +722,7 @@ class DiagonalSection:
     def step(self, x, z):
         return self.chart(self.translation * self.chart_point(x, z))
 
-    def return_time_audit(self, x, z, fractions=(Fraction(1, 3), Fraction(2, 5), Fraction(9, 10))) -> bool:
+    def return_time_audit(self, x, z, fractions=(_rational(1, 3), _rational(2, 5), _rational(9, 10))) -> bool:
         """No diagonal crossing strictly between consecutive integer times."""
         g = self.chart_point(x, z)
         for tau in fractions:
@@ -803,18 +810,18 @@ def fibonacci_chart_equivalence(n_verify: int = 100, seed: int = 41) -> dict:
     def base_ok(eps, c1):
         # base coordinates must intertwine the two rotations exactly
         for _ in range(8):
-            x = golden(Fraction(rng.randrange(0, 997), 997))
+            x = golden(_rational(rng.randrange(0, 997), 997))
             lhs = floor_mod1(eps * diag.step(x, golden(0))[0] + c1)[1]
             rhs = floor_mod1(floor_mod1(eps * x + c1)[1] + INV_PHI2)[1]
             if lhs != rhs:
                 return False
         return True
 
-    xa = [golden(Fraction(1, 16)), golden(Fraction(1, 8))]
+    xa = [golden(_rational(1, 16)), golden(_rational(1, 8))]
     zero = golden(0)
     for eps in (-1, 1):
         for b2 in (1, -1):
-            for c1 in (zero, golden(Fraction(1, 2))):
+            for c1 in (zero, golden(_rational(1, 2))):
                 if not base_ok(eps, c1):
                     continue
                 # two same-branch samples pin w2 up to an integer slack
@@ -831,8 +838,8 @@ def fibonacci_chart_equivalence(n_verify: int = 100, seed: int = 41) -> dict:
                         w1 = (-r1 + j - w2 * denom1) / lin1
                         ok = True
                         for _ in range(n_verify):
-                            x = golden(Fraction(rng.randrange(0, 9973), 9973))
-                            z = golden(Fraction(rng.randrange(0, 9973), 9973))
+                            x = golden(_rational(rng.randrange(0, 9973), 9973))
+                            z = golden(_rational(rng.randrange(0, 9973), 9973))
                             res = residual(eps, b2, c1, w2, w1, x, z)
                             if floor_mod1(res)[1] != 0:
                                 ok = False
@@ -875,7 +882,7 @@ class RegionCoeffs:
     def default_coeffs() -> "RegionCoeffs":
         return RegionCoeffs(
             p2=PHI2 / 2, p1=-PHI / 2, p0=-INV_PHI,
-            q1=PHI2, q0=golden(Fraction(3, 2)),
+            q1=PHI2, q0=golden(_rational(3, 2)),
             r1=-PHI2, r0=golden(1) + HALF_INV_PHI3,
         )
 
@@ -925,8 +932,8 @@ def affine_identity_check(n_points: int = 100, seed: int = 3) -> dict:
     rng = random.Random(seed)
     failures = []
     for _ in range(n_points):
-        x = golden(Fraction(rng.randrange(-2000, 2000), 997))
-        y = golden(Fraction(rng.randrange(-2000, 2000), 997))
+        x = golden(_rational(rng.randrange(-2000, 2000), 997))
+        y = golden(_rational(rng.randrange(-2000, 2000), 997))
         for n in range(4):
             u, v = x / PHI2, y
             u, v = r2_prime(u, v)
@@ -953,9 +960,9 @@ def region_invariance_audit(coeffs: RegionCoeffs | None = None,
     witnesses = []
     points = [(golden(0), golden(0))]
     for i in range(n_x):
-        x = golden(Fraction(i - n_x // 2, n_x))
+        x = golden(_rational(i - n_x // 2, n_x))
         for j in range(1, n_y + 1):
-            points.append((x, c.p(x) + Fraction(j, n_y + 1)))
+            points.append((x, c.p(x) + _rational(j, n_y + 1)))
     for x, y in points:
         if in_d1(c, x, y):
             image = t_phi_affine(x, y)
@@ -991,10 +998,10 @@ def rprime_return_audit(coeffs: RegionCoeffs | None = None,
     escapes = 0
     bad = []
     for _ in range(n_samples):
-        y = golden(Fraction(rng.randrange(1, 997), 997))
+        y = golden(_rational(rng.randrange(1, 997), 997))
         lo = (c.r0 - 1 - y) / (-c.r1)
         width = 1 / (-c.r1)
-        x = lo + width * Fraction(rng.randrange(1, 997), 997)
+        x = lo + width * _rational(rng.randrange(1, 997), 997)
         if not in_d2_prime(c, x, y):
             escapes += 1
             continue
@@ -1083,7 +1090,7 @@ def conjugation_suite(data: EigenData, x0, samples: int = 100, seed: int = 9,
     failures = []
     for _ in range(samples):
         def rnd():
-            return Fraction(rng.randrange(-2000, 2001), 1009)
+            return _rational(rng.randrange(-2000, 2001), 1009)
         g = GroupPoint(rnd(), rnd(), rnd())
         y = GroupPoint(rnd(), rnd(), rnd())
         x = rnd()

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .freegroup import GENERATOR_SUBSTITUTIONS, Endomorphism, broken_line
 from .heisenberg import AlgebraVector, GroupPoint, flow
-from .scalar import QuadraticContext, QuadraticNumber
+from .scalar import QuadraticContext, QuadraticNumber, _rational
 
 
 class HypothesisError(ValueError):
@@ -70,8 +70,8 @@ class HeisenbergEndo:
     def central_poly(self, x, y):
         """P(x, y), the inhomogeneous part of the z action."""
         return (
-            Fraction(self.a * self.c, 2) * x * (x - 1)
-            + Fraction(self.b * self.d, 2) * y * (y - 1)
+            _rational(self.a * self.c, 2) * x * (x - 1)
+            + _rational(self.b * self.d, 2) * y * (y - 1)
             + self.b * self.c * x * y
             + self.e * x
             + self.f * y
@@ -305,8 +305,8 @@ def gamma_from_integers(
     denom = lam - det
     if not denom:
         raise ValueError("eigenvalue equals the determinant")
-    ac = Fraction(endo.a * endo.c, 2)
-    bd = Fraction(endo.b * endo.d, 2)
+    ac = _rational(endo.a * endo.c, 2)
+    bd = _rational(endo.b * endo.d, 2)
     return (alpha * (n - ac) + beta * (m - bd)) / denom
 
 
@@ -511,7 +511,7 @@ def tile_membership(data: EigenData, quadric: SurfaceQuadric, g: GroupPoint) -> 
     """Classify a point against the tile: 'D_a', 'D_b' or 'outside'."""
     t, s = ts_of_xy(data, g.x, g.y)
     zoff = g.z - quadric.evaluate(g.x, g.y)
-    half = Fraction(1, 2)
+    half = _rational(1, 2)
     if not (-half <= zoff < half):
         return "outside"
     if data.s_a <= s < 0 and 0 <= t < data.t_b:

@@ -3,16 +3,16 @@
 Points are upper triangular unipotent matrices written ``[x, y, z]`` with the
 law ``[x,y,z] * [x',y',z'] = [x+x', y+y', z+z'+x*y']``.  Scalars may be
 ``Fraction``, :class:`~nilflow.scalar.QuadraticNumber` or ``float``; integers
-are promoted to ``Fraction`` so that halving and floors stay exact.
+are promoted to :class:`~nilflow.scalar.Rational` so that halving and floors
+stay exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalar import (
     ParseError,
     QuadraticContext,
+    _rational,
     parse_scalar,
     scalar_float,
     scalar_floor,
@@ -22,7 +22,7 @@ from .scalar import (
 
 def _promote(v):
     if isinstance(v, int):
-        return Fraction(v)
+        return _rational(v)
     return v
 
 

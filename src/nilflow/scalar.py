@@ -15,9 +15,174 @@ import re
 from fractions import Fraction
 from typing import Union
 
-# Arbitrary-precision rationals are the stdlib's; they are already stored in
-# lowest terms with a positive denominator.
-Rational = Fraction
+_new = object.__new__
+_gcd = math.gcd
+
+
+class Rational(Fraction):
+    """A ``Fraction`` whose exact arithmetic works directly on its two integers.
+
+    ``+ - * /``, unary minus, ``==``, integer powers and ``math.floor`` with
+    an ``int`` or ``Fraction`` partner return a ``Rational`` in lowest terms:
+    one gcd for a sum, the two cross gcds for a product or quotient (Knuth,
+    TAOCP 4.5.1, as in ``Fraction``), with no ``numbers``-ABC dispatch and no
+    re-normalising constructor.  Every other partner (float, complex,
+    :class:`QuadraticNumber`, foreign numbers) and every other operation is
+    ``Fraction``'s own, so mixed arithmetic, hashing, ordering, ``str`` and
+    ``repr`` (``Fraction(n, d)``) are the stdlib's.  Instances keep the
+    inherited ``_numerator``/``_denominator`` slots and add none.
+    """
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        tb = type(b)
+        if tb is Rational or tb is Fraction:
+            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        if tb is int:
+            # gcd(n + b*d, d) = gcd(n, d) = 1
+            return _coprime(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__add__(a, b)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        tb = type(b)
+        if tb is Rational or tb is Fraction:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        if tb is int:
+            return _coprime(a._numerator - b * a._denominator, a._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        tb = type(b)
+        if tb is Rational or tb is Fraction:
+            return _sum(b._numerator, b._denominator, -a._numerator, a._denominator)
+        if tb is int:
+            return _coprime(b * a._denominator - a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        tb = type(b)
+        if tb is Rational or tb is Fraction:
+            return _product(a._numerator, a._denominator, b._numerator, b._denominator)
+        if tb is int:
+            g = _gcd(b, a._denominator)
+            return _coprime(a._numerator * (b // g), a._denominator // g)
+        return Fraction.__mul__(a, b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        tb = type(b)
+        if tb is Rational or tb is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif tb is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__truediv__(a, b)
+        if nb > 0:
+            return _product(a._numerator, a._denominator, db, nb)
+        if nb < 0:
+            return _product(a._numerator, a._denominator, -db, -nb)
+        return Fraction.__truediv__(a, b)  # raises ZeroDivisionError
+
+    def __rtruediv__(a, b):
+        tb = type(b)
+        if tb is Rational or tb is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif tb is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__rtruediv__(a, b)
+        na = a._numerator
+        if na > 0:
+            return _product(nb, db, a._denominator, na)
+        if na < 0:
+            return _product(nb, db, -a._denominator, -na)
+        return Fraction.__rtruediv__(a, b)  # raises ZeroDivisionError
+
+    def __neg__(a):
+        return _coprime(-a._numerator, a._denominator)
+
+    def __pow__(a, b):
+        if type(b) is not int:
+            return Fraction.__pow__(a, b)
+        na, da = a._numerator, a._denominator
+        if b >= 0:
+            return _coprime(na ** b, da ** b)
+        if na > 0:
+            return _coprime(da ** -b, na ** -b)
+        if na < 0:
+            return _coprime((-da) ** -b, (-na) ** -b)
+        return Fraction.__pow__(a, b)  # raises ZeroDivisionError
+
+    def __eq__(a, b):
+        tb = type(b)
+        if tb is Rational or tb is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if tb is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+    # defining __eq__ clears the inherited hash
+    __hash__ = Fraction.__hash__
+
+    def __floor__(a):
+        return a._numerator // a._denominator
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
+def _coprime(n: int, d: int) -> Rational:
+    """``n/d`` for coprime integers with ``d > 0``, no normalisation."""
+    x = _new(Rational)
+    x._numerator, x._denominator = n, d
+    return x
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> Rational:
+    """``na/da + nb/db`` for lowest-terms inputs; see ``Fraction._add``."""
+    g = _gcd(da, db)
+    if g == 1:
+        return _coprime(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return _coprime(t, s * db)
+    return _coprime(t // g2, s * (db // g2))
+
+
+def _product(na: int, da: int, nb: int, db: int) -> Rational:
+    """``(na/da) * (nb/db)`` for lowest-terms inputs with positive ``da``, ``db``."""
+    g1 = _gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = _gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _coprime(na * nb, da * db)
+
+
+def _rational(n: int, d: int = 1) -> Rational:
+    """The rational ``n/d`` of two integers in lowest terms.
+
+    The one constructor of the package's rationals; ``n`` may be a bool, and
+    a zero ``d`` raises ``ZeroDivisionError`` as ``Fraction(n, 0)`` does.
+    """
+    if d == 1:
+        return _coprime(int(n), 1)
+    if d == 0:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    g = _gcd(n, d)
+    if d < 0:
+        g = -g
+    return _coprime(n // g, d // g)
+
 
 Scalar = Union[int, Fraction, "QuadraticNumber", float]
 
@@ -135,12 +300,12 @@ class QuadraticNumber:
         self.ctx = ctx
 
     @property
-    def a(self) -> Fraction:
-        return Fraction(self.A, self.d)
+    def a(self) -> Rational:
+        return _rational(self.A, self.d)
 
     @property
-    def b(self) -> Fraction:
-        return Fraction(self.B, self.d)
+    def b(self) -> Rational:
+        return _rational(self.B, self.d)
 
     def _parts(self, other) -> "tuple[int, int, int] | None":
         """``other`` as a triple in this field; None for foreign types."""
@@ -221,11 +386,11 @@ class QuadraticNumber:
         """Ring automorphism a + b*l -> (a + b*T) - b*l."""
         return _make(self.A + self.B * self.ctx.trace, -self.B, self.d, self.ctx)
 
-    def field_norm(self) -> Fraction:
+    def field_norm(self) -> Rational:
         """N(a + b*l) = a^2 + a*b*T + b^2*D, zero only for the zero element."""
         A, B = self.A, self.B
-        return Fraction(A * A + A * B * self.ctx.trace + B * B * self.ctx.det,
-                        self.d * self.d)
+        return _rational(A * A + A * B * self.ctx.trace + B * B * self.ctx.det,
+                         self.d * self.d)
 
     # -- order structure --------------------------------------------------
 
@@ -320,23 +485,30 @@ class QuadraticNumber:
     # -- text ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
-        return f"{a}+{b}*l" if b >= 0 else f"{a}-{-b}*l"
+        """``a+b*l`` or ``a-|b|*l`` with ``a``, ``|b|`` written as ``str(Fraction)``."""
+        sign, B = ("+", self.B) if self.B >= 0 else ("-", -self.B)
+        return f"{_ratio_str(self.A, self.d)}{sign}{_ratio_str(B, self.d)}*l"
 
     def __repr__(self) -> str:
         return f"QuadraticNumber({self.a!r}, {self.b!r}, {self.ctx!r})"
 
 
-_new = object.__new__
-
 # The golden field: l = (1 + sqrt(5)) / 2.
 GOLDEN = QuadraticContext(1, -1)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0: one gcd, no Fraction."""
+    g = _gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def floor_mod1(x):
     """Split ``x = n + r`` with integer ``n`` and ``r`` in [0, 1), exactly."""
     if isinstance(x, int):
-        x = Fraction(x)
+        x = _rational(x)
     n = x.floor() if isinstance(x, QuadraticNumber) else math.floor(x)
     return n, x - n
 
@@ -359,17 +531,23 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 _UNSIGNED_RE = re.compile(r"\d+(/\d+)?")
 
 
-def parse_rational(text: str, offset: int = 0) -> Fraction:
+def _token_rational(token: str) -> Rational:
+    """A token matched by ``_RATIONAL_RE`` or ``_UNSIGNED_RE`` as a rational."""
+    num, _, den = token.partition("/")
+    return _rational(int(num), int(den) if den else 1)
+
+
+def parse_rational(text: str, offset: int = 0) -> Rational:
     token = text.strip()
     if not _RATIONAL_RE.fullmatch(token):
         raise ParseError(f"bad rational {token!r}", offset)
-    return Fraction(token)
+    return _token_rational(token)
 
 
 def parse_scalar(text: str, ctx: QuadraticContext | None = None):
     """Parse 'p/q' or 'a+b*l' (also 'l', '-l', 'b*l').
 
-    Returns a ``Fraction`` when no ``l`` term is present, otherwise a
+    Returns a :class:`Rational` when no ``l`` term is present, otherwise a
     ``QuadraticNumber`` in ``ctx``.
     """
     s = text.replace(" ", "")
@@ -379,7 +557,7 @@ def parse_scalar(text: str, ctx: QuadraticContext | None = None):
         return parse_rational(s)
     if ctx is None:
         raise ParseError(f"{text!r} needs a quadratic context")
-    a = b = Fraction(0)
+    a = b = _rational(0)
     pos = 0
     while pos < len(s):
         sign = 1
@@ -390,10 +568,10 @@ def parse_scalar(text: str, ctx: QuadraticContext | None = None):
             pos += 1
         m = _UNSIGNED_RE.match(s, pos)
         if m:
-            coeff = Fraction(m.group(0))
+            coeff = _token_rational(m.group(0))
             pos = m.end()
         else:
-            coeff = Fraction(1)
+            coeff = _rational(1)
         if pos < len(s) and s[pos] == "*":
             if m is None:
                 raise ParseError("'*' without a coefficient", pos)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from .heisenberg import (
     log_point,
     norm4,
 )
-from .scalar import GOLDEN, QuadraticNumber, scalar_str
+from .scalar import GOLDEN, QuadraticNumber, Rational, _rational, scalar_str
 
 
 @dataclass
@@ -61,8 +60,8 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def _rand_fraction(rng: random.Random, span: int = 400, den: int = 97) -> Fraction:
-    return Fraction(rng.randrange(-span, span + 1), den)
+def _rand_fraction(rng: random.Random, span: int = 400, den: int = 97) -> Rational:
+    return _rational(rng.randrange(-span, span + 1), den)
 
 
 def _rand_point(rng: random.Random) -> GroupPoint:
@@ -181,8 +180,8 @@ def check_factorization(seed: int, cases: int = 50) -> CheckResult:
     # z-row of the golden automorphism at integers: -z + x(x+1)/2 + xy
     for x in range(-3, 4):
         for y in range(-3, 4):
-            z = Fraction(rng.randrange(-5, 6))
-            expected = -z + Fraction(x * (x + 1), 2) + x * y
+            z = _rational(rng.randrange(-5, 6))
+            expected = -z + _rational(x * (x + 1), 2) + x * y
             if fib.apply(GroupPoint(x, y, z)).z != expected:
                 ok = False
     bad = 0
@@ -204,7 +203,7 @@ def check_eigenflow_conjugation(seed: int, pairs: int = 100, autos: int = 10) ->
     fib = eigen_data(factor(FIBONACCI))
     lam = fib.lam
     details = {
-        "gamma_fibonacci": fib.gamma == lam - Fraction(3, 2),
+        "gamma_fibonacci": fib.gamma == lam - _rational(3, 2),
         "alpha": fib.alpha == lam - 1,
         "t_a": fib.t_a == (3 * lam + 1) / 5,
         "t_b": fib.t_b == (lam + 2) / 5,
@@ -216,7 +215,7 @@ def check_eigenflow_conjugation(seed: int, pairs: int = 100, autos: int = 10) ->
         (2 - lam), (1 - lam),
         fib.endo.e, fib.endo.f,
     )
-    details["gamma_prime_rescaled"] = scaled == Fraction(1, 2)
+    details["gamma_prime_rescaled"] = scaled == _rational(1, 2)
     bad = 0
     datas = [fib] + random_hyperbolic_data(rng, autos)
     for data in datas:
@@ -269,24 +268,24 @@ def check_strip(seed: int) -> CheckResult:
     rng = random.Random(seed)
     counts_ok = True
     for i in range(100):
-        u = Fraction(rng.randrange(0, 997), 2609)  # inside [0, 1/phi^2)
+        u = _rational(rng.randrange(0, 997), 2609)  # inside [0, 1/phi^2)
         if u >= dyn.INV_PHI2:
             continue
         n = dyn.strip_return_count(u)
         expect = 2 if u < dyn.INV_PHI4 else 3
         counts_ok = counts_ok and n == expect
-    eps = Fraction(1, 10 ** 6)
+    eps = _rational(1, 10 ** 6)
     for u, expect in [
         (dyn.INV_PHI4 - eps, 2), (dyn.INV_PHI4, 3), (dyn.INV_PHI4 + eps, 3),
-        (Fraction(0), 2), (dyn.INV_PHI2 - eps, 3),
+        (_rational(0), 2), (dyn.INV_PHI2 - eps, 3),
     ]:
         counts_ok = counts_ok and dyn.strip_return_count(u) == expect
     triples = [
         (-1, -1, 0),
         (-1, -1, 1),
-        (Fraction(1, 3), Fraction(-2, 7), Fraction(1, 5)),
-        (Fraction(-5, 4), Fraction(1, 2), Fraction(2, 3)),
-        (Fraction(2, 9), Fraction(2, 9), Fraction(-3, 8)),
+        (_rational(1, 3), _rational(-2, 7), _rational(1, 5)),
+        (_rational(-5, 4), _rational(1, 2), _rational(2, 3)),
+        (_rational(2, 9), _rational(2, 9), _rational(-3, 8)),
     ]
     renorm = [dyn.renormalization_check(*tr, n_points=101) for tr in triples]
     psi = dyn.psi_identity_check(100)
@@ -349,8 +348,8 @@ def check_diagonal(seed: int, samples: int = 50) -> CheckResult:
     diag = dyn.DiagonalSection(data)
     time_ok = all(
         diag.return_time_audit(
-            dyn.golden(Fraction(rng.randrange(0, 997), 997)),
-            dyn.golden(Fraction(rng.randrange(0, 997), 997)),
+            dyn.golden(_rational(rng.randrange(0, 997), 997)),
+            dyn.golden(_rational(rng.randrange(0, 997), 997)),
         )
         for _ in range(20)
     )
@@ -377,8 +376,8 @@ def check_plane_suite(seed: int, samples: int = 100) -> CheckResult:
     """
     identity = dyn.affine_identity_check(n_points=samples, seed=seed)
     data = eigen_data(factor(FIBONACCI))
-    conj = dyn.conjugation_suite(data, Fraction(1, 3), samples=samples, seed=seed)
-    gamma0_ok = dyn.gamma_zero(data) == Fraction(3, 2) - data.lam
+    conj = dyn.conjugation_suite(data, _rational(1, 3), samples=samples, seed=seed)
+    gamma0_ok = dyn.gamma_zero(data) == _rational(3, 2) - data.lam
     invariance = dyn.region_invariance_audit()
     returns = dyn.rprime_return_audit(seed=seed)
     documented = "invariance_failures" in invariance and "escapes" in returns

@@ -1,7 +1,12 @@
 import json
 
+import pytest
 
-from nilflow.cli import main
+from nilflow.cli import _orbit_rows_flow, main
+from nilflow.factorization import eigen_data, factor, flow_of
+from nilflow.freegroup import FIBONACCI
+from nilflow.heisenberg import GroupPoint, canonicalize, flow, parse_group_point
+from nilflow.scalar import GOLDEN, parse_scalar
 
 
 def run(args):
@@ -61,6 +66,25 @@ def test_orbit_determinism(tmp_path):
     for d in (a, b):
         assert run(["orbit", "--kind", "strip", "--iters", 50, "--out", d]) == 0
     assert (a / "orbit-strip.csv").read_bytes() == (b / "orbit-strip.csv").read_bytes()
+
+
+@pytest.mark.parametrize("start, step", [(None, "1/2"), ("[1/3, -2/5, 7/4]", "3/7"),
+                                         ("[1/2+1*l, -l, 2]", "1-1*l")])
+def test_flow_orbit_matches_the_flow_from_the_start(start, step):
+    # each step is one group product from the last representative; the
+    # representative of the flow at time k*dt from the start is the same
+    cfg = {"substitution": "a->ab;b->a", "start": start, "step": step, "iters": 40}
+    rows = list(_orbit_rows_flow(cfg))
+    vec = flow_of(eigen_data(factor(FIBONACCI)), "lam")
+    g = parse_group_point(start, GOLDEN) if start else GroupPoint(0, 0, 0)
+    dt = parse_scalar(step, GOLDEN)
+    t = dt - dt
+    for k, names, coords in rows:
+        rep = canonicalize(flow(vec, t, g)).rep
+        assert coords == (rep.x, rep.y, rep.z)
+        assert [type(c) for c in coords] == [type(rep.x), type(rep.y), type(rep.z)]
+        t = t + dt
+    assert len(rows) == 41
 
 
 def test_broken_line(tmp_path, capsys):

@@ -344,6 +344,30 @@ def test_self_induction_long_returns(k):
     assert rep["passed"], rep["failures"][:1]
 
 
+def test_self_induction_stops_at_the_predicted_time(monkeypatch):
+    # a crossing solve that never lands in lam' * Sigma: each sample must give
+    # up once the crossing times reach |lam| times its return time (about k
+    # crossings), not after a cap of about k^2 crossings
+    k = 420
+    data = eigen_data(factor(parse_substitution("a->" + "a" * k + "b;b->a")))
+    real = SigmaSection._crossing_step
+    calls = []
+    outside = data.s_b - (data.s_b - data.lam_prime * data.s_b) / 2
+
+    def never_lands(self, s, zoff):
+        calls.append(s)
+        point, t, lat = real(self, s, zoff)
+        back = point.s / data.lam_prime
+        if data.s_a <= back < data.s_b:
+            point = SectionPoint(outside, point.zoff)
+        return point, t, lat
+
+    monkeypatch.setattr(SigmaSection, "_crossing_step", never_lands)
+    rep = self_induction_check(data, samples=1)
+    assert [f["reason"] for f in rep["failures"]] == ["no return found"]
+    assert 0 < len(calls) <= 2 * k
+
+
 def test_self_induction_max_iter_override():
     rep = self_induction_check(FIB_DATA, samples=12, seed=5, max_iter=1)
     assert not rep["passed"]

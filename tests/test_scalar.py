@@ -156,6 +156,18 @@ def test_multiplication_matches_mpmath_sign(a1, b1, a2, b2):
         assert z.sign() == (1 if approx > 0 else -1)
 
 
+@settings(max_examples=300)
+@given(A=st.one_of(st.just(0), st.integers(-10 ** 22, 10 ** 22)),
+       B=st.one_of(st.just(0), st.integers(-10 ** 22, 10 ** 22)),
+       d=st.one_of(st.just(1), st.integers(1, 10 ** 22)),
+       ctx=st.sampled_from(CONTEXTS))
+def test_str_matches_fraction_coordinates(A, B, d, ctx):
+    x = QuadraticNumber(Fraction(A, d), Fraction(B, d), ctx)
+    a, b = Fraction(A, d), Fraction(B, d)
+    assert str(x) == (f"{a}+{b}*l" if b >= 0 else f"{a}-{-b}*l")
+    assert str(x) == (f"{x.a}+{x.b}*l" if x.b >= 0 else f"{x.a}-{-x.b}*l")
+
+
 def test_parse_round_trip():
     for text in ["3/2-1*l", "0+1*l", "-5/7+2/3*l", "l", "-l", "4"]:
         value = parse_scalar(text, GOLDEN)
