@@ -253,25 +253,39 @@ def _root_floor(P: int, B: int, disc: int, den: int) -> int:
     return (P + r) // den if B > 0 else (P - r - 1) // den
 
 
-def _sign(A: int, B: int, ctx: QuadraticContext) -> int:
-    """Exact sign of ``A + B*l`` under the distinguished-root embedding."""
-    if B == 0:
-        return (A > 0) - (A < 0)
-    P, sb = 2 * A + B * ctx.trace, 1 if B > 0 else -1
-    if P == 0 or (P > 0) == (B > 0):
-        return sb
-    # opposite signs: the larger magnitude wins (sqrt(disc) is irrational)
-    return sb if B * B * ctx.disc > P * P else -sb
+def _additive(name: str):
+    """``QuadraticNumber.__add__``, ``__sub__`` or ``__rsub__``, in one frame."""
+    neg, rev = name != "__add__", name == "__rsub__"
 
+    def op(self, other):
+        t = type(other)
+        d = self.d
+        if t is int:  # gcd(A + n*d, B, d) = gcd(A, B, d) = 1
+            A, B = self.A + (-other if neg else other) * d, self.B
+        else:
+            if t is QuadraticNumber and other.ctx is self.ctx:
+                A2, B2, d2 = other.A, other.B, other.d
+            elif t is Rational or t is Fraction:
+                A2, B2, d2 = other._numerator, 0, other._denominator
+            elif (o := self._parts(other)) is None:
+                return NotImplemented
+            else:
+                A2, B2, d2 = o
+            if neg:
+                A2, B2 = -A2, -B2
+            if d2 == d:
+                A, B = self.A + A2, self.B + B2
+            else:
+                A, B, d = self.A * d2 + A2 * d, self.B * d2 + B2 * d, d * d2
+            g = _gcd(A, B, d)
+            if g != 1:
+                A, B, d = A // g, B // g, d // g
+        x = _new(QuadraticNumber)
+        x.A, x.B, x.d, x.ctx = (-A, -B, d, self.ctx) if rev else (A, B, d, self.ctx)
+        return x
 
-def _make(A: int, B: int, d: int, ctx: QuadraticContext) -> "QuadraticNumber":
-    """The element ``(A + B*l)/d`` (d > 0) in lowest terms."""
-    g = math.gcd(A, B, d)
-    if g != 1:
-        A, B, d = A // g, B // g, d // g
-    x = _new(QuadraticNumber)
-    x.A, x.B, x.d, x.ctx = A, B, d, ctx
-    return x
+    op.__name__, op.__qualname__ = name, "QuadraticNumber." + name
+    return op
 
 
 class QuadraticNumber:
@@ -308,7 +322,7 @@ class QuadraticNumber:
         return _rational(self.B, self.d)
 
     def _parts(self, other) -> "tuple[int, int, int] | None":
-        """``other`` as a triple in this field; None for foreign types."""
+        """``other`` as a lowest-terms triple in this field; None for foreign types."""
         if isinstance(other, QuadraticNumber):
             if other.ctx is self.ctx or other.ctx == self.ctx:
                 return other.A, other.B, other.d
@@ -318,73 +332,89 @@ class QuadraticNumber:
         return None
 
     # -- ring/field operations ------------------------------------------
+    # One frame for a same-context, int or Rational partner; a result takes
+    # a gcd only where its lowest terms are not already known.
 
-    def _add(self, other, s: int):
-        """``self + s*other`` for s = 1 or -1; NotImplemented for foreign types."""
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        A, B, d = o
-        if d == self.d:
-            return _make(self.A + s * A, self.B + s * B, d, self.ctx)
-        return _make(self.A * d + s * A * self.d, self.B * d + s * B * self.d,
-                     self.d * d, self.ctx)
-
-    def __add__(self, other):
-        return self._add(other, 1)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _additive("__add__")
+    __sub__ = _additive("__sub__")
+    __rsub__ = _additive("__rsub__")
 
     def __neg__(self):
-        return _make(-self.A, -self.B, self.d, self.ctx)
-
-    def __sub__(self, other):
-        return self._add(other, -1)
-
-    def __rsub__(self, other):
-        diff = self._add(other, -1)
-        return diff if diff is NotImplemented else -diff
+        x = _new(QuadraticNumber)
+        x.A, x.B, x.d, x.ctx = -self.A, -self.B, self.d, self.ctx
+        return x
 
     def __mul__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        # (A1 + B1 l)(A2 + B2 l) with l^2 = T l - D
-        A2, B2, d2 = o
-        A1, B1, ctx = self.A, self.B, self.ctx
-        bb = B1 * B2
-        return _make(A1 * A2 - ctx.det * bb, A1 * B2 + B1 * A2 + ctx.trace * bb,
-                     self.d * d2, ctx)
+        t = type(other)
+        ctx = self.ctx
+        if t is int:  # with g = gcd(n, d): gcd(A*n/g, B*n/g, d/g) | gcd(A, B, d)
+            g = _gcd(other, self.d)
+            n = other // g
+            A, B, d = self.A * n, self.B * n, self.d // g
+        else:
+            if t is QuadraticNumber and other.ctx is ctx:
+                A2, B2, d2 = other.A, other.B, other.d
+            elif t is Rational or t is Fraction:
+                A2, B2, d2 = other._numerator, 0, other._denominator
+            elif (o := self._parts(other)) is None:
+                return NotImplemented
+            else:
+                A2, B2, d2 = o
+            # (A1 + B1 l)(A2 + B2 l) with l^2 = T l - D
+            A1, B1 = self.A, self.B
+            bb = B1 * B2
+            A, B = A1 * A2 - ctx.det * bb, A1 * B2 + B1 * A2 + ctx.trace * bb
+            d = self.d * d2
+            g = _gcd(A, B, d)
+            if g != 1:
+                A, B, d = A // g, B // g, d // g
+        x = _new(QuadraticNumber)
+        x.A, x.B, x.d, x.ctx = A, B, d, ctx
+        return x
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._parts(other)
-        if o is None:
+        t = type(other)
+        if t is QuadraticNumber and other.ctx is self.ctx:
+            A2, B2, d2 = other.A, other.B, other.d
+        elif t is int:
+            A2, B2, d2 = other, 0, 1
+        elif t is Rational or t is Fraction:
+            A2, B2, d2 = other._numerator, 0, other._denominator
+        elif (o := self._parts(other)) is None:
             return NotImplemented
+        else:
+            A2, B2, d2 = o
         # x/y = x conj(y) / N(y): (A1 + B1 l)(C - B2 l) with C = A2 + B2 T
         A1, B1, ctx = self.A, self.B, self.ctx
-        A2, B2, d2 = o
         T, D = ctx.trace, ctx.det
         norm = A2 * A2 + A2 * B2 * T + B2 * B2 * D
         if norm == 0:
             raise ZeroDivisionError("division by zero in quadratic field")
         C, bb = A2 + B2 * T, B1 * B2
         A, B = (A1 * C + D * bb) * d2, (B1 * C - A1 * B2 - T * bb) * d2
-        den = self.d * norm
-        if den < 0:
-            A, B, den = -A, -B, -den
-        return _make(A, B, den, ctx)
+        d = self.d * norm
+        if d < 0:
+            A, B, d = -A, -B, -d
+        g = _gcd(A, B, d)
+        x = _new(QuadraticNumber)
+        x.A, x.B, x.d, x.ctx = A // g, B // g, d // g, ctx
+        return x
 
     def __rtruediv__(self, other):
-        o = self._parts(other)
+        o = (other, 0, 1) if type(other) is int else self._parts(other)
         if o is None:
             return NotImplemented
-        return _make(*o, self.ctx) / self
+        x = _new(QuadraticNumber)
+        x.A, x.B, x.d, x.ctx = *o, self.ctx
+        return x / self
 
     def conjugate(self) -> "QuadraticNumber":
-        """Ring automorphism a + b*l -> (a + b*T) - b*l."""
-        return _make(self.A + self.B * self.ctx.trace, -self.B, self.d, self.ctx)
+        """Ring automorphism a + b*l -> (a + b*T) - b*l; lowest terms stay."""
+        x = _new(QuadraticNumber)
+        x.A, x.B, x.d, x.ctx = self.A + self.B * self.ctx.trace, -self.B, self.d, self.ctx
+        return x
 
     def field_norm(self) -> Rational:
         """N(a + b*l) = a^2 + a*b*T + b^2*D, zero only for the zero element."""
@@ -396,12 +426,19 @@ class QuadraticNumber:
 
     def sign(self) -> int:
         """Exact sign under the distinguished-root embedding."""
-        return _sign(self.A, self.B, self.ctx)
+        return self._cmp(0)
 
     def __bool__(self) -> bool:
         return self.A != 0 or self.B != 0
 
     def __eq__(self, other) -> bool:
+        t = type(other)
+        if t is QuadraticNumber and other.ctx is self.ctx:
+            return self.A == other.A and self.B == other.B and self.d == other.d
+        if t is int:
+            return self.A == other and self.B == 0 and self.d == 1
+        if t is Rational or t is Fraction:
+            return (self.A, self.B, self.d) == (other._numerator, 0, other._denominator)
         try:
             o = self._parts(other)
         except ValueError:
@@ -415,13 +452,29 @@ class QuadraticNumber:
 
     def _cmp(self, other) -> int:
         """Sign of ``self - other`` from the cross-multiplied numerator, no gcd."""
-        o = self._parts(other)
-        if o is None:
+        t = type(other)
+        if t is QuadraticNumber and other.ctx is self.ctx:
+            A2, B2, d2 = other.A, other.B, other.d
+        elif t is int:
+            A2, B2, d2 = other, 0, 1
+        elif t is Rational or t is Fraction:
+            A2, B2, d2 = other._numerator, 0, other._denominator
+        elif (o := self._parts(other)) is None:
             return (self - other).sign()  # foreign types raise TypeError there
-        A, B, d = o
-        if d == self.d:
-            return _sign(self.A - A, self.B - B, self.ctx)
-        return _sign(self.A * d - A * self.d, self.B * d - B * self.d, self.ctx)
+        else:
+            A2, B2, d2 = o
+        d = self.d
+        if d2 == d:
+            A, B = self.A - A2, self.B - B2
+        else:
+            A, B = self.A * d2 - A2 * d, self.B * d2 - B2 * d
+        if B == 0:
+            return (A > 0) - (A < 0)
+        # A + B*l = (P + B*sqrt(disc))/2; sqrt(disc) is irrational, so no tie
+        P, sb = 2 * A + B * self.ctx.trace, 1 if B > 0 else -1
+        if P == 0 or (P > 0) == (B > 0):
+            return sb
+        return sb if B * B * self.ctx.disc > P * P else -sb
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -438,11 +491,12 @@ class QuadraticNumber:
     # -- floor / float export ---------------------------------------------
 
     def floor(self) -> int:
-        if self.B == 0:
+        B = self.B
+        if B == 0:
             return self.A // self.d
         ctx = self.ctx
-        return _root_floor(2 * self.A + self.B * ctx.trace, self.B, ctx.disc,
-                           2 * self.d)
+        P, r = 2 * self.A + B * ctx.trace, math.isqrt(B * B * ctx.disc)
+        return (P + r) // (2 * self.d) if B > 0 else (P - r - 1) // (2 * self.d)
 
     def frac(self) -> "QuadraticNumber":
         return self - self.floor()
@@ -507,18 +561,24 @@ def _ratio_str(n: int, d: int) -> str:
 
 def floor_mod1(x):
     """Split ``x = n + r`` with integer ``n`` and ``r`` in [0, 1), exactly."""
-    if isinstance(x, int):
-        x = _rational(x)
-    n = x.floor() if isinstance(x, QuadraticNumber) else math.floor(x)
+    if type(x) is QuadraticNumber or isinstance(x, QuadraticNumber):
+        n = x.floor()
+    else:
+        x = _rational(x) if isinstance(x, int) else x
+        n = math.floor(x)
     return n, x - n
 
 
 def scalar_floor(x) -> int:
-    return x.floor() if isinstance(x, QuadraticNumber) else math.floor(x)
+    if type(x) is QuadraticNumber or isinstance(x, QuadraticNumber):
+        return x.floor()
+    return math.floor(x)
 
 
 def scalar_float(x) -> float:
-    return x.to_float()[0] if isinstance(x, QuadraticNumber) else float(x)
+    if type(x) is QuadraticNumber or isinstance(x, QuadraticNumber):
+        return x.to_float()[0]
+    return float(x)
 
 
 def scalar_str(x) -> str:

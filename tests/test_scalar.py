@@ -1,11 +1,12 @@
 
+import math
 import random
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilflow.scalar import (
@@ -13,8 +14,11 @@ from nilflow.scalar import (
     ParseError,
     QuadraticContext,
     QuadraticNumber,
+    _rational,
     floor_mod1,
     parse_scalar,
+    scalar_float,
+    scalar_floor,
 )
 
 LAM = GOLDEN.lam
@@ -317,3 +321,179 @@ def test_to_float_does_not_depend_on_earlier_calls():
             x.to_float(precision)
     assert [x.to_float() for x in values] == first
     assert [x.to_float(precision=40) for x in values] == first
+
+
+# -- operator x partner matrix ---------------------------------------------
+# Every operator and its reflected form, against an oracle on the Fraction
+# coordinates a, b, for each partner type the operators dispatch on.
+
+HUGE = 10 ** 22
+
+
+class SubQuadratic(QuadraticNumber):
+    __slots__ = ()
+
+
+def _oracle_sign(u: Fraction, v: Fraction, ctx) -> int:
+    """Sign of u + v*l from 2u + vT + v*sqrt(disc), on Fractions."""
+    if v == 0:
+        return (u > 0) - (u < 0)
+    p, sv = 2 * u + v * ctx.trace, 1 if v > 0 else -1
+    if p == 0 or (p > 0) == (v > 0):
+        return sv
+    return sv if v * v * ctx.disc > p * p else -sv
+
+
+def _coords(y, ctx):
+    """Oracle coordinates of a partner: (a, b) as Fractions."""
+    if isinstance(y, QuadraticNumber):
+        return Fraction(y.A, y.d), Fraction(y.B, y.d)
+    return Fraction(y), Fraction(0)
+
+
+def _oracle(op: str, x, y, ctx):
+    (a, b), (c, e) = _coords(x, ctx), _coords(y, ctx)
+    T, D = ctx.trace, ctx.det
+    if op == "+":
+        return a + c, b + e
+    if op == "-":
+        return a - c, b - e
+    if op == "*":
+        return a * c - D * b * e, a * e + b * c + T * b * e
+    # x / y = x * conj(y) / N(y), conj(c + e l) = (c + e T) - e l
+    n = c * c + c * e * T + e * e * D
+    return (a * (c + e * T) + D * b * e) / n, (b * (c + e * T) - a * e - T * b * e) / n
+
+
+def _assert_canonical(z, ctx, want):
+    assert type(z) is QuadraticNumber and z.ctx is ctx
+    assert z.d > 0 and math.gcd(z.A, z.B, z.d) == 1
+    assert (Fraction(z.A, z.d), Fraction(z.B, z.d)) == want
+
+
+def _oracle_floor(x, ctx) -> int:
+    a, b = _coords(x, ctx)
+    with mpmath.workdps(120):  # a guess, corrected by exact signs
+        n = int(mpmath.floor(mp_value(x)))
+    while _oracle_sign(a - n, b, ctx) < 0:
+        n -= 1
+    while _oracle_sign(a - n - 1, b, ctx) >= 0:
+        n += 1
+    return n
+
+
+huge = st.integers(-HUGE, HUGE)
+huge_d = st.one_of(st.just(1), st.integers(1, HUGE))
+PARTNERS = ["same_d", "other_d", "int", "bool", "Rational", "Fraction",
+            "equal_context", "subclass"]
+
+
+def _partner(kind, x, A2, B2, d2):
+    ctx = x.ctx
+    if kind == "same_d":  # gcd(A2*d + 1, B2, d) = 1 keeps d exactly
+        y = QuadraticNumber(Fraction(A2 * x.d + 1, x.d), Fraction(B2, x.d), ctx)
+        assert y.d == x.d
+        return y
+    if kind == "other_d":
+        return QuadraticNumber(Fraction(A2, d2), Fraction(B2, d2), ctx)
+    if kind == "int":
+        return A2
+    if kind == "bool":
+        return A2 % 2 == 0
+    if kind == "Rational":
+        return _rational(A2, d2)
+    if kind == "Fraction":
+        return Fraction(A2, d2)
+    if kind == "equal_context":
+        twin = QuadraticContext(ctx.trace, ctx.det)
+        assert twin == ctx and twin is not ctx
+        return QuadraticNumber(Fraction(A2, d2), Fraction(B2, d2), twin)
+    y = QuadraticNumber(Fraction(A2, d2), Fraction(B2, d2), ctx)
+    z = SubQuadratic.__new__(SubQuadratic)
+    z.A, z.B, z.d, z.ctx = y.A, y.B, y.d, y.ctx
+    return z
+
+
+@settings(max_examples=400, deadline=None)
+@given(A=huge, B=huge, d=huge_d, A2=huge, B2=huge, d2=huge_d,
+       ctx=st.sampled_from(CONTEXTS), kind=st.sampled_from(PARTNERS))
+@example(A=1, B=1, d=6, A2=4, B2=0, d2=1, ctx=GOLDEN, kind="int")  # gcd(n, d) = 2
+@example(A=1, B=1, d=6, A2=3, B2=0, d2=4, ctx=GOLDEN, kind="Rational")
+@example(A=1, B=1, d=6, A2=1, B2=5, d2=6, ctx=GOLDEN, kind="same_d")  # sum reduces
+@example(A=1, B=-1, d=6, A2=1, B2=3, d2=4, ctx=GOLDEN, kind="other_d")
+def test_operator_partner_matrix(A, B, d, A2, B2, d2, ctx, kind):
+    x = QuadraticNumber(Fraction(A, d), Fraction(B, d), ctx)
+    y = _partner(kind, x, A2, B2, d2)
+    _assert_canonical(x + y, ctx, _oracle("+", x, y, ctx))
+    _assert_canonical(x.__radd__(y), ctx, _oracle("+", y, x, ctx))
+    _assert_canonical(x - y, ctx, _oracle("-", x, y, ctx))
+    _assert_canonical(x.__rsub__(y), ctx, _oracle("-", y, x, ctx))
+    _assert_canonical(x * y, ctx, _oracle("*", x, y, ctx))
+    _assert_canonical(x.__rmul__(y), ctx, _oracle("*", y, x, ctx))
+    _assert_canonical(-x, ctx, (-Fraction(A, d), -Fraction(B, d)))
+    _assert_canonical(x.conjugate(), ctx,
+                      (Fraction(A, d) + Fraction(B, d) * ctx.trace, -Fraction(B, d)))
+    if kind not in ("equal_context", "subclass"):  # these partners own their result
+        _assert_canonical(y + x, ctx, _oracle("+", y, x, ctx))
+        _assert_canonical(y - x, ctx, _oracle("-", y, x, ctx))
+        _assert_canonical(y * x, ctx, _oracle("*", y, x, ctx))
+    if _coords(y, ctx) != (0, 0):
+        _assert_canonical(x / y, ctx, _oracle("/", x, y, ctx))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if x:
+        _assert_canonical(x.__rtruediv__(y), ctx, _oracle("/", y, x, ctx))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.__rtruediv__(y)
+    (a, b), (c, e) = _coords(x, ctx), _coords(y, ctx)
+    want = _oracle_sign(a - c, b - e, ctx)
+    assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0)
+    assert (x == y) == (want == 0) == ((a, b) == (c, e))
+    assert (x != y) == (want != 0)
+    assert x.sign() == _oracle_sign(a, b, ctx)
+    twin = QuadraticNumber(c, e, ctx)  # y's value in x's field
+    assert twin == y and not twin != y and twin <= y and not twin < y
+    near = QuadraticNumber(Fraction(c.numerator, c.denominator + 1), e, ctx)
+    assert (near == y) == (c.numerator == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=huge, B=huge, d=huge_d, ctx=st.sampled_from(CONTEXTS),
+       kind=st.sampled_from(PARTNERS))
+def test_floor_and_float_helpers_on_every_partner(A, B, d, ctx, kind):
+    x = QuadraticNumber(Fraction(A, d), Fraction(B, d), ctx)
+    for v in (x, _partner(kind, x, A, B, d)):
+        n, r = floor_mod1(v)
+        want = _oracle_floor(v, ctx) if isinstance(v, QuadraticNumber) else (
+            math.floor(Fraction(v)))
+        assert scalar_floor(v) == n == want and type(n) is int
+        assert 0 <= r < 1 and r + n == v
+        if isinstance(v, QuadraticNumber):
+            assert type(r) is QuadraticNumber and math.gcd(r.A, r.B, r.d) == 1
+            assert scalar_float(v) == v.to_float()[0]
+            with mpmath.workdps(120):
+                assert scalar_float(v) == pytest.approx(float(mp_value(v)), rel=2 ** -50)
+        else:
+            assert scalar_float(v) == float(v)
+
+
+def test_operator_errors_across_fields_and_with_floats():
+    x, z = qn(Fraction(3, 7), Fraction(-2, 5)), QuadraticContext(2, -1).lam
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__"):
+        with pytest.raises(ValueError):
+            getattr(x, op)(z)
+        assert getattr(x, op)(1.5) is NotImplemented
+    for f in (lambda: x + z, lambda: z + x, lambda: x - z, lambda: z - x,
+              lambda: x * z, lambda: z * x, lambda: x / z, lambda: z / x):
+        with pytest.raises(ValueError):
+            f()
+    for f in (lambda: x + 1.5, lambda: 1.5 + x, lambda: x - 1.5, lambda: 1.5 - x,
+              lambda: x * 1.5, lambda: 1.5 * x, lambda: x / 1.5, lambda: 1.5 / x,
+              lambda: x < 1.5, lambda: 1.5 <= x):
+        with pytest.raises(TypeError):
+            f()
+    assert (x == z) is False and (z == x) is False and x != z
+    assert x.__eq__(1.5) is NotImplemented and (x == 1.5) is False
