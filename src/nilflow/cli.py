@@ -63,7 +63,8 @@ def emit_csv(path: Path, header: list[str], rows) -> None:
 
 
 def emit_jsonl(path: Path, records) -> None:
-    lines = [json.dumps(r, sort_keys=True) for r in records]
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = [encode(r) for r in records]
     atomic_write(path, "\n".join(lines) + "\n")
 
 

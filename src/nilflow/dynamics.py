@@ -70,7 +70,7 @@ PHI3 = 2 * PHI + 1
 def golden(x):
     """Promote a rational to the golden field."""
     if isinstance(x, QuadraticNumber):
-        if x.ctx != GOLDEN:
+        if x.ctx is not GOLDEN and x.ctx != GOLDEN:
             raise ValueError("expected a golden-field scalar")
         return x
     if not isinstance(x, (int, Fraction)):
@@ -129,7 +129,9 @@ class Branch:
         return self.lo <= u < self.hi
 
     def poly(self, u):
-        return self.a2 * u * u + self.a1 * u + self.a0
+        if self.a2:
+            return self.a2 * u * u + self.a1 * u + self.a0
+        return self.a1 * u + self.a0
 
 
 class PiecewiseTorusMap:

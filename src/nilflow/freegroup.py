@@ -64,11 +64,15 @@ class Endomorphism:
             raise ParseError("substitution images must be nonempty after reduction")
 
     def apply(self, word: str) -> str:
+        a, b = self.image_a, self.image_b
+        if not (word.strip("ab") or a.strip("ab") or b.strip("ab")):
+            # positive images of a positive word: nothing can cancel
+            return word.translate({ord("a"): a, ord("b"): b})
         images = {
-            "a": self.image_a,
-            "b": self.image_b,
-            "A": invert_word(self.image_a),
-            "B": invert_word(self.image_b),
+            "a": a,
+            "b": b,
+            "A": invert_word(a),
+            "B": invert_word(b),
         }
         out: list[str] = []
         for c in reduce_word(word):

@@ -205,7 +205,8 @@ class QuadraticContext:
     ``floor`` total.
     """
 
-    __slots__ = ("trace", "det", "disc")
+    # _root = (m, floor(sqrt(disc) * 2^m)), grown on demand by to_float
+    __slots__ = ("trace", "det", "disc", "_root")
 
     def __init__(self, trace: int, det: int):
         if not isinstance(trace, int) or not isinstance(det, int):
@@ -213,9 +214,11 @@ class QuadraticContext:
         disc = trace * trace - 4 * det
         if disc <= 0:
             raise ValueError(f"discriminant {disc} is not positive")
-        if math.isqrt(disc) ** 2 == disc:
+        root = math.isqrt(disc)
+        if root * root == disc:
             raise ValueError(f"discriminant {disc} is a perfect square")
         self.trace, self.det, self.disc = trace, det, disc
+        self._root = (0, root)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, QuadraticContext)
@@ -241,16 +244,6 @@ class QuadraticContext:
     def lam(self) -> "QuadraticNumber":
         """The distinguished root as a field element."""
         return QuadraticNumber(0, 1, self)
-
-
-def _root_floor(P: int, B: int, disc: int, den: int) -> int:
-    """``floor((P + B*sqrt(disc)) / den)`` for B != 0 and den > 0.
-
-    ``r = isqrt(B^2 disc) < |B|*sqrt(disc) < r + 1``, so the numerator lies
-    strictly between two integers and its floor over ``den`` is exact.
-    """
-    r = math.isqrt(B * B * disc)
-    return (P + r) // den if B > 0 else (P - r - 1) // den
 
 
 def _additive(name: str):
@@ -386,15 +379,18 @@ class QuadraticNumber:
             return NotImplemented
         else:
             A2, B2, d2 = o
-        # x/y = x conj(y) / N(y): (A1 + B1 l)(C - B2 l) with C = A2 + B2 T
         A1, B1, ctx = self.A, self.B, self.ctx
-        T, D = ctx.trace, ctx.det
-        norm = A2 * A2 + A2 * B2 * T + B2 * B2 * D
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        C, bb = A2 + B2 * T, B1 * B2
-        A, B = (A1 * C + D * bb) * d2, (B1 * C - A1 * B2 - T * bb) * d2
-        d = self.d * norm
+        if B2 == 0:  # x / (n/q) = (A1 q + B1 q l) / (d n)
+            if A2 == 0:
+                raise ZeroDivisionError("division by zero in quadratic field")
+            A, B, d = A1 * d2, B1 * d2, self.d * A2
+        else:
+            # x/y = x conj(y) / N(y): (A1 + B1 l)(C - B2 l) with C = A2 + B2 T;
+            # N(y) != 0 for irrational y
+            T, D = ctx.trace, ctx.det
+            C, bb = A2 + B2 * T, B1 * B2
+            A, B = (A1 * C + D * bb) * d2, (B1 * C - A1 * B2 - T * bb) * d2
+            d = self.d * (A2 * A2 + A2 * B2 * T + B2 * B2 * D)
         if d < 0:
             A, B, d = -A, -B, -d
         g = _gcd(A, B, d)
@@ -505,10 +501,12 @@ class QuadraticNumber:
         """Correctly rounded double and the bound ``|v| * 2^-53`` on its error.
 
         The double is the same for every ``precision`` (at least 32 bits).
-        For ``B != 0`` x is irrational; with ``n = floor(2^k x)`` and
-        ``|n| > 2^55`` every point of ``(2n, 2n + 2)`` rounds like ``2n + 1``,
-        since the rounding boundaries there are multiples of 8.  Subnormal
-        and overflowing values are not covered.
+        For ``B != 0``, with ``S = floor(sqrt(disc) * 2^m)`` from the
+        context, ``x * (den << m)`` lies strictly between ``N = (P << m) +
+        B*S`` and ``N + B``.  ``int / int`` rounds correctly and rounding is
+        monotone, so equal quotients at both ends certify the double; ``x``
+        is irrational, hence never a rounding boundary, and doubling ``m``
+        ends the loop.  Overflow raises ``OverflowError``.
         """
         if precision < 32:
             raise ValueError("precision must be at least 32 bits")
@@ -517,21 +515,20 @@ class QuadraticNumber:
             v = A / d
             return v, abs(v) * 2.0 ** -53
         ctx = self.ctx
-        P, disc, den = 2 * A + B * ctx.trace, ctx.disc, 2 * d
-        # e: a lower bound on log2 |P + B*sqrt(disc)|, where
-        # 2^h <= |B|*sqrt(disc) < 2^(h+1)
-        h = ((B * B * disc).bit_length() - 1) >> 1
-        if P == 0 or (P > 0) == (B > 0):
-            e = max(P.bit_length() - 1, h)
-        else:
-            # |P + B sqrt(disc)| = |P^2 - B^2 disc| / (|P| + |B| sqrt(disc))
-            e = (abs(P * P - B * B * disc).bit_length() - 2
-                 - max(P.bit_length(), h + 1))
-        k = 56 + den.bit_length() - e  # makes |2^k x| >= 2^56
-        n = (_root_floor(P << k, B << k, disc, den) if k >= 0
-             else _root_floor(P, B, disc, den << -k))
-        v = math.ldexp(float(2 * n + 1), -k - 1)
-        return v, abs(v) * 2.0 ** -53
+        P, den = 2 * A + B * ctx.trace, 2 * d
+        m = 64 + B.bit_length() + den.bit_length()
+        while True:
+            M, S = ctx._root
+            if M < m:
+                S = math.isqrt(ctx.disc << 2 * m)
+                ctx._root = (m, S)
+            else:
+                S >>= M - m
+            N, D = (P << m) + B * S, den << m
+            v = N / D
+            if v == (N + B) / D:
+                return v, abs(v) * 2.0 ** -53
+            m *= 2
 
     def __float__(self) -> float:
         return self.to_float()[0]
@@ -561,7 +558,10 @@ def _ratio_str(n: int, d: int) -> str:
 
 def floor_mod1(x):
     """Split ``x = n + r`` with integer ``n`` and ``r`` in [0, 1), exactly."""
-    if type(x) is QuadraticNumber or isinstance(x, QuadraticNumber):
+    if type(x) is QuadraticNumber:
+        n = x.floor()
+        return n, (x - n if n else x)
+    if isinstance(x, QuadraticNumber):
         n = x.floor()
     else:
         x = _rational(x) if isinstance(x, int) else x

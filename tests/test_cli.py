@@ -1,12 +1,14 @@
 import json
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from nilflow.cli import _orbit_rows_flow, main
 from nilflow.factorization import eigen_data, factor, flow_of
 from nilflow.freegroup import FIBONACCI
 from nilflow.heisenberg import GroupPoint, canonicalize, flow, parse_group_point
-from nilflow.scalar import GOLDEN, parse_scalar
+from nilflow.scalar import GOLDEN, QuadraticNumber, parse_scalar
 
 
 def run(args):
@@ -182,3 +184,43 @@ def test_non_positive_sizes_are_parse_errors(tmp_path, capsys):
     assert run(["orbit", "--config", cfg]) == 2
     assert "--iters" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def _mp_float(text: str) -> float:
+    """The correctly rounded double of an exact JSONL string, through mpmath."""
+    x = parse_scalar(text, GOLDEN)
+    if not isinstance(x, QuadraticNumber):
+        return float(Fraction(x))
+    with mpmath.workdps(60):
+        phi = (1 + mpmath.sqrt(5)) / 2
+        a, b = x.a, x.b
+        return float(mpmath.mpf(a.numerator) / a.denominator
+                     + mpmath.mpf(b.numerator) / b.denominator * phi)
+
+
+@pytest.mark.parametrize("kind, config", [
+    ("skew", None), ("strip", None), ("translation", None), ("flow", None),
+    ("strip", {"s": "-3/7", "theta": "2/7"}),
+])
+def test_orbit_artifacts_against_an_independent_oracle(tmp_path, kind, config):
+    # the CSV floats are the correctly rounded values of the JSONL strings,
+    # and every JSONL line is what json.dumps writes for its record
+    extra = []
+    if config:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        extra = ["--config", tmp_path / "c.json"]
+    for fmt in ("csv", "jsonl"):
+        assert run(["orbit", "--kind", kind, "--iters", 300, "--format", fmt,
+                    "--out", tmp_path, *extra]) == 0
+    header, *rows = (tmp_path / f"orbit-{kind}.csv").read_text().splitlines()
+    lines = (tmp_path / f"orbit-{kind}.jsonl").read_text().splitlines()
+    assert len(rows) == len(lines) == 301
+    names = header.split(",")[1:]
+    for k, (row, line) in enumerate(zip(rows, lines)):
+        record = json.loads(line)
+        assert line == json.dumps(record, sort_keys=True)
+        assert record["k"] == k and record["seed"] == 0
+        fields = row.split(",")
+        assert fields[0] == str(k)
+        for name, text in zip(names, fields[1:]):
+            assert float(text) == _mp_float(record[name]), (k, name)

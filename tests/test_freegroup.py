@@ -98,6 +98,36 @@ def test_fixed_point():
         fixed_point_prefix(parse_substitution("a->b;b->ab"), 5)  # not prolongable
 
 
+def _apply_by_letters(endo, word):
+    """The letterwise image, freely reduced: the route for signed words."""
+    images = {"a": endo.image_a, "b": endo.image_b,
+              "A": invert_word(endo.image_a), "B": invert_word(endo.image_b)}
+    return reduce_word("".join(images[c] for c in word))
+
+
+PROLONGABLE = [
+    *(f"a->{'a' * k}b;b->a" for k in (1, 2, 3, 4, 6, 10, 20, 35, 50)),
+    *(f"a->ab{'a' * k};b->ab" for k in (1, 2, 3, 4, 6, 10, 20, 35, 50)),
+    "a->abb;b->ab", "a->abaab;b->ab",
+]
+
+
+@pytest.mark.parametrize("text", PROLONGABLE)
+def test_fixed_point_prefix_matches_the_letterwise_route(text):
+    endo = parse_substitution(text)
+    word = "a"
+    while len(word) < 5000:
+        word = _apply_by_letters(endo, word)
+    assert fixed_point_prefix(endo, 5000) == word[:5000]
+
+
+def test_apply_checks_letters_of_a_positive_substitution():
+    for word in ("abx", "xab", "a b"):
+        with pytest.raises(ParseError):
+            FIBONACCI.apply(word)
+    assert FIBONACCI.apply("aAb") == _apply_by_letters(FIBONACCI, "aAb") == "a"
+
+
 def test_fixed_point_is_fixed():
     w = fixed_point_prefix(FIBONACCI, 200)
     assert FIBONACCI.apply(w)[:200] == w

@@ -323,6 +323,78 @@ def test_to_float_does_not_depend_on_earlier_calls():
     assert [x.to_float(precision=40) for x in values] == first
 
 
+# -- certified float export --------------------------------------------------
+
+FLOAT_CONTEXTS = [*CONTEXTS, QuadraticContext(10 ** 12, 7)]  # disc = 10^24 - 28
+
+
+def _mp_exact(x: QuadraticNumber):
+    """(A + B*l) / d in mpmath at the working precision."""
+    t, d = x.ctx.trace, x.ctx.det
+    root = (t + mpmath.sqrt(mpmath.mpf(t * t - 4 * d))) / 2
+    return (x.A + x.B * root) / x.d
+
+
+@settings(max_examples=300, deadline=None)
+@given(B=st.integers(-2 ** 600, 2 ** 600).filter(bool),
+       A=st.integers(-2 ** 600, 2 ** 600), d=st.integers(1, 2 ** 600),
+       offset=st.integers(-3, 3), near=st.booleans(),
+       ctx=st.sampled_from(FLOAT_CONTEXTS))
+def test_to_float_matches_mpmath_at_400_digits(B, A, d, offset, near, ctx):
+    if near:  # A = -round(B*l) + offset: up to 600 bits cancel
+        A = offset - QuadraticNumber(Fraction(1, 2), B, ctx).floor()
+    x = QuadraticNumber(Fraction(A, d), Fraction(B, d), ctx)
+    v, err = x.to_float()
+    with mpmath.workdps(400):
+        exact = _mp_exact(x)
+        assert v == float(exact)
+        assert abs(exact - v) <= err
+
+
+@pytest.mark.parametrize("n", [300, 301])
+def test_to_float_doubles_its_precision_near_a_rounding_boundary(n):
+    # F(n+1) - F(n)*phi = (-1/phi)^n, about 2^-208: x lies that close to
+    # the midpoint c = 1 + 2^-53 of two doubles, far inside the first
+    # interval of width about 2^-174, so the ends disagree at the first m
+    f0, f1 = 0, 1
+    for _ in range(n):
+        f0, f1 = f1, f0 + f1
+    ctx = QuadraticContext(1, -1)  # fresh: its cache shows the m used
+    c = Fraction(2 ** 53 + 1, 2 ** 53)
+    x = QuadraticNumber(c + f1, Fraction(-f0), ctx)
+    first_m = 64 + x.B.bit_length() + (2 * x.d).bit_length()
+    v, _ = x.to_float()
+    assert ctx._root[0] >= 2 * first_m
+    # n even: x above the midpoint, n odd: below
+    assert v == (1 + 2.0 ** -52 if n % 2 == 0 else 1.0)
+    with mpmath.workdps(400):
+        assert v == float(_mp_exact(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=st.integers(-2 ** 60, 2 ** 60), B=st.integers(-2 ** 60, 2 ** 60).filter(bool),
+       d=st.integers(2 ** 900, 2 ** 1000), ctx=st.sampled_from(FLOAT_CONTEXTS))
+def test_to_float_of_tiny_values(A, B, d, ctx):
+    # A and B*l of one sign (l > 0 here): |x| >= l/d stays a normal double
+    A = abs(A) if B > 0 else -abs(A)
+    x = QuadraticNumber(Fraction(A, d), Fraction(B, d), ctx)
+    v, err = x.to_float()
+    with mpmath.workdps(400):
+        exact = _mp_exact(x)
+        assert v == float(exact) and v != 0
+        assert abs(exact - v) <= err
+
+
+def test_to_float_overflow_raises():
+    for x in (QuadraticNumber(0, 2 ** 1100, GOLDEN), QuadraticNumber(1, -2 ** 1024, GOLDEN),
+              QuadraticNumber(Fraction(2 ** 1030, 3), 1, GOLDEN)):
+        with pytest.raises(OverflowError):
+            x.to_float()
+    big = QuadraticNumber(0, 2 ** 1020, GOLDEN)  # about 1.618 * 2^1020: finite
+    with mpmath.workdps(400):
+        assert big.to_float()[0] == float(_mp_exact(big))
+
+
 # -- operator x partner matrix ---------------------------------------------
 # Every operator and its reflected form, against an oracle on the Fraction
 # coordinates a, b, for each partner type the operators dispatch on.
@@ -421,6 +493,15 @@ def _partner(kind, x, A2, B2, d2):
 @example(A=1, B=1, d=6, A2=3, B2=0, d2=4, ctx=GOLDEN, kind="Rational")
 @example(A=1, B=1, d=6, A2=1, B2=5, d2=6, ctx=GOLDEN, kind="same_d")  # sum reduces
 @example(A=1, B=-1, d=6, A2=1, B2=3, d2=4, ctx=GOLDEN, kind="other_d")
+# int and rational divisors: negative, 10^22-sized and zero
+@example(A=5, B=-3, d=7, A2=-HUGE, B2=0, d2=1, ctx=GOLDEN, kind="int")
+@example(A=-HUGE, B=HUGE, d=HUGE - 1, A2=-HUGE + 1, B2=0, d2=HUGE,
+         ctx=CONTEXTS[1], kind="Rational")
+@example(A=HUGE, B=-1, d=6, A2=-3, B2=0, d2=HUGE, ctx=CONTEXTS[2], kind="Fraction")
+@example(A=4, B=6, d=9, A2=-6, B2=0, d2=1, ctx=CONTEXTS[3], kind="int")  # gcd(4q, 6q, 9n) = 3
+@example(A=1, B=1, d=6, A2=0, B2=0, d2=1, ctx=GOLDEN, kind="int")
+@example(A=1, B=1, d=6, A2=0, B2=0, d2=5, ctx=GOLDEN, kind="Rational")
+@example(A=1, B=1, d=6, A2=1, B2=0, d2=1, ctx=GOLDEN, kind="bool")  # False
 def test_operator_partner_matrix(A, B, d, A2, B2, d2, ctx, kind):
     x = QuadraticNumber(Fraction(A, d), Fraction(B, d), ctx)
     y = _partner(kind, x, A2, B2, d2)
