@@ -23,13 +23,13 @@ from . import verification
 from .dynamics import (
     TorusPoint2,
     equidistribution_report,
-    first_return,
     golden,
     golden_skew_step,
     renormalization_check,
     self_induction_check,
     strip_family,
     strip_region,
+    strip_return_count,
 )
 from .factorization import (
     EigenSignError,
@@ -310,14 +310,10 @@ def cmd_induce(cfg: dict) -> int:
     s_prime = _scalar_arg(cfg, "s_prime")
     theta = _scalar_arg(cfg, "theta")
     renorm = renormalization_check(s, s_prime, theta)
-    pmap = strip_family(s, theta)
+    # return counts depend on the base rotation only, not on s or theta
     region = strip_region()
-    counts = []
-    for i in range(24):
-        u = golden(_rational(i, 63))
-        if region.contains(u):
-            rec = first_return(pmap, region, TorusPoint2(u, golden(0)), 16)
-            counts.append({"u": scalar_str(u), "n": rec.iterates})
+    counts = [{"u": scalar_str(u), "n": strip_return_count(u)}
+              for u in (golden(_rational(i, 63)) for i in range(24)) if region.contains(u)]
     sub = parse_substitution(cfg["substitution"])
     data = eigen_data(factor(sub))
     induction = self_induction_check(

@@ -416,12 +416,6 @@ class SigmaSection:
             (self._derive_branch(zero, d.s_b, d.s_a, d.t_a, -1, 0), d.t_a, (-1, 0)),
         )
         self._rho, self._sigma, self._inv_sb = d.t_a / d.t_b, d.s_a / d.s_b, 1 / d.s_b
-        # float sizes of the flight by branch and of the section ends: the
-        # lattice window of _crossing_step
-        self._flight = tuple((abs(scalar_float(d.alpha * t)), abs(scalar_float(d.beta * t)))
-                             for t in (d.t_b, d.t_a))
-        self._ends = max(abs(scalar_float(c * e)) for c in (d.alpha_p, d.beta_p)
-                         for e in (d.s_a, d.s_b))
 
     def contains(self, p: SectionPoint) -> bool:
         return self.data.s_a <= p.s < self.data.s_b and -HALF <= p.zoff < HALF
@@ -497,17 +491,16 @@ class SigmaSection:
             g = g * GroupPoint(*lat)
         return g == self.to_group(record.point)
 
-    def _crossing_rows(self, s, w):
-        """Row n of the lattice window [-w, w]^2 with the range of m where the
-        crossing comes at t > 0 and s_a <= u <= s_b, decided by floors: the
-        line through (n, m) is met at t = n t_a + m t_b and parameter
-        u = s + n s_a + m s_b, with t_b, s_b > 0 (eigen_data)."""
+    def _crossing_rows(self, s, ns):
+        """Each row n of ns with the range of m where the crossing comes at
+        t > 0 and s_a <= u <= s_b, decided by floors: the line through (n, m)
+        is met at t = n t_a + m t_b and parameter u = s + n s_a + m s_b, with
+        t_b, s_b > 0 (eigen_data)."""
         v = s * self._inv_sb                    # (s + n s_a) / s_b at n = 0
-        for n in range(-w, w + 1):
+        for n in ns:
             vn = v + n * self._sigma
-            yield n, range(max(-w, (-n * self._rho).floor() + 1,
-                               -(vn - self._sigma).floor()),
-                           min(w, (1 - vn).floor()) + 1)
+            yield n, range(max((-n * self._rho).floor() + 1, -(vn - self._sigma).floor()),
+                           (1 - vn).floor() + 1)
 
     def _crossing_step(self, s, zoff):
         """First crossing of the CLOSED segment [s_a, s_b], any lattice offset.
@@ -515,22 +508,23 @@ class SigmaSection:
         The half-open section never contains the line point at parameter
         s_b, but the automorphism image of the section can (exactly when
         lam' * s_a = s_b), so induction iterations must see crossings there
-        as well.  The branch landing seeds the search; in each lattice row
-        of the window the earliest admissible crossing is the smallest m of
-        its range, since t grows with m.
+        as well.  The branch landing seeds the search; in each row n the
+        earliest admissible crossing is the smallest m of its range, since t
+        grows with m.  Eliminating m from 0 < t < t_br and s_a <= u <= s_b
+        with Delta = t_a s_b - t_b s_a = -1/delta > 0 leaves
+        alpha_p (s - s_b) < n < alpha t_br + alpha_p (s - s_a), as
+        t_b / Delta = alpha_p and s_b / Delta = alpha.
         """
         d = self.data
-        right = s >= 0
-        if right:
+        if s >= 0:
             t_br, shift, offset = d.t_a, d.s_a, (1, 0)
         else:
             t_br, shift, offset = d.t_b, d.s_b, (0, 1)
         # (n, m) is the plane offset: position at the crossing = u*(a_p, b_p) + (n, m)
         best = (t_br, s + shift, offset)
-        ax, by = self._flight[right]
-        w = int(max(abs(scalar_float(d.alpha_p * s)) + ax,
-                    abs(scalar_float(d.beta_p * s)) + by, self._ends)) + 2
-        for n, ms in self._crossing_rows(s, w):
+        ns = range((d.alpha_p * (s - d.s_b)).floor() + 1,
+                   -(d.alpha_p * (d.s_a - s) - d.alpha * t_br).floor())
+        for n, ms in self._crossing_rows(s, ns):
             if ms and (t := n * d.t_a + ms[0] * d.t_b) < best[0]:
                 best = (t, s + n * d.s_a + ms[0] * d.s_b, (n, ms[0]))
         t, u, (n, m) = best
@@ -547,8 +541,8 @@ class SigmaSection:
         t_branch = d.t_a if p.s >= 0 else d.t_b
         early = []
         found_return = False
-        for n, ms in self._crossing_rows(p.s, window):
-            for m in ms:
+        for n, ms in self._crossing_rows(p.s, range(-window, window + 1)):
+            for m in range(max(-window, ms.start), min(window + 1, ms.stop)):
                 t = n * d.t_a + m * d.t_b
                 if p.s + n * d.s_a + m * d.s_b < d.s_b:
                     if t < t_branch:
@@ -707,15 +701,16 @@ class DiagonalSection:
         self.vec = AlgebraVector(data.alpha, data.beta, self.gamma)
         self.translation = exp_point(self.vec)
 
-    def chart(self, g: GroupPoint):
-        total = g.x + g.y
-        k, r = floor_mod1(total)
+    def _lift(self, g: GroupPoint):
+        """Chart coordinates of g with the fiber coordinate not reduced mod 1."""
+        k, r = floor_mod1(g.x + g.y)
         if r != 0:
             raise ValueError("point is not on the diagonal section")
         n = -scalar_floor(g.x)
-        x = g.x + n
-        m = 1 - k - n
-        z1 = g.z + g.x * m
+        return g.x + n, g.z + g.x * (1 - k - n)
+
+    def chart(self, g: GroupPoint):
+        x, z1 = self._lift(g)
         return x, z1 - scalar_floor(z1)
 
     def chart_point(self, x, z) -> GroupPoint:
@@ -792,76 +787,64 @@ def golden_skew_step(u, v):
 def fibonacci_chart_equivalence(n_verify: int = 100, seed: int = 41) -> dict:
     """Exact conjugacy of the diagonal chart map with the golden skew product.
 
-    The fiber change is affine in z but quadratic in the base coordinate, as
-    the coboundary structure of the induced maps dictates; its coefficients
-    are solved from sample evaluations and the candidate is then verified
-    globally on random exact points.
+    The conjugacy h(x, z) = (eps x, b2 z + w2 x^2 + w1 x) mod 1 is affine in
+    z but quadratic in the base coordinate, as the coboundary structure of
+    the induced maps dictates.  On branch i the chart map is x -> x + a_i,
+    z -> z + p_i x + q_i, read from exact evaluations; h intertwines it with
+    the skew product iff eps a_i = 1/phi^2 mod 1, b2 p_i + 2 w2 a_i = eps and
+    b2 q_i + w2 a_i^2 + w1 a_i + 1/(2 phi^3) is an integer.  The last
+    condition fixes w1 uniquely, since a_0 - a_1 = 1 and a_1 is irrational.
+    The solution is then verified on n_verify random exact points.
     """
     data = eigen_data(factor(FIBONACCI))
     diag = DiagonalSection(data, 0, 0)
-    c_p = -HALF_INV_PHI3
-    rng = random.Random(seed)
-
-    def residual(eps, b2, c1, w2, w1, x, z):
-        """h.step - prop2.h in the fiber; conjugacy iff an exact integer."""
-        x1, z1 = diag.step(x, z)
-        r = b2 * (z - z1) + floor_mod1(eps * x + c1)[1] + c_p
-        lhs = w2 * (x1 * x1 - x * x) + w1 * (x1 - x)
-        return lhs - r
-
-    def base_ok(eps, c1):
-        # base coordinates must intertwine the two rotations exactly
-        for _ in range(8):
-            x = golden(_rational(rng.randrange(0, 997), 997))
-            lhs = floor_mod1(eps * diag.step(x, golden(0))[0] + c1)[1]
-            rhs = floor_mod1(floor_mod1(eps * x + c1)[1] + INV_PHI2)[1]
-            if lhs != rhs:
-                return False
-        return True
-
-    xa = [golden(_rational(1, 16)), golden(_rational(1, 8))]
     zero = golden(0)
-    for eps in (-1, 1):
-        for b2 in (1, -1):
-            for c1 in (zero, golden(_rational(1, 2))):
-                if not base_ok(eps, c1):
-                    continue
-                # two same-branch samples pin w2 up to an integer slack
-                x1s, _ = diag.step(xa[0], zero)
-                x2s, _ = diag.step(xa[1], zero)
-                r1 = residual(eps, b2, c1, zero, zero, xa[0], zero)
-                r2 = residual(eps, b2, c1, zero, zero, xa[1], zero)
-                denom2 = (x2s * x2s - xa[1] * xa[1]) - (x1s * x1s - xa[0] * xa[0])
-                denom1 = (x1s * x1s - xa[0] * xa[0])
-                lin1 = x1s - xa[0]
-                for k in range(-2, 3):
-                    w2 = (-(r2 - r1) + k) / denom2
-                    for j in range(-2, 3):
-                        w1 = (-r1 + j - w2 * denom1) / lin1
-                        ok = True
-                        for _ in range(n_verify):
-                            x = golden(_rational(rng.randrange(0, 9973), 9973))
-                            z = golden(_rational(rng.randrange(0, 9973), 9973))
-                            res = residual(eps, b2, c1, w2, w1, x, z)
-                            if floor_mod1(res)[1] != 0:
-                                ok = False
-                                break
-                        if ok:
-                            return {
-                                "found": True,
-                                "eps": eps,
-                                "b2": b2,
-                                "c1": scalar_str(c1),
-                                "w2": scalar_str(w2),
-                                "w1": scalar_str(w1),
-                                "c2": "0 (free fiber rotation)",
-                                "verified_points": n_verify,
-                                "rotation_chart": scalar_str(data.alpha),
-                                "rotation_target": scalar_str(data.beta),
-                                "passed": True,
-                            }
-    return {"found": False, "passed": False,
-            "residuals": "no affine-in-fiber conjugacy in the searched family"}
+    fail = {"found": False, "passed": False}
+
+    def branch(lo, mid):
+        (x0, v0), (_, v1) = (diag._lift(diag.translation * diag.chart_point(x, zero))
+                             for x in (lo, mid))
+        p = (v1 - v0) / (mid - lo)
+        return x0 - lo, p, v0 - p * lo
+
+    edge = 1 - data.alpha                  # the chart map wraps at x = 1 - alpha
+    (a0, p0, q0), (a1, p1, q1) = branch(zero, edge / 2), branch(edge, (edge + 1) / 2)
+    eps = 1 if floor_mod1(a0 - INV_PHI2)[1] == 0 else -1
+    det = 2 * (p0 * a1 - p1 * a0)
+    b2, w2 = 2 * eps * (a1 - a0) / det, eps * (p0 - p1) / det
+    if b2 * b2 != 1:
+        return {**fail, "residuals": f"fiber sign b2 = {scalar_str(b2)}, not +-1"}
+    b2 = b2.sign()
+    r0, r1 = (b2 * q + w2 * a * a + HALF_INV_PHI3 for a, q in ((a0, q0), (a1, q1)))
+    # w1 = k - (r0 - r1) for an integer k, and r1 + w1 a1 must be an integer
+    k = ((r0 - r1) * a1 - r1).b / a1.b
+    w1 = k - (r0 - r1)
+    if k.denominator != 1 or floor_mod1(r1 + w1 * a1)[1] != 0:
+        return {**fail, "residuals": "no w1 makes the fiber constants integral"}
+
+    def h(x, z):
+        return floor_mod1(eps * x)[1], floor_mod1(b2 * z + w2 * x * x + w1 * x)[1]
+
+    rng = random.Random(seed)
+    for _ in range(n_verify):
+        x = golden(_rational(rng.randrange(0, 9973), 9973))
+        z = golden(_rational(rng.randrange(0, 9973), 9973))
+        if h(*diag.step(x, z)) != golden_skew_step(*h(x, z)):
+            return {**fail, "residuals": f"h . T_chart != T_skew . h at "
+                                         f"({scalar_str(x)}, {scalar_str(z)})"}
+    return {
+        "found": True,
+        "eps": eps,
+        "b2": b2,
+        "c1": scalar_str(zero),
+        "w2": scalar_str(w2),
+        "w1": scalar_str(w1),
+        "c2": "0 (free fiber rotation)",
+        "verified_points": n_verify,
+        "rotation_chart": scalar_str(data.alpha),
+        "rotation_target": scalar_str(data.beta),
+        "passed": True,
+    }
 
 
 # ---------------------------------------------------------------------------

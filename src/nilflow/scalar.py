@@ -444,7 +444,8 @@ class QuadraticNumber:
     def __hash__(self) -> int:
         if self.B == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.ctx.trace, self.ctx.det))
+        # (A, B, d) is unique for each element, so equal elements hash equally
+        return hash((self.A, self.B, self.d, self.ctx.trace, self.ctx.det))
 
     def _cmp(self, other) -> int:
         """Sign of ``self - other`` from the cross-multiplied numerator, no gcd."""

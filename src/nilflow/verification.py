@@ -302,7 +302,6 @@ def check_strip(seed: int) -> CheckResult:
 
 def check_sigma_section(seed: int, iterates: int = 10_000) -> CheckResult:
     """IET structure over many iterates, replay, and the first-return audit."""
-    rng = random.Random(seed)
     data = eigen_data(factor(FIBONACCI))
     section = dyn.SigmaSection(data)
     orbit = dyn.iet_orbit_check(data, iterates)

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 
 from nilflow.cli import _orbit_rows_flow, main
+from nilflow.dynamics import INV_PHI4
 from nilflow.factorization import eigen_data, factor, flow_of
 from nilflow.freegroup import FIBONACCI
 from nilflow.heisenberg import GroupPoint, canonicalize, flow, parse_group_point
@@ -102,6 +103,17 @@ def test_induce(tmp_path, capsys):
     report = json.loads((tmp_path / "induce-report.json").read_text())
     assert report["renormalization"]["passed"]
     assert report["self_induction"]["passed"]
+
+
+def test_induce_return_counts(tmp_path, capsys):
+    # the golden rotation alone fixes them, whatever s and theta are: u + 2/phi
+    # lands in [0, 1/phi^2) mod 1 exactly when u < 1/phi^4, else u + 3/phi
+    args = ["induce", "--s", "1/3", "--theta", "2/5", "--samples", 1, "--out", tmp_path]
+    assert run(args) == 0
+    counts = json.loads((tmp_path / "induce-report.json").read_text())["return_counts"]
+    us = [parse_scalar(c["u"], GOLDEN) for c in counts]
+    assert us == [Fraction(i, 63) for i in range(24)]
+    assert [c["n"] for c in counts] == [2 if u < INV_PHI4 else 3 for u in us]
 
 
 def test_config_file(tmp_path, capsys):

@@ -42,7 +42,7 @@ from nilflow.dynamics import (
 from nilflow.factorization import eigen_data, factor
 from nilflow.freegroup import FIBONACCI, parse_substitution
 from nilflow.heisenberg import GroupPoint, flow
-from nilflow.scalar import GOLDEN, parse_scalar
+from nilflow.scalar import GOLDEN, QuadraticNumber, floor_mod1, parse_scalar
 from nilflow.verification import random_hyperbolic_data
 
 FIB_DATA = eigen_data(factor(FIBONACCI))
@@ -316,6 +316,15 @@ def test_crossing_solve_equals_window_scan(monkeypatch):
     assert closed_end
 
 
+def test_sigma_section_computes_no_float(monkeypatch):
+    def no_float(self, precision=53):
+        raise AssertionError("float export in the exact core")
+    monkeypatch.setattr(QuadraticNumber, "to_float", no_float)
+    for data in SECTION_DATA[:2]:
+        SigmaSection(data)
+        assert self_induction_check(data, samples=6, seed=7)["passed"]
+
+
 def test_self_induction_fibonacci():
     rep = self_induction_check(FIB_DATA, samples=40, seed=5)
     assert rep["containment"] and rep["passed"]
@@ -438,6 +447,29 @@ def test_chart_equivalence():
     assert rep["passed"] and rep["found"]
     assert rep["eps"] == -1 and rep["b2"] == 1
     assert rep["w2"] == "1/2+0*l" and rep["w1"] == "-1/2+0*l"
+
+
+def test_chart_conjugacy_at_the_branch_points(monkeypatch):
+    # the random check never draws the branch points x = 0 and x = 1 - alpha
+    rep = fibonacci_chart_equivalence(n_verify=10)
+    eps, b2 = rep["eps"], rep["b2"]
+    w2, w1 = (parse_scalar(rep[k], GOLDEN) for k in ("w2", "w1"))
+
+    def h(x, z):
+        return floor_mod1(eps * x)[1], floor_mod1(b2 * z + w2 * x * x + w1 * x)[1]
+    diag = DiagonalSection(FIB_DATA, 0, 0)
+    for x in (golden(0), 1 - FIB_DATA.alpha):
+        for z in (golden(0), golden(Fraction(1, 3)), INV_PHI):
+            assert h(*diag.step(x, z)) == golden_skew_step(*h(x, z))
+    # a chart map with a constant fiber offset is not conjugate to the skew
+    step = DiagonalSection.step
+
+    def shifted(self, x, z):
+        x1, z1 = step(self, x, z)
+        return x1, floor_mod1(z1 + Fraction(1, 7))[1]
+    monkeypatch.setattr(DiagonalSection, "step", shifted)
+    rep = fibonacci_chart_equivalence(n_verify=100)
+    assert not rep["found"] and not rep["passed"]
 
 
 # -- plane suite --------------------------------------------------------------

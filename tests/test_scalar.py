@@ -235,6 +235,8 @@ def test_integer_triple_is_canonical():
     assert x.a == Fraction(1, 2) and x.b == Fraction(1, 3)
     y = qn(Fraction(5, 6), Fraction(2, 3)) - qn(Fraction(1, 3), Fraction(1, 3))
     assert (y.A, y.B, y.d) == (3, 2, 6) and y == x and hash(y) == hash(x)
+    z = qn(Fraction(1, 2), Fraction(1, 3), QuadraticContext(1, -1))  # equal, not identical, field
+    assert z == x and hash(z) == hash(x)
     assert hash(qn(3, 0)) == hash(3) and qn(Fraction(3, 4), 0) == Fraction(3, 4)
     assert hash(qn(Fraction(3, 4), 0)) == hash(Fraction(3, 4))
     assert (x - x).A == 0 and (x - x).d == 1
