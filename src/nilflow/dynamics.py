@@ -116,7 +116,7 @@ class Interval:
 
 @dataclass(frozen=True)
 class Branch:
-    """On u in [lo, hi): u += du and v += a2 u^2 + a1 u + a0, both mod 1."""
+    """On u in [lo, hi): u += du and v += a2 u^2 + a1 u + a0, v mod 1."""
 
     lo: object
     hi: object
@@ -125,9 +125,6 @@ class Branch:
     a1: object
     a0: object
 
-    def contains(self, u) -> bool:
-        return self.lo <= u < self.hi
-
     def poly(self, u):
         if self.a2:
             return self.a2 * u * u + self.a1 * u + self.a0
@@ -135,63 +132,66 @@ class Branch:
 
 
 class PiecewiseTorusMap:
-    """Fibered map over an interval exchange of the circle.
+    """Fibered map over an exchange of the subintervals of its base [lo, hi).
 
-    The v-update is an exact polynomial of degree at most two in u, which is
-    the class closed under the compositions and transfer conjugations used
-    by the renormalization checks.
+    The base is read off the sorted branches; the fiber is reduced mod 1
+    into [fiber_lo, fiber_lo + 1).  The v-update is an exact polynomial of
+    degree at most two in u, a class closed under composition and inversion.
+    The constructor certifies that the branches partition [lo, hi) and that
+    every branch image lies in it, so a step never reduces u.
     """
 
-    def __init__(self, branches: list[Branch], check: bool = True):
+    def __init__(self, branches: list[Branch], fiber_lo=0):
         self.branches = sorted(branches, key=lambda b: b.lo)
-        if check:
-            self._check_partition()
-
-    def _check_partition(self) -> None:
+        self.fiber_lo = fiber_lo
         if not self.branches:
             raise ValueError("empty branch list")
-        if self.branches[0].lo != 0 or self.branches[-1].hi != 1:
-            raise ValueError("branches do not cover [0, 1)")
+        self.lo, self.hi = self.branches[0].lo, self.branches[-1].hi
         for left, right in zip(self.branches, self.branches[1:]):
             if left.hi != right.lo:
-                raise ValueError("branch domains do not partition [0, 1)")
-
-    def branch_at(self, u) -> Branch:
+                raise ValueError("branch domains do not partition the base interval")
         for b in self.branches:
-            if b.contains(u):
-                return b
+            if not (b.lo < b.hi and self.lo <= b.lo + b.du and b.hi + b.du <= self.hi):
+                raise ValueError(f"branch image leaves [{scalar_str(self.lo)}, "
+                                 f"{scalar_str(self.hi)})")
+
+    def _index(self, u) -> int:
+        if self.lo <= u:
+            for i, b in enumerate(self.branches):
+                if u < b.hi:
+                    return i
         raise ValueError(f"no branch contains u = {scalar_str(u)}")
 
-    def step_with_floors(self, p: TorusPoint2) -> tuple[TorusPoint2, tuple[int, int]]:
-        b = self.branch_at(p.u)
-        ku, u1 = floor_mod1(p.u + b.du)
-        kv, v1 = floor_mod1(p.v + b.poly(p.u))
+    def branch_at(self, u) -> Branch:
+        return self.branches[self._index(u)]
+
+    def step_coords(self, u, v):
+        """(i, u', v', k): branch i maps (u, v) to (u', v' + k), v' in the fiber
+        window; v may lie outside it, as the fiber update is defined mod 1."""
+        i = self._index(u)
+        b = self.branches[i]
+        w = v + b.poly(u)
+        k = scalar_floor(w - self.fiber_lo if self.fiber_lo else w)
+        return i, u + b.du, (w - k if k else w), k
+
+    def step_with_floors(self, p: TorusPoint2) -> tuple[TorusPoint2, int]:
+        _, u, v, k = self.step_coords(p.u, p.v)
         out = TorusPoint2.__new__(TorusPoint2)
-        out.u, out.v = u1, v1
-        return out, (ku, kv)
+        out.u, out.v = u, v
+        return out, k
 
     def __call__(self, p: TorusPoint2) -> TorusPoint2:
         return self.step_with_floors(p)[0]
-
-    def _wrap_pieces(self, b: Branch):
-        """Split a branch at the points where u + du crosses an integer."""
-        for k in (-1, 0, 1):
-            lo = max(b.lo, k - b.du)
-            hi = min(b.hi, k + 1 - b.du)
-            if lo < hi:
-                yield k, lo, hi
 
     def compose(self, other: "PiecewiseTorusMap") -> "PiecewiseTorusMap":
         """self after other."""
         branches = []
         for b1 in other.branches:
-            for k, lo1, hi1 in other._wrap_pieces(b1):
-                c = b1.du - k
-                for b2 in self.branches:
-                    lo = max(lo1, b2.lo - c)
-                    hi = min(hi1, b2.hi - c)
-                    if not lo < hi:
-                        continue
+            c = b1.du
+            for b2 in self.branches:
+                lo = max(b1.lo, b2.lo - c)
+                hi = min(b1.hi, b2.hi - c)
+                if lo < hi:
                     branches.append(Branch(
                         lo, hi,
                         du=c + b2.du,
@@ -199,21 +199,29 @@ class PiecewiseTorusMap:
                         a1=b1.a1 + 2 * b2.a2 * c + b2.a1,
                         a0=b1.a0 + b2.a2 * c * c + b2.a1 * c + b2.a0,
                     ))
-        return PiecewiseTorusMap(branches)
+        return PiecewiseTorusMap(branches, self.fiber_lo)
 
     def invert(self) -> "PiecewiseTorusMap":
-        branches = []
-        for b in self.branches:
-            for k, lo, hi in self._wrap_pieces(b):
-                c = b.du - k
-                branches.append(Branch(
-                    lo + c, hi + c,
-                    du=-c,
-                    a2=-b.a2,
-                    a1=2 * b.a2 * c - b.a1,
-                    a0=-b.a2 * c * c + b.a1 * c - b.a0,
-                ))
-        return PiecewiseTorusMap(branches)
+        return PiecewiseTorusMap([
+            Branch(b.lo + b.du, b.hi + b.du, du=-b.du, a2=-b.a2,
+                   a1=2 * b.a2 * b.du - b.a1, a0=(b.a1 - b.a2 * b.du) * b.du - b.a0)
+            for b in self.branches], self.fiber_lo)
+
+
+def _affine_branch(lo, hi, lift) -> Branch:
+    """The branch on [lo, hi) of a fibered map, from three exact evaluations.
+
+    ``lift(s)`` is the image of (s, 0) with the fiber not reduced mod 1.  The
+    fiber is a polynomial of degree at most 2 in s, so three points of
+    [lo, hi) fix it; the s^2 terms must cancel, which is certified here.
+    """
+    h = (hi - lo) / 4
+    (u0, w0), (_, w1), (_, w2) = (lift(s) for s in (lo, lo + h, lo + 2 * h))
+    a2 = w2 - 2 * w1 + w0
+    if a2 != 0:
+        raise ArithmeticError("map is not affine in the fiber")
+    a1 = (w1 - w0) / h
+    return Branch(lo, hi, u0 - lo, a2, a1, w0 - a1 * lo)
 
 
 def strip_family(s, theta) -> PiecewiseTorusMap:
@@ -258,13 +266,13 @@ def first_return(
 def replay_torus_record(
     pmap: PiecewiseTorusMap, start: TorusPoint2, record: ReturnRecord
 ) -> bool:
-    """Re-run the orbit subtracting the recorded floors; no new reductions allowed."""
+    """Re-run the orbit subtracting the recorded fiber floors; no new reductions."""
     cur = start
-    for ku, kv in record.lattice_word:
+    for kv in record.lattice_word:
         b = pmap.branch_at(cur.u)
-        u1 = cur.u + b.du - ku
+        u1 = cur.u + b.du
         v1 = cur.v + b.poly(cur.u) - kv
-        if not (0 <= u1 < 1 and 0 <= v1 < 1):
+        if not pmap.fiber_lo <= v1 < pmap.fiber_lo + 1:
             return False
         nxt = TorusPoint2.__new__(TorusPoint2)
         nxt.u, nxt.v = u1, v1
@@ -400,10 +408,10 @@ class SigmaSection:
     A chart point (s, w) is the group element over s*(alpha_p, beta_p) at
     central offset w from the surface.  The first-return map is a
     two-interval exchange in s with translations {s_a, s_b} and return
-    times {t_a, t_b}.  ``table`` holds it, derived once from the flow
-    geometry: for [s_a, 0) and [0, s_b), the :class:`Branch` (domain, du,
-    fiber increment affine in s), return time and lattice offset (n, m).
-    :meth:`_step` and :meth:`replay` flow the group point as oracles.
+    times {t_a, t_b}.  ``table`` holds it, on [s_a, 0) and [0, s_b) with
+    fiber window [-1/2, 1/2), derived once from the flow geometry; branch i
+    returns at time and lattice offset (n, m) ``_returns[i]``.  :meth:`_step`
+    and :meth:`replay` flow the group point as oracles.
     """
 
     def __init__(self, data: EigenData, quadric: SurfaceQuadric | None = None):
@@ -411,10 +419,10 @@ class SigmaSection:
         self.quadric = quadric if quadric is not None else surface_quadric(data)
         self.vec = flow_of(data, "lam")
         zero = data.zero()
-        self.table = (
-            (self._derive_branch(d.s_a, zero, d.s_b, d.t_b, 0, -1), d.t_b, (0, -1)),
-            (self._derive_branch(zero, d.s_b, d.s_a, d.t_a, -1, 0), d.t_a, (-1, 0)),
-        )
+        self.table = PiecewiseTorusMap(
+            [_affine_branch(lo, hi, lambda s: self._flight(s, 0)[:2])
+             for lo, hi in ((d.s_a, zero), (zero, d.s_b))], -HALF)
+        self._returns = ((d.t_b, (0, -1)), (d.t_a, (-1, 0)))
         self._rho, self._sigma, self._inv_sb = d.t_a / d.t_b, d.s_a / d.s_b, 1 / d.s_b
 
     def contains(self, p: SectionPoint) -> bool:
@@ -449,41 +457,26 @@ class SigmaSection:
             raise AssertionError("lattice correction does not close the step")
         return g1.z + g1.x * m - q.evaluate(x2, y2)
 
-    def _derive_branch(self, lo, hi, du, t, n, m) -> Branch:
-        """The fiber increment of one branch, exact on all of [lo, hi).
-
-        The flow offset is a polynomial of degree at most 2 in s, so its
-        values at lo, the midpoint and hi fix it; the s^2 terms of the two
-        surface heights cancel, which the derivation checks.
-        """
-        h = (hi - lo) / 2
-        w0, w1, w2 = (self._flow_offset(s, 0, t, s + du, n, m)
-                      for s in (lo, lo + h, hi))
-        a2 = (w2 - 2 * w1 + w0) / (2 * h * h)
-        if a2 != 0:
-            raise ArithmeticError("section return is not affine in the fiber")
-        a1 = (w1 - w0) / h
-        return Branch(lo, hi, du, a2, a1, w0 - a1 * lo)
-
-    def _step(self, s, zoff):
-        """One return by flowing the group point; valid for s in [s_a, s_b]
-        (closed right end)."""
+    def _flight(self, s, zoff):
+        """One return by flowing the group point, (u, unreduced offset, t,
+        (n, m)); valid for s in [s_a, s_b] (closed right end)."""
         d = self.data
         if s >= 0:
             t, u, nm = d.t_a, s + d.s_a, (-1, 0)
         else:
             t, u, nm = d.t_b, s + d.s_b, (0, -1)
-        return _reduced(u, self._flow_offset(s, zoff, t, u, *nm), t, nm)
+        return u, self._flow_offset(s, zoff, t, u, *nm), t, nm
+
+    def _step(self, s, zoff):
+        return _reduced(*self._flight(s, zoff))
 
     def return_map(self, p: SectionPoint) -> ReturnRecord:
-        if not self.contains(p):
+        """One step of ``table``, whose certificate keeps the image in the section."""
+        if not -HALF <= p.zoff < HALF:
             raise ValueError("not a valid section point")
-        b, t, nm = self.table[p.s >= 0]
-        # a2 = 0 on both branches (checked by _derive_branch)
-        point, t, lat = _reduced(p.s + b.du, p.zoff + b.a1 * p.s + b.a0, t, nm)
-        if not self.contains(point):
-            raise AssertionError("return left the section chart")
-        return ReturnRecord(point, t, 1, (lat,))
+        i, s, zoff, k = self.table.step_coords(p.s, p.zoff)
+        t, nm = self._returns[i]
+        return ReturnRecord(SectionPoint(s, zoff), t, 1, ((*nm, -k),))
 
     def replay(self, start: SectionPoint, record: ReturnRecord) -> bool:
         g = flow(self.vec, record.time, self.to_group(start))
@@ -571,17 +564,15 @@ def golden_like(x, data: EigenData) -> QuadraticNumber:
     return QuadraticNumber(x, 0, data.context)
 
 
-def section_samples(
-    data: EigenData, count: int, seed: int = 11, include_boundary: bool = True
-) -> list[SectionPoint]:
+def section_samples(data: EigenData, count: int, seed: int = 11) -> list[SectionPoint]:
     """Deterministic exact sample points of the section."""
     rng = random.Random(seed)
     width = data.s_b - data.s_a
-    pts = []
-    if include_boundary:
-        pts.append(SectionPoint(data.s_a, golden_like(0, data)))
+    pts = [
+        SectionPoint(data.s_a, golden_like(0, data)),
         # exact s = 0 sample exercises the branch boundary
-        pts.append(SectionPoint(golden_like(0, data), golden_like(_rational(1, 3), data)))
+        SectionPoint(golden_like(0, data), golden_like(_rational(1, 3), data)),
+    ]
     while len(pts) < count:
         r = _rational(rng.randrange(0, 997), 997)
         w = _rational(rng.randrange(-498, 499), 998)
@@ -592,8 +583,8 @@ def section_samples(
 def iet_orbit_check(data: EigenData, iterates: int, start=None) -> dict:
     """Iterate the section return; certify IET structure along the orbit.
 
-    ``out_of_range`` is always empty: ``return_map`` checks every image
-    against the chart and raises ``AssertionError`` when one leaves it.
+    ``out_of_range`` is always empty: the construction certificate of
+    ``SigmaSection.table`` puts every branch image inside the section.
     """
     section = SigmaSection(data)
     p = start if start is not None else SectionPoint(
@@ -687,7 +678,9 @@ class DiagonalSection:
 
     The expanding flow with alpha + beta = 1 advances x + y at unit speed,
     so the return time is exactly 1 and the return map is the left
-    translation by exp(alpha, beta, gamma).
+    translation by exp(alpha, beta, gamma).  ``table`` holds its chart map,
+    x -> x + a_i and z -> z + p_i x + q_i mod 1 on two branches of [0, 1),
+    derived once from the group product that :meth:`step` keeps as oracle.
     """
 
     def __init__(self, data: EigenData, n: int | None = None, m: int | None = None):
@@ -700,6 +693,13 @@ class DiagonalSection:
         )
         self.vec = AlgebraVector(data.alpha, data.beta, self.gamma)
         self.translation = exp_point(self.vec)
+        zero = data.zero()
+        edge = 1 - floor_mod1(data.alpha)[1]   # x + alpha crosses an integer at x = edge
+
+        def lift(x):
+            return self._lift(self.translation * self.chart_point(x, zero))
+        self.table = PiecewiseTorusMap([_affine_branch(zero, edge, lift),
+                                        _affine_branch(edge, zero + 1, lift)])
 
     def _lift(self, g: GroupPoint):
         """Chart coordinates of g with the fiber coordinate not reduced mod 1."""
@@ -719,10 +719,10 @@ class DiagonalSection:
     def step(self, x, z):
         return self.chart(self.translation * self.chart_point(x, z))
 
-    def return_time_audit(self, x, z, fractions=(_rational(1, 3), _rational(2, 5), _rational(9, 10))) -> bool:
+    def return_time_audit(self, x, z) -> bool:
         """No diagonal crossing strictly between consecutive integer times."""
         g = self.chart_point(x, z)
-        for tau in fractions:
+        for tau in (_rational(1, 3), _rational(2, 5), _rational(9, 10)):
             h = flow(self.vec, golden_like(tau, self.data), g)
             if floor_mod1(h.x + h.y)[1] == 0:
                 return False
@@ -778,9 +778,9 @@ def sigma_diagonal_conjugacy_check(
 
 
 def golden_skew_step(u, v):
-    """The golden skew product (y, z) -> (y + 1/phi^2, z + y - 1/(2 phi^3))."""
-    u = floor_mod1(golden(u))[1]
-    v = floor_mod1(golden(v))[1]
+    """The golden skew product (y, z) -> (y + 1/phi^2, z + y - 1/(2 phi^3)),
+    well defined mod 1, so the inputs need not be reduced."""
+    u, v = golden(u), golden(v)
     return floor_mod1(u + INV_PHI2)[1], floor_mod1(v + u - HALF_INV_PHI3)[1]
 
 
@@ -794,21 +794,14 @@ def fibonacci_chart_equivalence(n_verify: int = 100, seed: int = 41) -> dict:
     the skew product iff eps a_i = 1/phi^2 mod 1, b2 p_i + 2 w2 a_i = eps and
     b2 q_i + w2 a_i^2 + w1 a_i + 1/(2 phi^3) is an integer.  The last
     condition fixes w1 uniquely, since a_0 - a_1 = 1 and a_1 is irrational.
-    The solution is then verified on n_verify random exact points.
+    a_i, p_i, q_i are the branches of ``DiagonalSection.table``.  The
+    solution is then verified on n_verify random exact points.
     """
     data = eigen_data(factor(FIBONACCI))
     diag = DiagonalSection(data, 0, 0)
     zero = golden(0)
     fail = {"found": False, "passed": False}
-
-    def branch(lo, mid):
-        (x0, v0), (_, v1) = (diag._lift(diag.translation * diag.chart_point(x, zero))
-                             for x in (lo, mid))
-        p = (v1 - v0) / (mid - lo)
-        return x0 - lo, p, v0 - p * lo
-
-    edge = 1 - data.alpha                  # the chart map wraps at x = 1 - alpha
-    (a0, p0, q0), (a1, p1, q1) = branch(zero, edge / 2), branch(edge, (edge + 1) / 2)
+    (a0, p0, q0), (a1, p1, q1) = ((b.du, b.a1, b.a0) for b in diag.table.branches)
     eps = 1 if floor_mod1(a0 - INV_PHI2)[1] == 0 else -1
     det = 2 * (p0 * a1 - p1 * a0)
     b2, w2 = 2 * eps * (a1 - a0) / det, eps * (p0 - p1) / det

@@ -27,10 +27,6 @@ def _check_letters(word: str) -> None:
             raise ParseError(f"invalid letter {c!r}", i)
 
 
-def inverse_letter(c: str) -> str:
-    return c.swapcase()
-
-
 def reduce_word(word: str) -> str:
     """Freely reduce; cancellation is confluent so one stack pass suffices."""
     _check_letters(word)
@@ -88,15 +84,6 @@ class Endomorphism:
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other: (self.compose(other))(w) = self(other(w))."""
         return Endomorphism(self.apply(other.image_a), self.apply(other.image_b))
-
-    def abelianized(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Column i is the letter-count vector of the image of generator i."""
-        def counts(w: str) -> tuple[int, int]:
-            return (w.count("a") - w.count("A"), w.count("b") - w.count("B"))
-
-        ca = counts(self.image_a)
-        cb = counts(self.image_b)
-        return ((ca[0], cb[0]), (ca[1], cb[1]))
 
     def is_positive(self) -> bool:
         return self.image_a.islower() and self.image_b.islower()

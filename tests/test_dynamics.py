@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 from nilflow.dynamics import (
+    HALF_INV_PHI3,
     INV_PHI,
     INV_PHI2,
     INV_PHI4,
     PHI,
     PHI2,
+    Branch,
     DiagonalSection,
     Interval,
+    PiecewiseTorusMap,
     RegionCoeffs,
     SectionPoint,
     SigmaSection,
@@ -126,6 +129,31 @@ def test_piecewise_compose_and_invert():
     assert m2.branches[0].lo == 0 and m2.branches[-1].hi == 1
 
 
+def test_piecewise_map_certificate():
+    zero, half, one = golden(0), golden(Fraction(1, 2)), golden(1)
+
+    def shift(lo, hi, du):
+        return Branch(lo, hi, du, zero, zero, zero)
+    with pytest.raises(ValueError, match="empty"):
+        PiecewiseTorusMap([])
+    with pytest.raises(ValueError, match="partition"):
+        PiecewiseTorusMap([shift(zero, golden(Fraction(1, 3)), zero),
+                           shift(half, one, zero)])
+    # a rotation of the circle as one branch wraps, so it is two branches here
+    with pytest.raises(ValueError, match="leaves"):
+        PiecewiseTorusMap([shift(zero, one, half)])
+    q = Fraction(1, 2)
+    rotation = PiecewiseTorusMap([Branch(0, q, q, 0, 0, q), Branch(q, 1, -q, 0, 1, 0)])
+    assert (rotation.lo, rotation.hi) == (0, 1)
+    step = rotation.step_coords          # a rational table steps as well
+    assert step(Fraction(1, 4), Fraction(3, 4)) == (0, Fraction(3, 4), Fraction(1, 4), 1)
+    assert step(Fraction(3, 4), Fraction(3, 4)) == (1, Fraction(1, 4), q, 1)
+    m = strip_family(-1, 0)
+    for u in (golden(Fraction(-1, 10 ** 9)), one, golden(2)):
+        with pytest.raises(ValueError, match="no branch"):
+            m.branch_at(u)
+
+
 def test_renormalization_fixed_point_parameters():
     r = renormalization_check(-1, -1, 0)
     assert r["passed"]
@@ -207,10 +235,11 @@ SECTION_DATA = [FIB_DATA] + random_hyperbolic_data(random.Random(1), 8)
 def test_sigma_table_equals_flow_geometry():
     for data in SECTION_DATA:
         section = SigmaSection(data)
-        lo, hi = section.table
-        assert (lo[0].lo, lo[0].hi, lo[0].du, lo[1]) == (data.s_a, 0, data.s_b, data.t_b)
-        assert (hi[0].lo, hi[0].hi, hi[0].du, hi[1]) == (0, data.s_b, data.s_a, data.t_a)
-        assert lo[0].a2 == 0 and hi[0].a2 == 0
+        lo, hi = section.table.branches
+        assert (lo.lo, lo.hi, lo.du) == (data.s_a, 0, data.s_b)
+        assert (hi.lo, hi.hi, hi.du) == (0, data.s_b, data.s_a)
+        assert [t for t, _ in section._returns] == [data.t_b, data.t_a]
+        assert lo.a2 == 0 and hi.a2 == 0 and section.table.fiber_lo == Fraction(-1, 2)
         samples = section_samples(data, 40, seed=13)
         assert samples[0].s == data.s_a and samples[1].s == 0
         # the largest parameter section_samples can draw below s_b
@@ -221,6 +250,37 @@ def test_sigma_table_equals_flow_geometry():
             point, t, lat = section._step(q.s, q.zoff)
             assert (rec.point, rec.time, rec.lattice_word) == (point, t, (lat,))
             assert section.replay(q, rec)
+
+
+TABLE_DATA = SECTION_DATA + [eigen_data(factor(parse_substitution(sub)))
+                             for sub in ("a->abb;b->ab", "a->AB;b->A")]
+
+
+def test_sigma_table_invert_and_compose():
+    for data in TABLE_DATA:
+        section = SigmaSection(data)
+        table = section.table
+        inverse, twice = table.invert(), table.compose(table)
+        identity = inverse.compose(table)
+        for q in section_samples(data, 20, seed=7):
+            p = section.return_map(q).point
+            p2 = section.return_map(p).point
+            assert inverse.step_coords(p.s, p.zoff)[1:3] == (q.s, q.zoff)
+            assert twice.step_coords(q.s, q.zoff)[1:3] == (p2.s, p2.zoff)
+            assert identity.step_coords(q.s, q.zoff)[1:3] == (q.s, q.zoff)
+
+
+def test_diagonal_table_equals_group_product_step():
+    rng = random.Random(17)
+    for data in TABLE_DATA:
+        for diag in (DiagonalSection(data), DiagonalSection(data, 0, 0)):
+            third = golden_like(Fraction(1, 3), data)
+            points = [(b.lo, third) for b in diag.table.branches]
+            points += [(golden_like(Fraction(rng.randrange(0, 9973), 9973), data),
+                        golden_like(Fraction(rng.randrange(0, 9973), 9973), data))
+                       for _ in range(10)]
+            for x, z in points:
+                assert diag.table.step_coords(x, z)[1:3] == diag.step(x, z)
 
 
 def test_sigma_table_derivation_guards(monkeypatch):
@@ -440,6 +500,23 @@ def test_golden_skew_step_at_origin():
     u, v = golden_skew_step(0, 0)
     assert u == 2 - PHI                      # 1/phi^2
     assert v == Fraction(5, 2) - PHI         # 1 - 1/(2 phi^3)
+
+
+def test_golden_skew_step_needs_no_reduced_input():
+    rng = random.Random(4)
+    for _ in range(20):
+        u = floor_mod1(rng.randrange(1, 10 ** 6) * INV_PHI)[1]
+        v = floor_mod1(rng.randrange(1, 10 ** 6) * INV_PHI2)[1]
+        step = golden_skew_step(u, v)
+        assert golden_skew_step(u + 3, v - 2) == step == golden_skew_step(u - 5, v + 1)
+
+
+def test_golden_skew_orbit_closed_form():
+    u, v = golden(0), golden(0)
+    for k in range(2000):
+        assert u == floor_mod1(k * INV_PHI2)[1]
+        assert v == floor_mod1(k * (k - 1) // 2 * INV_PHI2 - k * HALF_INV_PHI3)[1]
+        u, v = golden_skew_step(u, v)
 
 
 def test_chart_equivalence():
