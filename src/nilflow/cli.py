@@ -137,6 +137,9 @@ def load_config(args: argparse.Namespace) -> dict:
     for key in POSITIVE_KEYS:
         if cfg[key] < 1:
             raise ParseError(f"--{key} must be a positive integer, got {cfg[key]}")
+    # |S_N|/N <= 1; NaN fails both comparisons
+    if not 0 < cfg["threshold"] <= 1:
+        raise ParseError(f"--threshold must be a number in (0, 1], got {cfg['threshold']}")
     return cfg
 
 
@@ -404,10 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--step", help="flow sampling step (exact scalar)")
         if name == "broken-line":
             p.add_argument("--length", type=int)
+        if name in ("orbit", "induce"):
+            p.add_argument("--s", help="strip parameter s (exact scalar)")
+            p.add_argument("--theta", help="strip parameter theta (exact scalar)")
         if name == "induce":
-            p.add_argument("--s")
             p.add_argument("--s-prime", dest="s_prime")
-            p.add_argument("--theta")
         if name == "equidistribution":
             p.add_argument("--radius", type=int)
             p.add_argument("--threshold", type=float)

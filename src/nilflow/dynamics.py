@@ -1091,31 +1091,58 @@ def character_grid(radius: int = 3) -> list[tuple[int, int]]:
             for q in range(-radius, radius + 1) if (p, q) != (0, 0)]
 
 
-def _character_sums(x, y, radius: int) -> np.ndarray:
-    """sum_n e(p x_n + q y_n) for |p|, |q| <= radius, at [p + radius, q + radius]:
-    powers of e(x) and e(y) (conjugates for p, q < 0) and one complex product
-    of a (2r+1) x N by an N x (2r+1) matrix."""
-    def powers(t):
-        rows = np.empty((2 * radius + 1, len(t)), dtype=np.complex128)
-        rows[radius] = 1.0
-        if radius:
-            phase = 2 * np.pi * t
-            rows[radius + 1].real, rows[radius + 1].imag = np.cos(phase), np.sin(phase)
-        for k in range(radius + 2, 2 * radius + 1):
-            np.multiply(rows[k - 1], rows[radius + 1], out=rows[k])
-        np.conjugate(rows[:radius:-1], out=rows[:radius])
-        return rows
-    return powers(x) @ powers(y).T
+def _mod1(x: np.ndarray) -> np.ndarray:
+    """x - floor(x) in place: the same doubles as ``np.remainder(x, 1.0)``
+    (both are the exact x - floor(x), rounded once), at a fraction of its cost."""
+    return np.subtract(x, np.floor(x), out=x)
+
+
+def _trig_rows(t, rows, scratch) -> None:
+    """rows[k] = cos 2 pi k t and rows[r + 1 + k] = sin 2 pi k t for k = 0 .. r:
+    one cos and one sin at k = 1, then angle addition."""
+    r = len(rows) // 2 - 1
+    c, s = rows[:r + 1], rows[r + 1:]
+    c[0], s[0] = 1.0, 0.0
+    if r:
+        np.multiply(t, 2 * np.pi, out=scratch)
+        np.cos(scratch, out=c[1])
+        np.sin(scratch, out=s[1])
+    for k in range(2, r + 1):
+        np.multiply(c[k - 1], c[1], out=c[k])
+        c[k] -= np.multiply(s[k - 1], s[1], out=scratch)
+        np.multiply(s[k - 1], c[1], out=s[k])
+        s[k] += np.multiply(c[k - 1], s[1], out=scratch)
 
 
 def _birkhoff_moduli(chars, n_iter: int, chunk: int, points) -> dict:
-    """|S_N|/N of each character; ``points(k0, n)`` gives orbit points k0 .. k0+n-1."""
+    """|S_N|/N of each character; ``points(k0, n)`` gives orbit points k0 .. k0+n-1.
+
+    The cos and sin rows of both coordinates give one real Gram matrix per
+    chunk, summed into G = [[CC, CS], [SC, SS]] with CS[a, b] the sum of
+    cos 2 pi a x sin 2 pi b y.  For p = sp a, q = sq b (sp, sq = +-1):
+    e(p x + q y) = CC - sp sq SS + i (sp SC + sq CS) at [a, b].
+    """
     if n_iter < 1:
         raise ValueError(f"n_iter must be positive, got {n_iter}")
-    radius = max((max(abs(p), abs(q)) for p, q in chars), default=0)
-    total = sum(_character_sums(*points(k0, min(chunk, n_iter - k0)), radius)
-                for k0 in range(0, n_iter, chunk))
-    return {(p, q): abs(total[p + radius, q + radius]) / n_iter for p, q in chars}
+    r = max((max(abs(p), abs(q)) for p, q in chars), default=0)
+    width = min(chunk, n_iter)
+    rows_x, rows_y = np.empty((2, 2 * r + 2, width))
+    scratch = np.empty(width)
+    total = np.zeros((2 * r + 2, 2 * r + 2))
+    for k0 in range(0, n_iter, chunk):
+        n = min(chunk, n_iter - k0)
+        x, y = points(k0, n)
+        _trig_rows(x, rows_x[:, :n], scratch[:n])
+        _trig_rows(y, rows_y[:, :n], scratch[:n])
+        total += rows_x[:, :n] @ rows_y[:, :n].T
+    cc, cs = total[:r + 1, :r + 1], total[:r + 1, r + 1:]
+    sc, ss = total[r + 1:, :r + 1], total[r + 1:, r + 1:]
+    moduli = {}
+    for p, q in chars:
+        a, b, sp, sq = abs(p), abs(q), -1 if p < 0 else 1, -1 if q < 0 else 1
+        moduli[p, q] = math.hypot(cc[a, b] - sp * sq * ss[a, b],
+                                  sp * sc[a, b] + sq * cs[a, b]) / n_iter
+    return moduli
 
 
 def weyl_sums_skew_exact(chars, n_iter: int, sample_every: int = 1) -> dict:
@@ -1150,9 +1177,9 @@ def weyl_sums_skew_product(chars, n_iter: int, u0: float = 0.0, v0: float = 0.0,
         us = floor_mod1(u0 + k0 * INV_PHI2)[1]
         vs = floor_mod1(v0 + k0 * u0 + k0 * (k0 - 1) // 2 * INV_PHI2
                         - k0 * HALF_INV_PHI3)[1]
-        u = (scalar_float(us) + np.arange(n) * float(INV_PHI2)) % 1.0
+        u = _mod1(scalar_float(us) + np.arange(n) * float(INV_PHI2))
         w = u - float(HALF_INV_PHI3)
-        return u, (scalar_float(vs) + np.cumsum(w) - w) % 1.0
+        return u, _mod1(scalar_float(vs) + np.cumsum(w) - w)
     return _birkhoff_moduli(chars, n_iter, chunk, points)
 
 
@@ -1182,7 +1209,7 @@ def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
 
     def points(k0, n):
         t = np.arange(k0, k0 + n, dtype=np.float64) * step
-        return (t * alpha) % 1.0, (t * beta) % 1.0
+        return _mod1(t * alpha), _mod1(t * beta)
     return _birkhoff_moduli(chars, n_iter, chunk, points)
 
 

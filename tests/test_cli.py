@@ -188,14 +188,34 @@ def test_non_positive_sizes_are_parse_errors(tmp_path, capsys):
         (["orbit", "--iters", -5], "--iters"),
         (["broken-line", "--length", 0], "--length"),
         (["induce", "--samples", 0], "--samples"),
+        *((["equidistribution", f"--threshold={bad}"], "--threshold")
+          for bad in ("nan", "inf", "-inf", 0, -1, 1.5)),
     ]:
         assert run([*args, "--out", tmp_path]) == 2, args
         assert flag in capsys.readouterr().err
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"iters": 0, "out": str(tmp_path)}))
-    assert run(["orbit", "--config", cfg]) == 2
-    assert "--iters" in capsys.readouterr().err
+    # json.dumps writes the non-finite floats as NaN and Infinity, which
+    # json.load reads back
+    for bad, flag in [({"iters": 0}, "--iters"), ({"threshold": float("nan")}, "--threshold"),
+                      ({"threshold": float("inf")}, "--threshold"),
+                      ({"threshold": 0}, "--threshold"), ({"threshold": -1.0}, "--threshold")]:
+        cfg.write_text(json.dumps({**bad, "out": str(tmp_path)}))
+        assert run(["equidistribution", "--config", cfg]) == 2, bad
+        assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_orbit_strip_flags_match_the_config_file(tmp_path):
+    (tmp_path / "c.json").write_text(json.dumps({"s": "-3/7", "theta": "2/7"}))
+    for fmt in ("csv", "jsonl"):
+        base = ["orbit", "--kind", "strip", "--iters", 40, "--format", fmt]
+        assert run([*base, "--s=-3/7", "--theta", "2/7", "--out", tmp_path / "flags"]) == 0
+        assert run([*base, "--config", tmp_path / "c.json", "--out", tmp_path / "cfg"]) == 0
+        assert run([*base, "--out", tmp_path / "default"]) == 0
+        name = f"orbit-strip.{fmt}"
+        flags = (tmp_path / "flags" / name).read_bytes()
+        assert flags == (tmp_path / "cfg" / name).read_bytes()
+        assert flags != (tmp_path / "default" / name).read_bytes()
 
 
 def _mp_float(text: str) -> float:

@@ -681,6 +681,13 @@ def _exact_skew_orbit(u0, v0, n):
 
 
 def test_weyl_kernel_matches_direct_exponential_sums():
+    from nilflow.dynamics import character_grid
+    # every sign pattern of the grid, (0, 0), and a set off the grid
+    for chars in (NON_GRID, character_grid(3) + [(0, 0)]):
+        _check_weyl_kernel_against_direct_sums(chars)
+
+
+def _check_weyl_kernel_against_direct_sums(chars):
     import numpy as np
     from nilflow.dynamics import (
         off_field_step, weyl_sums_nilflow, weyl_sums_skew_exact,
@@ -691,23 +698,39 @@ def test_weyl_kernel_matches_direct_exponential_sums():
     n = 3000
     t = np.arange(n) * off_field_step(5)
     alpha, beta = scalar_float(FIB_DATA.alpha), scalar_float(FIB_DATA.beta)
-    want = _direct_moduli(NON_GRID, (t * alpha) % 1.0, (t * beta) % 1.0)
-    got = weyl_sums_nilflow(FIB_DATA, NON_GRID, n)
-    assert set(got) == set(NON_GRID)
-    for pq in NON_GRID:
+    want = _direct_moduli(chars, (t * alpha) % 1.0, (t * beta) % 1.0)
+    got = weyl_sums_nilflow(FIB_DATA, chars, n)
+    assert set(got) == set(chars)
+    for pq in chars:
         assert abs(got[pq] - want[pq]) < 1e-12, pq
     # chunks of 1000 re-seed the closed form at k0 = 1000 and 2000
     for u0, v0 in ((0.0, 0.0), (0.25, 0.5)):
-        want = _direct_moduli(NON_GRID, *_exact_skew_orbit(u0, v0, n))
-        fast = weyl_sums_skew_product(NON_GRID, n, u0=u0, v0=v0, chunk=1000)
-        for pq in NON_GRID:
+        want = _direct_moduli(chars, *_exact_skew_orbit(u0, v0, n))
+        fast = weyl_sums_skew_product(chars, n, u0=u0, v0=v0, chunk=1000)
+        for pq in chars:
             assert abs(fast[pq] - want[pq]) < 1e-9, (u0, v0, pq)
-    want = _direct_moduli(NON_GRID, *_exact_skew_orbit(0, 0, n))
-    exact = weyl_sums_skew_exact(NON_GRID, n)
-    for pq in NON_GRID:
+    want = _direct_moduli(chars, *_exact_skew_orbit(0, 0, n))
+    exact = weyl_sums_skew_exact(chars, n)
+    for pq in chars:
         assert abs(exact[pq] - want[pq]) < 1e-12, pq
     with pytest.raises(ValueError):
-        weyl_sums_skew_product(NON_GRID, 0)
+        weyl_sums_skew_product(chars, 0)
+
+
+def test_mod1_is_np_remainder_bit_for_bit():
+    import numpy as np
+    from nilflow.dynamics import _mod1
+    rng = np.random.default_rng(5)
+    x = np.concatenate([
+        rng.uniform(-4, 4, 1000), rng.uniform(-1e6, 1e6, 1000),
+        1e6 + rng.uniform(-1, 1, 100), np.nextafter(1e6, [0, 2e6]),
+        [-1e-20, 1e-20, -0.0, 0.0, -1.0, -3.0, -1e6, 1e6, 0.5, -0.5,
+         np.nextafter(0.0, -1.0), np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0)],
+    ])
+    want = np.remainder(x, 1.0)
+    got = _mod1(x.copy())
+    assert got.tobytes() == want.tobytes()
+    assert _mod1(x) is x
 
 
 def test_weyl_sums_do_not_depend_on_the_chunk():
@@ -749,12 +772,16 @@ def test_nilflow_weyl_sums_match_the_geometric_series():
 
 def test_skew_weyl_sums_stay_small_in_memory():
     import tracemalloc
-    from nilflow.dynamics import character_grid, weyl_sums_skew_product
+    from nilflow.dynamics import (
+        character_grid, weyl_sums_nilflow, weyl_sums_skew_product,
+    )
     chars = character_grid(3)
-    tracemalloc.start()
-    try:
-        weyl_sums_skew_product(chars, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, peak
+    for run in (lambda: weyl_sums_skew_product(chars, 10**6),
+                lambda: weyl_sums_nilflow(FIB_DATA, chars, 10**6)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
