@@ -78,7 +78,6 @@ from .dynamics import (
     counterexample_suite,
     equidistribution_report,
     fibonacci_chart_equivalence,
-    first_return,
     iet_orbit_check,
     psi_identity_check,
     renormalization_check,

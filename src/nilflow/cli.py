@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import verification
 from .dynamics import (
+    INV_PHI2,
     TorusPoint2,
     equidistribution_report,
     golden,
@@ -28,7 +29,6 @@ from .dynamics import (
     renormalization_check,
     self_induction_check,
     strip_family,
-    strip_region,
     strip_return_count,
 )
 from .factorization import (
@@ -41,7 +41,7 @@ from .factorization import (
     surface_quadric,
 )
 from .freegroup import broken_line_counts, fixed_point_prefix, parse_substitution
-from .heisenberg import canonicalize, exp_point, flow, parse_group_point
+from .heisenberg import GroupPoint, canonicalize, exp_point, flow, parse_group_point
 from .scalar import GOLDEN, ParseError, _rational, parse_scalar, scalar_float, scalar_str
 
 
@@ -197,40 +197,30 @@ def cmd_analyze(cfg: dict) -> int:
     return 0
 
 
-def _orbit_rows_translation(cfg: dict):
-    sub = parse_substitution(cfg["substitution"])
-    data = eigen_data(factor(sub))
-    g = exp_point(flow_of(data, "lam"))
-    from .heisenberg import GroupPoint
+def _orbit_rows_translation(cfg: dict, sampled_flow: bool = False):
+    """Right cosets of the lattice under the left translation by exp of the
+    eigenflow, or by its time-dt flow: one group product per step from the
+    canonical representative.  The flow orbit starts at the time-0 flow of
+    the start, which gives the first point the scalar types of the later ones."""
+    data = eigen_data(factor(parse_substitution(cfg["substitution"])))
+    vec = flow_of(data, "lam")
     point = (
         parse_group_point(cfg["start"], data.context)
         if cfg["start"] else GroupPoint(0, 0, 0)
     )
+    if sampled_flow:
+        dt = _scalar_arg(cfg, "step")
+        step, point = exp_point(vec.scale(dt)), flow(vec, dt - dt, point)
+    else:
+        step = exp_point(vec)
     for k in range(int(cfg["iters"]) + 1):
         rep = canonicalize(point).rep
         yield k, ("x", "y", "z"), (rep.x, rep.y, rep.z)
-        point = g * rep
+        point = step * rep
 
 
 def _orbit_rows_flow(cfg: dict):
-    sub = parse_substitution(cfg["substitution"])
-    data = eigen_data(factor(sub))
-    vec = flow_of(data, "lam")
-    from .heisenberg import GroupPoint
-    start = (
-        parse_group_point(cfg["start"], data.context)
-        if cfg["start"] else GroupPoint(0, 0, 0)
-    )
-    dt = _scalar_arg(cfg, "step")
-    # the time-dt flow is a left translation, so it acts on right cosets of
-    # the lattice: one group product per step from the canonical
-    # representative; the time-0 flow gives the first point the scalar
-    # types of the later ones
-    step = exp_point(vec.scale(dt))
-    rep = canonicalize(flow(vec, dt - dt, start)).rep
-    for k in range(int(cfg["iters"]) + 1):
-        yield k, ("x", "y", "z"), (rep.x, rep.y, rep.z)
-        rep = canonicalize(step * rep).rep
+    return _orbit_rows_translation(cfg, sampled_flow=True)
 
 
 def _orbit_rows_skew(cfg: dict):
@@ -314,9 +304,8 @@ def cmd_induce(cfg: dict) -> int:
     theta = _scalar_arg(cfg, "theta")
     renorm = renormalization_check(s, s_prime, theta)
     # return counts depend on the base rotation only, not on s or theta
-    region = strip_region()
     counts = [{"u": scalar_str(u), "n": strip_return_count(u)}
-              for u in (golden(_rational(i, 63)) for i in range(24)) if region.contains(u)]
+              for u in (golden(_rational(i, 63)) for i in range(24)) if u < INV_PHI2]
     sub = parse_substitution(cfg["substitution"])
     data = eigen_data(factor(sub))
     induction = self_induction_check(
@@ -418,8 +407,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags whose exact scalar value may start with '-', as in -3/7 or -1+1*l
+SCALAR_FLAGS = ("--s", "--theta", "--s-prime", "--step")
+
+
+def _attach_scalar_values(argv) -> list[str]:
+    """Write each scalar flag and its value as one '--flag=value' token.
+
+    argparse takes a separate value that starts with '-' and is not a
+    plain negative number for an option, so '--s -3/7' alone would fail.
+    """
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in SCALAR_FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_scalar_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = load_config(args)
         return COMMANDS[args.command](cfg)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -104,17 +104,6 @@ class TorusPoint2:
 
 
 @dataclass(frozen=True)
-class Interval:
-    """Half-open interval [lo, hi) with exact membership."""
-
-    lo: object
-    hi: object
-
-    def contains(self, u) -> bool:
-        return self.lo <= u < self.hi
-
-
-@dataclass(frozen=True)
 class Branch:
     """On u in [lo, hi): u += du and v += a2 u^2 + a1 u + a0, v mod 1."""
 
@@ -183,29 +172,61 @@ class PiecewiseTorusMap:
     def __call__(self, p: TorusPoint2) -> TorusPoint2:
         return self.step_with_floors(p)[0]
 
+    def _follow(self, b1: Branch):
+        """The piece b1 followed by this map: b1 cut where its image meets a
+        breakpoint, each part composed with the branch it lands in."""
+        c = b1.du
+        for b2 in self.branches:
+            lo = max(b1.lo, b2.lo - c)
+            hi = min(b1.hi, b2.hi - c)
+            if lo < hi:
+                yield Branch(
+                    lo, hi,
+                    du=c + b2.du,
+                    a2=b1.a2 + b2.a2,
+                    a1=b1.a1 + 2 * b2.a2 * c + b2.a1,
+                    a0=b1.a0 + b2.a2 * c * c + b2.a1 * c + b2.a0,
+                )
+
     def compose(self, other: "PiecewiseTorusMap") -> "PiecewiseTorusMap":
         """self after other."""
-        branches = []
-        for b1 in other.branches:
-            c = b1.du
-            for b2 in self.branches:
-                lo = max(b1.lo, b2.lo - c)
-                hi = min(b1.hi, b2.hi - c)
-                if lo < hi:
-                    branches.append(Branch(
-                        lo, hi,
-                        du=c + b2.du,
-                        a2=b1.a2 + b2.a2,
-                        a1=b1.a1 + 2 * b2.a2 * c + b2.a1,
-                        a0=b1.a0 + b2.a2 * c * c + b2.a1 * c + b2.a0,
-                    ))
-        return PiecewiseTorusMap(branches, self.fiber_lo)
+        return PiecewiseTorusMap([b for b1 in other.branches for b in self._follow(b1)],
+                                 self.fiber_lo)
 
     def invert(self) -> "PiecewiseTorusMap":
         return PiecewiseTorusMap([
             Branch(b.lo + b.du, b.hi + b.du, du=-b.du, a2=-b.a2,
                    a1=2 * b.a2 * b.du - b.a1, a0=(b.a1 - b.a2 * b.du) * b.du - b.a0)
             for b in self.branches], self.fiber_lo)
+
+    def induce(self, lo, hi) -> tuple["PiecewiseTorusMap", tuple[int, ...]]:
+        """The first return to [lo, hi), and the return count of each branch.
+
+        Branch refinement: the identity on [lo, hi) is followed through the
+        map, each piece cut where its image straddles lo or hi, and a piece
+        is done once its image lies in [lo, hi).  The first return of an
+        exchange to an interval is again a finite exchange (Keane, Math. Z.
+        141 (1975)), so this ends; ``invert`` certifies the exchange.
+        """
+        self.invert()
+        if not self.lo <= lo < hi <= self.hi:
+            raise ValueError(f"[{scalar_str(lo)}, {scalar_str(hi)}) is not a "
+                             f"nonempty subinterval of the base")
+        zero = lo - lo
+        pending, done, n = [Branch(lo, hi, zero, zero, zero, zero)], [], 0
+        while pending:
+            n, moving, pending, landed = n + 1, pending, [], []
+            for piece in (q for p in moving for q in self._follow(p)):
+                a, b = lo - piece.du, hi - piece.du   # the image is in [lo, hi) on [a, b)
+                for x, y, out in ((piece.lo, a, pending), (a, b, landed),
+                                  (b, piece.hi, pending)):
+                    x, y = max(piece.lo, x), min(piece.hi, y)
+                    if x < y:
+                        out.append(replace(piece, lo=x, hi=y))
+            done += [(p, n) for p in landed]
+        done.sort(key=lambda item: item[0].lo)
+        return (PiecewiseTorusMap([b for b, _ in done], self.fiber_lo),
+                tuple(k for _, k in done))
 
 
 def _affine_branch(lo, hi, lift) -> Branch:
@@ -243,49 +264,11 @@ class ReturnRecord:
 
     point: object
     time: object
-    iterates: int
     lattice_word: tuple
-
-
-def first_return(
-    pmap: PiecewiseTorusMap, region: Interval, p: TorusPoint2,
-    max_iter: int = 100_000,
-) -> ReturnRecord:
-    if not region.contains(p.u):
-        raise ValueError("starting point is not in the region")
-    floors = []
-    cur = p
-    for n in range(1, max_iter + 1):
-        cur, k = pmap.step_with_floors(cur)
-        floors.append(k)
-        if region.contains(cur.u):
-            return ReturnRecord(cur, n, n, tuple(floors))
-    raise RuntimeError(f"no return within {max_iter} iterates")
-
-
-def replay_torus_record(
-    pmap: PiecewiseTorusMap, start: TorusPoint2, record: ReturnRecord
-) -> bool:
-    """Re-run the orbit subtracting the recorded fiber floors; no new reductions."""
-    cur = start
-    for kv in record.lattice_word:
-        b = pmap.branch_at(cur.u)
-        u1 = cur.u + b.du
-        v1 = cur.v + b.poly(cur.u) - kv
-        if not pmap.fiber_lo <= v1 < pmap.fiber_lo + 1:
-            return False
-        nxt = TorusPoint2.__new__(TorusPoint2)
-        nxt.u, nxt.v = u1, v1
-        cur = nxt
-    return cur == record.point
 
 
 # ---------------------------------------------------------------------------
 # renormalization of the strip family
-
-
-def strip_region() -> Interval:
-    return Interval(golden(0), INV_PHI2)
 
 
 def renormalization_check(s, s_prime, theta, n_points: int = 101) -> dict:
@@ -300,9 +283,8 @@ def renormalization_check(s, s_prime, theta, n_points: int = 101) -> dict:
     a = -PHI3
     b = PHI2 * theta + PHI * (s + 1) + PHI2 * (s_prime + 1) - PHI
     theta_prime = PHI2 * theta + PHI2 * (s + 1) - (s_prime + 1)
-    base = strip_family(s, theta)
+    induced, _ = strip_family(s, theta).induce(golden(0), INV_PHI2)
     target = strip_family(s_prime, theta_prime)
-    region = strip_region()
 
     def transfer(p: TorusPoint2) -> TorusPoint2:
         return TorusPoint2(PHI2 * p.u, a * p.u * p.u + b * p.u + p.v)
@@ -317,8 +299,7 @@ def renormalization_check(s, s_prime, theta, n_points: int = 101) -> dict:
     for i, u in enumerate(us):
         pt = TorusPoint2(golden(u), golden(_rational(i % 3, 3)))
         down = transfer_inv(pt)
-        rec = first_return(base, region, down, max_iter=16)
-        lhs = transfer(rec.point)
+        lhs = transfer(induced(down))
         rhs = target(pt)
         if lhs != rhs:
             failures.append({
@@ -337,34 +318,34 @@ def renormalization_check(s, s_prime, theta, n_points: int = 101) -> dict:
     }
 
 
+# psi is the fiber increment of the golden strip map
+GOLDEN_STRIP = strip_family(-1, 0)
+_GOLDEN_RETURN, _GOLDEN_COUNTS = GOLDEN_STRIP.induce(golden(0), INV_PHI2)
+
+
 def strip_return_count(u) -> int:
     """Return count of the golden strip map into [0, 1/phi^2) from (u, 0)."""
-    base = strip_family(-1, 0)
-    rec = first_return(base, strip_region(), TorusPoint2(golden(u), golden(0)), 16)
-    return rec.iterates
+    return _GOLDEN_COUNTS[_GOLDEN_RETURN._index(golden(u))]
 
 
 def psi_value(y):
-    """Fiber increment of the induced golden map on the circle."""
+    """Fiber increment of the golden strip map at y in [0, 1)."""
     y = golden(y)
-    if 0 <= y < INV_PHI2:
-        return -PHI * y - INV_PHI
-    return -INV_PHI * y
+    return GOLDEN_STRIP.branch_at(y).poly(y)
 
 
 def psi_identity_check(n_points: int = 100) -> dict:
     """Values, boundary jump and the coboundary identity for psi.
 
-    The identity uses p(y) = -y^2/2 - y/2 and the corrected constant
-    -1/(2 phi^3); the variant with the opposite constant sign is evaluated
-    alongside and reported, not asserted.
+    psi is read off the branches of ``GOLDEN_STRIP``.  The identity uses
+    p(y) = -y^2/2 - y/2 and the corrected constant -1/(2 phi^3); the variant
+    with the opposite constant sign is evaluated alongside and reported,
+    not asserted.
     """
     p = lambda y: -y * y / 2 - y / 2
-    psi0 = psi_value(0)
-    psi1 = -INV_PHI * golden(1)          # branch-2 formula at y = 1
-    left = -PHI * INV_PHI2 - INV_PHI     # branch-1 value at the breakpoint
-    right = -INV_PHI * INV_PHI2          # branch-2 value at the breakpoint
-    jump = left - right
+    first, second = GOLDEN_STRIP.branches
+    psi0, psi1 = first.poly(first.lo), second.poly(second.hi)
+    jump = first.poly(first.hi) - second.poly(second.lo)   # left minus right at 1/phi^2
     corrected_failures = []
     opposite_sign_failures = 0
     for i in range(n_points):
@@ -476,7 +457,7 @@ class SigmaSection:
             raise ValueError("not a valid section point")
         i, s, zoff, k = self.table.step_coords(p.s, p.zoff)
         t, nm = self._returns[i]
-        return ReturnRecord(SectionPoint(s, zoff), t, 1, ((*nm, -k),))
+        return ReturnRecord(SectionPoint(s, zoff), t, ((*nm, -k),))
 
     def replay(self, start: SectionPoint, record: ReturnRecord) -> bool:
         g = flow(self.vec, record.time, self.to_group(start))
@@ -581,11 +562,7 @@ def section_samples(data: EigenData, count: int, seed: int = 11) -> list[Section
 
 
 def iet_orbit_check(data: EigenData, iterates: int, start=None) -> dict:
-    """Iterate the section return; certify IET structure along the orbit.
-
-    ``out_of_range`` is always empty: the construction certificate of
-    ``SigmaSection.table`` puts every branch image inside the section.
-    """
+    """Iterate the section return; certify IET structure along the orbit."""
     section = SigmaSection(data)
     p = start if start is not None else SectionPoint(
         golden_like(0, data), golden_like(0, data)
@@ -604,7 +581,6 @@ def iet_orbit_check(data: EigenData, iterates: int, start=None) -> dict:
         "translations_ok": translations <= expected_tr,
         "times_ok": times <= expected_t,
         "both_branches_seen": translations == expected_tr,
-        "out_of_range": [],
         "passed": translations <= expected_tr and times <= expected_t,
     }
 

@@ -218,6 +218,22 @@ def test_orbit_strip_flags_match_the_config_file(tmp_path):
         assert flags != (tmp_path / "default" / name).read_bytes()
 
 
+@pytest.mark.parametrize("command, name", [
+    (["induce", "--s-prime", "-1/3", "--samples", 4], "induce-report.json"),
+    (["orbit", "--kind", "strip", "--iters", 40, "--format", "jsonl"], "orbit-strip.jsonl"),
+])
+def test_negative_scalars_as_separate_arguments(tmp_path, command, name):
+    # argparse alone reads '-3/7' after '--s' as an option; both forms must work
+    for s, theta in (("-3/7", "-2/7"), ("-1+1*l", "-l")):
+        spaced = [*command, "--s", s, "--theta", theta, "--out", tmp_path / "spaced"]
+        joined = [*command, f"--s={s}", f"--theta={theta}", "--out", tmp_path / "joined"]
+        assert run(spaced) == 0 and run(joined) == 0
+        text = (tmp_path / "spaced" / name).read_bytes()
+        assert text == (tmp_path / "joined" / name).read_bytes()
+    assert run(["orbit", "--kind", "flow", "--iters", 5, "--step", "-2/5",
+                "--out", tmp_path / "flow"]) == 0
+
+
 def _mp_float(text: str) -> float:
     """The correctly rounded double of an exact JSONL string, through mpmath."""
     x = parse_scalar(text, GOLDEN)

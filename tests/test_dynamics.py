@@ -12,7 +12,6 @@ from nilflow.dynamics import (
     PHI2,
     Branch,
     DiagonalSection,
-    Interval,
     PiecewiseTorusMap,
     RegionCoeffs,
     SectionPoint,
@@ -23,7 +22,6 @@ from nilflow.dynamics import (
     counterexample_suite,
     equidistribution_report,
     fibonacci_chart_equivalence,
-    first_return,
     gamma_zero,
     golden,
     golden_like,
@@ -34,12 +32,10 @@ from nilflow.dynamics import (
     psi_identity_check,
     region_invariance_audit,
     renormalization_check,
-    replay_torus_record,
     section_samples,
     self_induction_check,
     sigma_diagonal_conjugacy_check,
     strip_family,
-    strip_region,
     strip_return_count,
 )
 from nilflow.factorization import eigen_data, factor
@@ -94,24 +90,60 @@ def test_return_counts():
         assert strip_return_count(u) == expected
 
 
-def test_first_return_whole_space():
-    m = strip_family(-1, 0)
-    whole = Interval(golden(0), golden(1))
-    rec = first_return(m, whole, TorusPoint2(golden(Fraction(1, 7)), golden(0)))
-    assert rec.iterates == 1
+def _first_landing(table, lo, hi, u, v):
+    """The oracle for ``induce``: step the base table until u lands in [lo, hi)."""
+    for n in range(1, 10_000):
+        _, u, v, _ = table.step_coords(u, v)
+        if lo <= u < hi:
+            return n, u, v
+    raise AssertionError("no return within 10 000 steps")
 
 
-def test_first_return_replay_and_errors():
+def _assert_induce_matches_stepping(table, lo, hi, fibers, count=20, seed=0):
+    induced, counts = table.induce(lo, hi)
+    assert (induced.lo, induced.hi, induced.fiber_lo) == (lo, hi, table.fiber_lo)
+    assert len(counts) == len(induced.branches)
+    rng = random.Random(seed)
+    points = [(b.lo, fibers[i % len(fibers)]) for i, b in enumerate(induced.branches)]
+    points += [(lo + (hi - lo) * Fraction(rng.randrange(0, 997), 997),
+                fibers[rng.randrange(len(fibers))]) for _ in range(count)]
+    for u, v in points:
+        n, u1, v1 = _first_landing(table, lo, hi, u, v)
+        i, u2, v2, _ = induced.step_coords(u, v)
+        assert (u2, v2, counts[i]) == (u1, v1, n), (u, v)
+    return induced, counts
+
+
+@pytest.mark.parametrize("s, theta", [(-1, 0), (Fraction(1, 3), Fraction(2, 7)),
+                                      (Fraction(-5, 4), Fraction(1, 2))])
+def test_induce_strip_matches_stepping(s, theta):
+    m = strip_family(s, theta)
+    fibers = [golden(0), golden(Fraction(1, 3)), golden(Fraction(5, 7))]
+    _, counts = _assert_induce_matches_stepping(m, golden(0), INV_PHI2, fibers)
+    assert sorted(set(counts)) == [2, 3]
+    _assert_induce_matches_stepping(m, golden(Fraction(1, 5)), golden(Fraction(3, 4)), fibers)
+
+
+def test_induce_on_the_whole_base_is_one_step():
+    m = strip_family(Fraction(1, 3), Fraction(2, 7))
+    induced, counts = m.induce(m.lo, m.hi)
+    assert induced.branches == m.branches and counts == (1, 1)
+
+
+def test_induce_errors():
     m = strip_family(-1, 0)
-    region = strip_region()
-    start = TorusPoint2(golden(Fraction(1, 10)), golden(Fraction(2, 5)))
-    rec = first_return(m, region, start)
-    assert replay_torus_record(m, start, rec)
-    with pytest.raises(ValueError):
-        first_return(m, region, TorusPoint2(golden(Fraction(1, 2)), golden(0)))
-    with pytest.raises(RuntimeError):
-        first_return(m, Interval(golden(0), golden(Fraction(1, 10 ** 9))),
-                     TorusPoint2(golden(0), golden(0)), max_iter=3)
+    zero, half = golden(0), golden(Fraction(1, 2))
+    for lo, hi in ((half, half), (half, golden(Fraction(1, 3))),
+                   (golden(Fraction(-1, 10)), half), (zero, golden(2))):
+        with pytest.raises(ValueError, match="subinterval"):
+            m.induce(lo, hi)
+    # both branches land in [0, 1/2): a table, but not an exchange
+    q = Fraction(1, 2)
+    squash = PiecewiseTorusMap([Branch(0, q, 0, 0, 0, 0), Branch(q, 1, -q, 0, 0, 0)])
+    with pytest.raises(ValueError, match="partition"):
+        squash.induce(0, q)
+    with pytest.raises(ValueError, match="no branch"):
+        strip_return_count(INV_PHI2)
 
 
 def test_piecewise_compose_and_invert():
@@ -268,6 +300,16 @@ def test_sigma_table_invert_and_compose():
             assert inverse.step_coords(p.s, p.zoff)[1:3] == (q.s, q.zoff)
             assert twice.step_coords(q.s, q.zoff)[1:3] == (p2.s, p2.zoff)
             assert identity.step_coords(q.s, q.zoff)[1:3] == (q.s, q.zoff)
+
+
+def test_induce_sigma_tables_match_stepping():
+    for data in TABLE_DATA:
+        table = SigmaSection(data).table
+        fibers = [golden_like(Fraction(-1, 2), data), golden_like(Fraction(2, 9), data)]
+        # one interval ends at the branch point 0, one is the image of the section
+        _assert_induce_matches_stepping(table, data.s_a, data.zero(), fibers, count=8)
+        image = sorted((data.lam_prime * data.s_a, data.lam_prime * data.s_b))
+        _assert_induce_matches_stepping(table, *image, fibers, count=8)
 
 
 def test_diagonal_table_equals_group_product_step():
