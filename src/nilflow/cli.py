@@ -375,6 +375,37 @@ COMMANDS = {
 }
 
 
+def _add_options(p: argparse.ArgumentParser, name: str) -> list[str]:
+    """Add the options of command ``name`` to ``p``; return its option strings."""
+    flags = ["-h", "--help"]
+
+    def add(*names, **kwargs):
+        flags.extend(p.add_argument(*names, **kwargs).option_strings)
+
+    add("--config", help="JSON configuration file")
+    add("--out", help="output directory")
+    add("--seed", type=int, help="64-bit seed")
+    add("--samples", type=int)
+    add("--iters", type=int)
+    add("--format", choices=["csv", "jsonl"])
+    add("--substitution", help="e.g. 'a->ab;b->a'")
+    if name == "orbit":
+        add("--kind", choices=sorted(ORBIT_KINDS))
+        add("--start", help="group point '[x, y, z]'")
+        add("--step", help="flow sampling step (exact scalar)")
+    if name == "broken-line":
+        add("--length", type=int)
+    if name in ("orbit", "induce"):
+        add("--s", help="strip parameter s (exact scalar)")
+        add("--theta", help="strip parameter theta (exact scalar)")
+    if name == "induce":
+        add("--s-prime", dest="s_prime")
+    if name == "equidistribution":
+        add("--radius", type=int)
+        add("--threshold", type=float)
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilflow",
@@ -382,28 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="64-bit seed")
-        p.add_argument("--samples", type=int)
-        p.add_argument("--iters", type=int)
-        p.add_argument("--format", choices=["csv", "jsonl"])
-        p.add_argument("--substitution", help="e.g. 'a->ab;b->a'")
-        if name == "orbit":
-            p.add_argument("--kind", choices=sorted(ORBIT_KINDS))
-            p.add_argument("--start", help="group point '[x, y, z]'")
-            p.add_argument("--step", help="flow sampling step (exact scalar)")
-        if name == "broken-line":
-            p.add_argument("--length", type=int)
-        if name in ("orbit", "induce"):
-            p.add_argument("--s", help="strip parameter s (exact scalar)")
-            p.add_argument("--theta", help="strip parameter theta (exact scalar)")
-        if name == "induce":
-            p.add_argument("--s-prime", dest="s_prime")
-        if name == "equidistribution":
-            p.add_argument("--radius", type=int)
-            p.add_argument("--threshold", type=float)
+        _add_options(sub.add_parser(name), name)
     return parser
 
 
@@ -411,15 +421,30 @@ def build_parser() -> argparse.ArgumentParser:
 SCALAR_FLAGS = ("--s", "--theta", "--s-prime", "--step")
 
 
+def _resolve_flag(token: str, options: list[str]) -> str:
+    """The option argparse reads ``token`` as: itself when it is an option,
+    else the one option it abbreviates; ``token`` when none or several do."""
+    if token in options or not token.startswith("--"):
+        return token
+    matches = [o for o in options if o.startswith(token)]
+    return matches[0] if len(matches) == 1 else token
+
+
 def _attach_scalar_values(argv) -> list[str]:
     """Write each scalar flag and its value as one '--flag=value' token.
 
     argparse takes a separate value that starts with '-' and is not a
     plain negative number for an option, so '--s -3/7' alone would fail.
+    A flag may be abbreviated as argparse allows ('--thet -2/7').
     """
+    argv = list(argv)
+    if not argv or argv[0] not in COMMANDS:
+        return argv
+    options = _add_options(argparse.ArgumentParser(add_help=False), argv[0])
     out, tokens = [], iter(argv)
     for token in tokens:
-        value = next(tokens, None) if token in SCALAR_FLAGS else None
+        scalar = _resolve_flag(token, options) in SCALAR_FLAGS
+        value = next(tokens, None) if scalar else None
         out.append(token if value is None else f"{token}={value}")
     return out
 

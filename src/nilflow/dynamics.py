@@ -15,7 +15,8 @@ Four families of experiments live here:
   plus conjugation-by-central-shift checks and Weyl-sum diagnostics.
 
 Everything except the Weyl sums is exact; mismatches are reported with
-witnesses rather than rounded away.
+witnesses rather than rounded away.  Only the Weyl sums use numpy, and they
+import it when called, so the exact maps start without it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .factorization import (
     EigenData,
@@ -1067,15 +1066,18 @@ def character_grid(radius: int = 3) -> list[tuple[int, int]]:
             for q in range(-radius, radius + 1) if (p, q) != (0, 0)]
 
 
-def _mod1(x: np.ndarray) -> np.ndarray:
-    """x - floor(x) in place: the same doubles as ``np.remainder(x, 1.0)``
-    (both are the exact x - floor(x), rounded once), at a fraction of its cost."""
+def _mod1(x):
+    """x - floor(x) in place on a float array: the same doubles as
+    ``np.remainder(x, 1.0)`` (both are the exact x - floor(x), rounded once),
+    at a fraction of its cost."""
+    import numpy as np
     return np.subtract(x, np.floor(x), out=x)
 
 
 def _trig_rows(t, rows, scratch) -> None:
     """rows[k] = cos 2 pi k t and rows[r + 1 + k] = sin 2 pi k t for k = 0 .. r:
     one cos and one sin at k = 1, then angle addition."""
+    import numpy as np
     r = len(rows) // 2 - 1
     c, s = rows[:r + 1], rows[r + 1:]
     c[0], s[0] = 1.0, 0.0
@@ -1098,6 +1100,7 @@ def _birkhoff_moduli(chars, n_iter: int, chunk: int, points) -> dict:
     cos 2 pi a x sin 2 pi b y.  For p = sp a, q = sq b (sp, sq = +-1):
     e(p x + q y) = CC - sp sq SS + i (sp SC + sq CS) at [a, b].
     """
+    import numpy as np
     if n_iter < 1:
         raise ValueError(f"n_iter must be positive, got {n_iter}")
     r = max((max(abs(p), abs(q)) for p, q in chars), default=0)
@@ -1128,6 +1131,7 @@ def weyl_sums_skew_exact(chars, n_iter: int, sample_every: int = 1) -> dict:
     the cross-check path: characters are evaluated at float images of exact
     orbit points, optionally every ``sample_every`` steps.
     """
+    import numpy as np
     u, v, pts = golden(0), golden(0), []
     for k in range(n_iter):
         if k % sample_every == 0:
@@ -1147,6 +1151,7 @@ def weyl_sums_skew_product(chars, n_iter: int, u0: float = 0.0, v0: float = 0.0,
     by the float 1/phi^2 and the fiber is a float cumulative sum, so rounding
     builds up over at most ``chunk`` steps and never across chunks.
     """
+    import numpy as np
     u0, v0 = golden(u0), golden(v0)
 
     def points(k0, n):
@@ -1179,6 +1184,7 @@ def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
     sqrt(3) for Q(sqrt 2)).  Orbit positions come from the closed flow
     formula.
     """
+    import numpy as np
     if step is None:
         step = off_field_step(data.context.disc)
     alpha, beta = scalar_float(data.alpha), scalar_float(data.beta)

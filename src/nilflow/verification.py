@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import dynamics as dyn
 from .factorization import (
     GENERATOR_ENDOS,
@@ -395,41 +393,79 @@ def check_plane_suite(seed: int, samples: int = 100) -> CheckResult:
 
 def inversion_count_oracle(word: str) -> list[int]:
     """c_k from the definition: for each b, count the a's before it."""
-    arr = np.frombuffer(word.encode(), dtype=np.uint8)
-    is_a = (arr == ord("a")).astype(np.int64)
-    is_b = (arr == ord("b")).astype(np.int64)
-    a_before = np.concatenate([[0], np.cumsum(is_a)[:-1]])
-    contrib = is_b * a_before
-    return np.concatenate([[0], np.cumsum(contrib)]).tolist()
+    out, a_seen, c = [0], 0, 0
+    for letter in word:
+        if letter == "a":
+            a_seen += 1
+        elif letter == "b":
+            c += a_seen
+        out.append(c)
+    return out
+
+
+def pair_count_oracle(word: str) -> int:
+    """The pairs i < j with an a at i and a b at j, in quadratic time:
+    the a's before each b, counted afresh."""
+    return sum(word.count("a", 0, j) for j, letter in enumerate(word) if letter == "b")
+
+
+def _projection_sup(word: str) -> tuple[float, tuple[int, int, int] | None]:
+    """sup over k of |a_k - k/phi| and |b_k - k/phi^2|, a_k and b_k the letter
+    counts of word[:k], with (k, a_k, b_k) at the first k where it reaches 2.
+
+    Each deviation is the double of numpy's elementwise ``abs(a_k - k / phi)``.
+    """
+    phi = (1 + 5 ** 0.5) / 2
+    phi2 = phi ** 2
+    a = b = 0
+    sup, first = 0.0, None
+    for k, letter in enumerate(word, 1):
+        if letter == "a":
+            a += 1
+        else:
+            b += 1
+        da, db = abs(a - k / phi), abs(b - k / phi2)
+        if da > sup or db > sup:
+            sup = max(sup, da, db)
+            if sup >= 2 and first is None:
+                first = (k, a, b)
+    return sup, first
 
 
 def check_broken_line(k_counts: int = 10_000, k_proj: int = 100_000) -> CheckResult:
     word = fixed_point_prefix(FIBONACCI, max(k_counts, k_proj))
     counts = broken_line_counts(word[:k_counts])
     oracle = inversion_count_oracle(word[:k_counts])
-    counts_ok = all(counts[k][2] == oracle[k] for k in range(k_counts + 1))
+    bad = _Failures()
+    k = next((k for k in range(k_counts + 1) if counts[k][2] != oracle[k]), None)
+    counts_ok = k is None
+    if not counts_ok:
+        bad.record(False, "c_k equals the inversion count", k=k,
+                   c_k=counts[k][2], oracle=oracle[k])
     # quadratic-time pair counts, structurally independent of any recurrence
     spot_ok = True
-    for k in (257, min(1000, k_counts), min(1024, k_counts)):
-        arr = np.frombuffer(word[:k].encode(), dtype=np.uint8)
-        pairs = np.triu(np.outer(arr == ord("a"), arr == ord("b")), k=1)
-        spot_ok = spot_ok and int(pairs.sum()) == counts[k][2]
-    group_ok = [p for p in broken_line(word[:64])] == [
-        GroupPoint(a, b, c) for a, b, c in broken_line_counts(word[:64])
-    ]
-    arr = np.frombuffer(word[:k_proj].encode(), dtype=np.uint8)
-    a_k = np.concatenate([[0], np.cumsum(arr == ord("a"))]).astype(np.float64)
-    b_k = np.concatenate([[0], np.cumsum(arr == ord("b"))]).astype(np.float64)
-    k = np.arange(k_proj + 1, dtype=np.float64)
-    phi = (1 + 5 ** 0.5) / 2
-    sup = max(
-        np.abs(a_k - k / phi).max(), np.abs(b_k - k / phi ** 2).max()
-    )
+    for k in (min(257, k_counts), min(1000, k_counts), min(1024, k_counts)):
+        pairs = pair_count_oracle(word[:k])
+        bad.record(pairs == counts[k][2], "c_k equals the pair count", k=k,
+                   c_k=counts[k][2], pairs=pairs)
+        spot_ok = spot_ok and pairs == counts[k][2]
+    points = broken_line(word[:64])
+    lifted = [GroupPoint(a, b, c) for a, b, c in broken_line_counts(word[:64])]
+    group_ok = points == lifted
+    if not group_ok:
+        k = next(k for k, (p, q) in enumerate(zip(points, lifted)) if p != q)
+        bad.record(False, "group law equals the lifted counts", k=k,
+                   point=points[k], counts=lifted[k])
+    sup, first = _projection_sup(word[:k_proj])
+    if first is not None:
+        bad.record(False, "projection within 2 of the line", k=first[0],
+                   a_k=first[1], b_k=first[2])
     return CheckResult(
         "line.broken", bool(counts_ok and spot_ok and group_ok and sup < 2.0),
-        {"counts_checked": k_counts, "counts_ok": bool(counts_ok),
-         "spot_checks_ok": bool(spot_ok), "matches_group_law": group_ok,
-         "projection_sup": float(sup), "projection_k": k_proj},
+        _with_witness(
+            {"counts_checked": k_counts, "counts_ok": counts_ok,
+             "spot_checks_ok": spot_ok, "matches_group_law": group_ok,
+             "projection_sup": sup, "projection_k": k_proj}, bad),
     )
 
 

@@ -234,6 +234,23 @@ def test_negative_scalars_as_separate_arguments(tmp_path, command, name):
                 "--out", tmp_path / "flow"]) == 0
 
 
+def test_abbreviated_scalar_flags_take_negative_values(tmp_path, capsys):
+    # '--thet' is the one flag argparse would read it as; '--st' is ambiguous
+    # in orbit (--start, --step) and no flag of induce, so argparse rejects both
+    assert run(["induce", "--samples", 4, "--thet", "-2/7", "--s-p", "-1/3",
+                "--out", tmp_path / "abbrev"]) == 0
+    assert run(["induce", "--samples", 4, "--theta=-2/7", "--s-prime=-1/3",
+                "--out", tmp_path / "full"]) == 0
+    name = "induce-report.json"
+    assert (tmp_path / "abbrev" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+    assert run(["orbit", "--kind", "flow", "--iters", 5, "--ste", "-2/5",
+                "--out", tmp_path / "flow"]) == 0
+    for command in (["induce"], ["orbit", "--kind", "flow"]):
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--st", "1/2", "--out", tmp_path / "st"])
+        assert exc.value.code == 2
+
+
 def _mp_float(text: str) -> float:
     """The correctly rounded double of an exact JSONL string, through mpmath."""
     x = parse_scalar(text, GOLDEN)

@@ -2,6 +2,7 @@
 fails, absent (so the report bytes are unchanged) when every case passes."""
 
 import json
+import random
 from fractions import Fraction
 
 from nilflow import verification as ver
@@ -13,7 +14,7 @@ from nilflow.factorization import (
     xy_of_ts,
 )
 from nilflow.dynamics import SectionPoint
-from nilflow.freegroup import FIBONACCI
+from nilflow.freegroup import FIBONACCI, fixed_point_prefix
 from nilflow.heisenberg import AlgebraVector, exp_point, log_point
 from nilflow.scalar import GOLDEN, parse_scalar
 
@@ -93,4 +94,68 @@ def test_self_induction_witness(monkeypatch):
     assert failure["reason"] == "no return found"
     point = SectionPoint(*(parse_scalar(failure[k], GOLDEN) for k in ("witness", "zoff")))
     assert check(eigen_data(factor(FIBONACCI)), samples=[point])["passed"]
+    json.dumps(result.details)
+
+
+def test_broken_line_oracles_match_the_numpy_formulas():
+    import numpy as np
+
+    rng = random.Random(3)
+    for word in (fixed_point_prefix(FIBONACCI, 10_000),
+                 "".join(rng.choice("ab") for _ in range(3000))):
+        arr = np.frombuffer(word.encode(), dtype=np.uint8)
+        is_a = (arr == ord("a")).astype(np.int64)
+        a_before = np.concatenate([[0], np.cumsum(is_a)[:-1]])
+        contrib = (arr == ord("b")).astype(np.int64) * a_before
+        assert ver.inversion_count_oracle(word) == np.concatenate(
+            [[0], np.cumsum(contrib)]).tolist()
+        for k in (257, 1000, 1024):
+            a = np.frombuffer(word[:k].encode(), dtype=np.uint8)
+            pairs = np.triu(np.outer(a == ord("a"), a == ord("b")), k=1)
+            assert ver.pair_count_oracle(word[:k]) == int(pairs.sum())
+    word = fixed_point_prefix(FIBONACCI, 100_000)
+    arr = np.frombuffer(word.encode(), dtype=np.uint8)
+    a_k = np.concatenate([[0], np.cumsum(arr == ord("a"))]).astype(np.float64)
+    b_k = np.concatenate([[0], np.cumsum(arr == ord("b"))]).astype(np.float64)
+    k = np.arange(len(word) + 1, dtype=np.float64)
+    phi = (1 + 5 ** 0.5) / 2
+    sup = max(np.abs(a_k - k / phi).max(), np.abs(b_k - k / phi ** 2).max())
+    result = ver.check_broken_line(10_000, 100_000)
+    assert result.passed and result.details["projection_sup"] == float(sup)
+
+
+def test_broken_line_witness(monkeypatch):
+    assert "witness" not in ver.check_broken_line(2000, 20_000).details
+    counts = ver.broken_line_counts
+
+    def one_wrong(word, k=700):
+        out = counts(word)
+        if len(out) > k:
+            a, b, c = out[k]
+            out[k] = (a, b, c + 1)
+        return out
+    monkeypatch.setattr(ver, "broken_line_counts", one_wrong)
+    details = ver.check_broken_line(2000, 20_000).details
+    assert not details["counts_ok"] and details["spot_checks_ok"]
+    c = counts(fixed_point_prefix(FIBONACCI, 700))[700][2]
+    assert details["witness"] == {"law": "c_k equals the inversion count",
+                                  "k": 700, "c_k": c + 1, "oracle": c}
+
+    # an oracle that agrees with the wrong count leaves the spot check to catch it
+    monkeypatch.setattr(ver, "broken_line_counts", lambda w: one_wrong(w, 1000))
+    monkeypatch.setattr(ver, "inversion_count_oracle",
+                        lambda w: [c for _, _, c in one_wrong(w, 1000)])
+    result = ver.check_broken_line(2000, 20_000)
+    assert not result.passed and result.details["counts_ok"]
+    c = counts(fixed_point_prefix(FIBONACCI, 1000))[1000][2]
+    assert result.details["witness"] == {"law": "c_k equals the pair count",
+                                         "k": 1000, "c_k": c + 1, "pairs": c}
+
+    # a word of a's alone leaves the line: |6 - 6/phi| > 2 first
+    monkeypatch.undo()
+    monkeypatch.setattr(ver, "fixed_point_prefix", lambda sub, n: "a" * n)
+    result = ver.check_broken_line(100, 1000)  # fewer counts than the spot checks
+    assert not result.passed and result.details["projection_sup"] >= 2
+    assert result.details["witness"] == {"law": "projection within 2 of the line",
+                                         "k": 6, "a_k": 6, "b_k": 0}
     json.dumps(result.details)
