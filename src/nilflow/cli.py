@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import verification
 from .dynamics import (
@@ -72,88 +74,6 @@ def emit_report(path: Path, obj) -> None:
     atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-DEFAULTS = {
-    "substitution": "a->ab;b->a",
-    "context": None,
-    "seed": 0,
-    "iters": 10_000,
-    "samples": 100,
-    "length": 200,
-    "radius": 3,
-    "threshold": 0.05,
-    "s": "-1",
-    "s_prime": "-1",
-    "theta": "0",
-    "kind": "translation",
-    "start": None,
-    "step": "1/2",
-    "format": "csv",
-    "out": ".",
-}
-
-
-# JSON types a config file may give each key; ``analysis_out`` names an extra
-# report file written by ``analyze``.
-_TEXT, _OPTIONAL_TEXT = (str,), (str, type(None))
-_INTEGER, _SCALAR = (int,), (str, int, float)
-CONFIG_TYPES = {
-    "substitution": _TEXT, "context": _OPTIONAL_TEXT, "seed": _INTEGER,
-    "iters": _INTEGER, "samples": _INTEGER, "length": _INTEGER,
-    "radius": _INTEGER, "threshold": (int, float), "s": _SCALAR,
-    "s_prime": _SCALAR, "theta": _SCALAR, "kind": _TEXT,
-    "start": _OPTIONAL_TEXT, "step": _SCALAR, "format": _TEXT, "out": _TEXT,
-    "analysis_out": _OPTIONAL_TEXT,
-}
-# sizes, from a flag or the config file, must be at least 1
-POSITIVE_KEYS = ("iters", "samples", "length", "radius")
-
-
-def load_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad config JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ParseError("config must be a JSON object")
-        for key, value in loaded.items():
-            if key not in CONFIG_TYPES:
-                raise ParseError(f"unknown config key {key!r}")
-            # exact types: JSON true/false must not pass as an integer
-            if type(value) not in CONFIG_TYPES[key]:
-                raise ParseError(
-                    f"config key {key!r} must be "
-                    f"{' or '.join(t.__name__ for t in CONFIG_TYPES[key])}, "
-                    f"got {type(value).__name__}"
-                )
-        cfg.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            cfg[key] = value
-    for key in POSITIVE_KEYS:
-        if cfg[key] < 1:
-            raise ParseError(f"--{key} must be a positive integer, got {cfg[key]}")
-    # |S_N|/N <= 1; NaN fails both comparisons
-    if not 0 < cfg["threshold"] <= 1:
-        raise ParseError(f"--threshold must be a number in (0, 1], got {cfg['threshold']}")
-    return cfg
-
-
-def _scalar_arg(cfg: dict, key: str):
-    value = cfg[key]
-    if isinstance(value, (int, float)):
-        return _rational(value) if isinstance(value, int) else value
-    ctx = GOLDEN
-    if cfg.get("context"):
-        from .scalar import QuadraticContext
-        ctx = QuadraticContext.from_text(str(cfg["context"]))
-    return parse_scalar(str(value), ctx)
-
-
 def cmd_analyze(cfg: dict) -> int:
     sub = parse_substitution(cfg["substitution"])
     endo = factor(sub)
@@ -188,7 +108,7 @@ def cmd_analyze(cfg: dict) -> int:
     for name, exact, approx in rows:
         suffix = f"  ~ {approx}" if approx else ""
         print(f"  {name:12} {exact}{suffix}")
-    out = cfg.get("analysis_out")
+    out = cfg["analysis_out"]
     if out:
         emit_report(Path(cfg["out"]) / out, {
             "substitution": str(sub),
@@ -205,15 +125,15 @@ def _orbit_rows_translation(cfg: dict, sampled_flow: bool = False):
     data = eigen_data(factor(parse_substitution(cfg["substitution"])))
     vec = flow_of(data, "lam")
     point = (
-        parse_group_point(cfg["start"], data.context)
+        _exact(cfg, "start", data.context, parse_group_point)
         if cfg["start"] else GroupPoint(0, 0, 0)
     )
     if sampled_flow:
-        dt = _scalar_arg(cfg, "step")
+        dt = _exact(cfg, "step", data.context)
         step, point = exp_point(vec.scale(dt)), flow(vec, dt - dt, point)
     else:
         step = exp_point(vec)
-    for k in range(int(cfg["iters"]) + 1):
+    for k in range(cfg["iters"] + 1):
         rep = canonicalize(point).rep
         yield k, ("x", "y", "z"), (rep.x, rep.y, rep.z)
         point = step * rep
@@ -225,15 +145,15 @@ def _orbit_rows_flow(cfg: dict):
 
 def _orbit_rows_skew(cfg: dict):
     u, v = golden(0), golden(0)
-    for k in range(int(cfg["iters"]) + 1):
+    for k in range(cfg["iters"] + 1):
         yield k, ("u", "v"), (u, v)
         u, v = golden_skew_step(u, v)
 
 
 def _orbit_rows_strip(cfg: dict):
-    pmap = strip_family(_scalar_arg(cfg, "s"), _scalar_arg(cfg, "theta"))
+    pmap = strip_family(_exact(cfg, "s", GOLDEN), _exact(cfg, "theta", GOLDEN))
     pt = TorusPoint2(golden(0), golden(0))
-    for k in range(int(cfg["iters"]) + 1):
+    for k in range(cfg["iters"] + 1):
         yield k, ("u", "v"), (pt.u, pt.v)
         pt = pmap(pt)
 
@@ -248,8 +168,6 @@ ORBIT_KINDS = {
 
 def cmd_orbit(cfg: dict) -> int:
     kind = cfg["kind"]
-    if kind not in ORBIT_KINDS:
-        raise ParseError(f"unknown orbit kind {kind!r}")
     rows = list(ORBIT_KINDS[kind](cfg))
     names = rows[0][1]
     outdir = Path(cfg["out"])
@@ -272,7 +190,7 @@ def cmd_orbit(cfg: dict) -> int:
 
 def cmd_broken_line(cfg: dict) -> int:
     sub = parse_substitution(cfg["substitution"])
-    n = int(cfg["length"])
+    n = cfg["length"]
     try:
         word = fixed_point_prefix(sub, n)
     except ValueError as exc:  # not positive, or not prolongable from 'a'
@@ -299,18 +217,14 @@ def cmd_broken_line(cfg: dict) -> int:
 
 
 def cmd_induce(cfg: dict) -> int:
-    s = _scalar_arg(cfg, "s")
-    s_prime = _scalar_arg(cfg, "s_prime")
-    theta = _scalar_arg(cfg, "theta")
+    s, s_prime, theta = (_exact(cfg, key, GOLDEN) for key in ("s", "s_prime", "theta"))
     renorm = renormalization_check(s, s_prime, theta)
     # return counts depend on the base rotation only, not on s or theta
     counts = [{"u": scalar_str(u), "n": strip_return_count(u)}
               for u in (golden(_rational(i, 63)) for i in range(24)) if u < INV_PHI2]
     sub = parse_substitution(cfg["substitution"])
     data = eigen_data(factor(sub))
-    induction = self_induction_check(
-        data, samples=int(cfg["samples"]), seed=int(cfg["seed"])
-    )
+    induction = self_induction_check(data, samples=cfg["samples"], seed=cfg["seed"])
     report = {
         "seed": cfg["seed"],
         "renormalization": renorm,
@@ -326,10 +240,9 @@ def cmd_induce(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    seed = int(cfg["seed"])
-    results = verification.run_all(seed)
+    results = verification.run_all(cfg["seed"])
     report = {
-        "seed": seed,
+        "seed": cfg["seed"],
         "passed": all(bool(r.passed) for r in results),
         "checks": [
             {"name": r.name, "passed": bool(r.passed), "details": r.details}
@@ -347,7 +260,8 @@ def cmd_equidistribution(cfg: dict) -> int:
     reports = {}
     for kind in ("skew", "nilflow"):
         rep = equidistribution_report(
-            kind, int(cfg["iters"]), radius=int(cfg["radius"]),
+            kind, cfg["iters"], radius=cfg["radius"],
+            # a config file may give an integer; the report writes a float
             threshold=float(cfg["threshold"]),
         )
         reports[kind] = rep
@@ -375,35 +289,106 @@ COMMANDS = {
 }
 
 
-def _add_options(p: argparse.ArgumentParser, name: str) -> list[str]:
-    """Add the options of command ``name`` to ``p``; return its option strings."""
-    flags = ["-h", "--help"]
+class Option(NamedTuple):
+    """A CLI option: the commands whose parser has its flag (none: config
+    file only), the JSON types a config file may give it, its default and
+    the argparse keywords of its flag."""
 
-    def add(*names, **kwargs):
-        flags.extend(p.add_argument(*names, **kwargs).option_strings)
+    commands: tuple[str, ...]
+    types: tuple[type, ...]
+    default: object
+    flag: dict
 
-    add("--config", help="JSON configuration file")
-    add("--out", help="output directory")
-    add("--seed", type=int, help="64-bit seed")
-    add("--samples", type=int)
-    add("--iters", type=int)
-    add("--format", choices=["csv", "jsonl"])
-    add("--substitution", help="e.g. 'a->ab;b->a'")
-    if name == "orbit":
-        add("--kind", choices=sorted(ORBIT_KINDS))
-        add("--start", help="group point '[x, y, z]'")
-        add("--step", help="flow sampling step (exact scalar)")
-    if name == "broken-line":
-        add("--length", type=int)
-    if name in ("orbit", "induce"):
-        add("--s", help="strip parameter s (exact scalar)")
-        add("--theta", help="strip parameter theta (exact scalar)")
-    if name == "induce":
-        add("--s-prime", dest="s_prime")
-    if name == "equidistribution":
-        add("--radius", type=int)
-        add("--threshold", type=float)
-    return flags
+
+_ALL = tuple(COMMANDS)
+_TEXT, _OPTIONAL_TEXT = (str,), (str, type(None))
+_INTEGER, _SCALAR = (int,), (str, int, float)
+# in the order of each command's -h; the key of --s-prime is s_prime.  The
+# flag of a _SCALAR option takes a value such as -3/7 as the next argument
+OPTIONS = {
+    "out": Option(_ALL, _TEXT, ".", dict(help="output directory")),
+    "seed": Option(_ALL, _INTEGER, 0, dict(type=int, help="64-bit seed")),
+    "samples": Option(_ALL, _INTEGER, 100, dict(type=int)),
+    "iters": Option(_ALL, _INTEGER, 10_000, dict(type=int)),
+    "format": Option(_ALL, _TEXT, "csv", dict(choices=["csv", "jsonl"])),
+    "substitution": Option(_ALL, _TEXT, "a->ab;b->a", dict(help="e.g. 'a->ab;b->a'")),
+    "kind": Option(("orbit",), _TEXT, "translation", dict(choices=sorted(ORBIT_KINDS))),
+    "start": Option(("orbit",), _OPTIONAL_TEXT, None, dict(help="group point '[x, y, z]'")),
+    "step": Option(("orbit",), _SCALAR, "1/2",
+                   dict(help="flow sampling step (exact scalar)")),
+    "length": Option(("broken-line",), _INTEGER, 200, dict(type=int)),
+    "s": Option(("orbit", "induce"), _SCALAR, "-1",
+                dict(help="strip parameter s (exact scalar)")),
+    "theta": Option(("orbit", "induce"), _SCALAR, "0",
+                    dict(help="strip parameter theta (exact scalar)")),
+    "s_prime": Option(("induce",), _SCALAR, "-1", {}),
+    "radius": Option(("equidistribution",), _INTEGER, 3, dict(type=int)),
+    "threshold": Option(("equidistribution",), (int, float), 0.05, dict(type=float)),
+    # an extra report file written by analyze
+    "analysis_out": Option((), _OPTIONAL_TEXT, None, {}),
+}
+# sizes, from a flag or the config file, must be at least 1
+POSITIVE_KEYS = ("iters", "samples", "length", "radius")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def load_config(args: argparse.Namespace) -> dict:
+    cfg = {key: opt.default for key, opt in OPTIONS.items()}
+    if getattr(args, "config", None):
+        with open(args.config) as fh:
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"bad config JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ParseError("config must be a JSON object")
+        for key, value in loaded.items():
+            if key not in OPTIONS:
+                raise ParseError(f"unknown config key {key!r}")
+            # exact types: JSON true/false must not pass as an integer
+            opt = OPTIONS[key]
+            if type(value) not in opt.types:
+                raise ParseError(
+                    f"config key {key!r} must be "
+                    f"{' or '.join(t.__name__ for t in opt.types)}, "
+                    f"got {type(value).__name__}"
+                )
+            choices = opt.flag.get("choices")
+            if choices and value not in choices:
+                raise ParseError(f"config key {key!r} must be one of {choices}, got {value!r}")
+        cfg.update(loaded)
+    for key, value in vars(args).items():
+        if key in ("command", "config"):
+            continue
+        if value is not None:
+            cfg[key] = value
+    for key in POSITIVE_KEYS:
+        if cfg[key] < 1:
+            raise ParseError(f"--{key} must be a positive integer, got {cfg[key]}")
+    # |S_N|/N <= 1; NaN fails both comparisons
+    if not 0 < cfg["threshold"] <= 1:
+        raise ParseError(f"--threshold must be a number in (0, 1], got {cfg['threshold']}")
+    return cfg
+
+
+def _exact(cfg: dict, key: str, ctx, parse=parse_scalar):
+    """Option ``key`` read exactly in the field ``ctx``: text by ``parse``,
+    a JSON number as the rational it equals.  Malformed text, a zero
+    denominator, NaN or an infinity is a parse error that names the flag."""
+    value, flag = cfg[key], _flag(key)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"{flag} must be finite, got {value}")
+    try:
+        if isinstance(value, str):
+            return parse(value, ctx)
+        return _rational(*value.as_integer_ratio())
+    except ZeroDivisionError:
+        raise ParseError(f"{flag} has a zero denominator: {value!r}") from None
+    except ParseError as exc:
+        raise ParseError(f"{flag}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,21 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        _add_options(sub.add_parser(name), name)
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="JSON configuration file")
+        for key, opt in OPTIONS.items():
+            if name in opt.commands:
+                p.add_argument(_flag(key), **opt.flag)
     return parser
-
-
-# flags whose exact scalar value may start with '-', as in -3/7 or -1+1*l
-SCALAR_FLAGS = ("--s", "--theta", "--s-prime", "--step")
-
-
-def _resolve_flag(token: str, options: list[str]) -> str:
-    """The option argparse reads ``token`` as: itself when it is an option,
-    else the one option it abbreviates; ``token`` when none or several do."""
-    if token in options or not token.startswith("--"):
-        return token
-    matches = [o for o in options if o.startswith(token)]
-    return matches[0] if len(matches) == 1 else token
 
 
 def _attach_scalar_values(argv) -> list[str]:
@@ -440,11 +416,15 @@ def _attach_scalar_values(argv) -> list[str]:
     argv = list(argv)
     if not argv or argv[0] not in COMMANDS:
         return argv
-    options = _add_options(argparse.ArgumentParser(add_help=False), argv[0])
+    flags = {_flag(key): opt.types == _SCALAR
+             for key, opt in OPTIONS.items() if argv[0] in opt.commands}
     out, tokens = [], iter(argv)
     for token in tokens:
-        scalar = _resolve_flag(token, options) in SCALAR_FLAGS
-        value = next(tokens, None) if scalar else None
+        # argparse reads a flag's own spelling, else the one flag it abbreviates
+        # (-h, --help and --config share no prefix but '--' with a scalar flag)
+        matches = [f for f in flags if f.startswith(token)] if token.startswith("--") else []
+        flag = token if token in flags else matches[0] if len(matches) == 1 else None
+        value = next(tokens, None) if flags.get(flag) else None
         out.append(token if value is None else f"{token}={value}")
     return out
 

@@ -66,15 +66,20 @@ PHI2 = PHI + 1
 PHI3 = 2 * PHI + 1
 
 
-def golden(x):
-    """Promote a rational to the golden field."""
+def _in_field(x, ctx, error: str) -> QuadraticNumber:
+    """Promote a rational to the field ``ctx``; ``error`` if ``x`` lies in another."""
     if isinstance(x, QuadraticNumber):
-        if x.ctx is not GOLDEN and x.ctx != GOLDEN:
-            raise ValueError("expected a golden-field scalar")
+        if x.ctx is not ctx and x.ctx != ctx:
+            raise ValueError(error)
         return x
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)  # floats and decimal strings convert exactly
-    return QuadraticNumber(x, 0, GOLDEN)
+    return QuadraticNumber(x, 0, ctx)
+
+
+def golden(x):
+    """Promote a rational to the golden field."""
+    return _in_field(x, GOLDEN, "expected a golden-field scalar")
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +540,7 @@ def _reduced(u, w, t, nm):
 
 
 def golden_like(x, data: EigenData) -> QuadraticNumber:
-    if isinstance(x, QuadraticNumber):
-        if x.ctx != data.context:
-            raise ValueError("wrong field for this eigen data")
-        return x
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)  # floats and decimal strings convert exactly
-    return QuadraticNumber(x, 0, data.context)
+    return _in_field(x, data.context, "wrong field for this eigen data")
 
 
 def section_samples(data: EigenData, count: int, seed: int = 11) -> list[SectionPoint]:

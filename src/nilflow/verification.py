@@ -70,10 +70,6 @@ def _rand_vector(rng: random.Random) -> AlgebraVector:
     return AlgebraVector(_rand_fraction(rng), _rand_fraction(rng), _rand_fraction(rng))
 
 
-def _rand_golden(rng: random.Random) -> QuadraticNumber:
-    return QuadraticNumber(_rand_fraction(rng), _rand_fraction(rng), GOLDEN)
-
-
 def _rand_in_context(rng: random.Random, ctx) -> QuadraticNumber:
     return QuadraticNumber(_rand_fraction(rng), _rand_fraction(rng), ctx)
 
@@ -243,12 +239,12 @@ def check_surface(seed: int, cases: int = 1000) -> CheckResult:
     quadric = surface_quadric(data)
     bad, action_bad = _Failures(), _Failures()
     for _ in range(cases):
-        t, s = _rand_golden(rng), _rand_golden(rng)
+        t, s = _rand_in_context(rng, GOLDEN), _rand_in_context(rng, GOLDEN)
         x, y = xy_of_ts(data, t, s)
         bad.record(quadric.evaluate(x, y) == z_of_ts(data, t, s), "surface identity",
                    t=t, s=s)
     for _ in range(100):
-        t, s = _rand_golden(rng), _rand_golden(rng)
+        t, s = _rand_in_context(rng, GOLDEN), _rand_in_context(rng, GOLDEN)
         x, y = xy_of_ts(data, t, s)
         g = GroupPoint(x, y, quadric.evaluate(x, y))
         x2, y2 = xy_of_ts(data, data.lam * t, data.lam_prime * s)

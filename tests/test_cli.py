@@ -7,7 +7,7 @@ import pytest
 from nilflow.cli import _orbit_rows_flow, main
 from nilflow.dynamics import INV_PHI4
 from nilflow.factorization import eigen_data, factor, flow_of
-from nilflow.freegroup import FIBONACCI
+from nilflow.freegroup import parse_substitution
 from nilflow.heisenberg import GroupPoint, canonicalize, flow, parse_group_point
 from nilflow.scalar import GOLDEN, QuadraticNumber, parse_scalar
 
@@ -72,22 +72,25 @@ def test_orbit_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("start, step", [(None, "1/2"), ("[1/3, -2/5, 7/4]", "3/7"),
-                                         ("[1/2+1*l, -l, 2]", "1-1*l")])
+                                         ("[1/2+1*l, -l, 2]", "1-1*l"), (None, "1+l")])
 def test_flow_orbit_matches_the_flow_from_the_start(start, step):
     # each step is one group product from the last representative; the
-    # representative of the flow at time k*dt from the start is the same
-    cfg = {"substitution": "a->ab;b->a", "start": start, "step": step, "iters": 40}
-    rows = list(_orbit_rows_flow(cfg))
-    vec = flow_of(eigen_data(factor(FIBONACCI)), "lam")
-    g = parse_group_point(start, GOLDEN) if start else GroupPoint(0, 0, 0)
-    dt = parse_scalar(step, GOLDEN)
-    t = dt - dt
-    for k, names, coords in rows:
-        rep = canonicalize(flow(vec, t, g)).rep
-        assert coords == (rep.x, rep.y, rep.z)
-        assert [type(c) for c in coords] == [type(rep.x), type(rep.y), type(rep.z)]
-        t = t + dt
-    assert len(rows) == 41
+    # representative of the flow at time k*dt from the start is the same.
+    # --start and --step are read in the field of the substitution's eigenvalue
+    for sub in ("a->ab;b->a", "a->aab;b->a"):
+        cfg = {"substitution": sub, "start": start, "step": step, "iters": 40}
+        rows = list(_orbit_rows_flow(cfg))
+        data = eigen_data(factor(parse_substitution(sub)))
+        vec = flow_of(data, "lam")
+        g = parse_group_point(start, data.context) if start else GroupPoint(0, 0, 0)
+        dt = parse_scalar(step, data.context)
+        t = dt - dt
+        for k, names, coords in rows:
+            rep = canonicalize(flow(vec, t, g)).rep
+            assert coords == (rep.x, rep.y, rep.z)
+            assert [type(c) for c in coords] == [type(rep.x), type(rep.y), type(rep.z)]
+            t = t + dt
+        assert len(rows) == 41
 
 
 def test_broken_line(tmp_path, capsys):
@@ -168,7 +171,7 @@ def test_unknown_config_key_is_parse_error(tmp_path, capsys):
 def test_config_value_of_wrong_type_is_parse_error(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     for bad in ({"iters": "abc"}, {"iters": True}, {"threshold": "x"},
-                {"substitution": 5}):
+                {"substitution": 5}, {"kind": "bogus"}, {"format": "xml"}):
         cfg.write_text(json.dumps({**bad, "out": str(tmp_path)}))
         assert run(["orbit", "--config", cfg]) == 2
         assert repr(next(iter(bad))) in capsys.readouterr().err
@@ -206,16 +209,51 @@ def test_non_positive_sizes_are_parse_errors(tmp_path, capsys):
 
 
 def test_orbit_strip_flags_match_the_config_file(tmp_path):
-    (tmp_path / "c.json").write_text(json.dumps({"s": "-3/7", "theta": "2/7"}))
-    for fmt in ("csv", "jsonl"):
-        base = ["orbit", "--kind", "strip", "--iters", 40, "--format", fmt]
-        assert run([*base, "--s=-3/7", "--theta", "2/7", "--out", tmp_path / "flags"]) == 0
-        assert run([*base, "--config", tmp_path / "c.json", "--out", tmp_path / "cfg"]) == 0
-        assert run([*base, "--out", tmp_path / "default"]) == 0
-        name = f"orbit-strip.{fmt}"
-        flags = (tmp_path / "flags" / name).read_bytes()
-        assert flags == (tmp_path / "cfg" / name).read_bytes()
-        assert flags != (tmp_path / "default" / name).read_bytes()
+    # a JSON number converts exactly; 1/2 is the default step
+    for kind, config, args in [
+        ("strip", {"s": "-3/7", "theta": "2/7"}, ["--s=-3/7", "--theta", "2/7"]),
+        ("strip", {"s": -0.25, "theta": 0.5}, ["--s", "-1/4", "--theta", "1/2"]),
+        ("flow", {"step": 0.5}, ["--step", "1/2"]),
+    ]:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        for fmt in ("csv", "jsonl"):
+            base = ["orbit", "--kind", kind, "--iters", 40, "--format", fmt]
+            assert run([*base, *args, "--out", tmp_path / "flags"]) == 0
+            assert run([*base, "--config", tmp_path / "c.json", "--out", tmp_path / "cfg"]) == 0
+            assert run([*base, "--out", tmp_path / "default"]) == 0
+            name = f"orbit-{kind}.{fmt}"
+            flags = (tmp_path / "flags" / name).read_bytes()
+            assert flags == (tmp_path / "cfg" / name).read_bytes()
+            assert (flags == (tmp_path / "default" / name).read_bytes()) == (kind == "flow")
+
+
+def test_bad_exact_scalars_are_parse_errors(tmp_path, capsys):
+    # 1/0, malformed text, NaN and infinities as a flag or in a config file, and
+    # the removed 'context' key: exit 2, the flag or key named, no traceback,
+    # no artifact
+    cfg = tmp_path / "config.json"
+    strip, flow = ["orbit", "--kind", "strip"], ["orbit", "--kind", "flow"]
+    for command, key, value in [
+        (["induce"], "s", "1/0"), (strip, "theta", "1/0"), (["induce"], "s_prime", "1/0"),
+        (flow, "step", "1/0"), (flow, "start", "[1/0, 0, 0]"),
+        (["orbit"], "start", "[0, 0, -1/0]"), (["induce"], "theta", "1+"),
+        (["orbit"], "start", "[1, 2]"),
+    ]:
+        flag = "--" + key.replace("_", "-")
+        assert run([*command, flag, value, "--out", tmp_path]) == 2, (flag, value)
+        assert flag in capsys.readouterr().err
+        cfg.write_text(json.dumps({key: value, "out": str(tmp_path)}))
+        assert run([*command, "--config", cfg]) == 2, (key, value)
+        assert flag in capsys.readouterr().err
+    for command, bad, name in [
+        (["induce"], {"s": float("nan")}, "--s"), (strip, {"theta": float("inf")}, "--theta"),
+        (["induce"], {"s_prime": float("-inf")}, "--s-prime"),
+        (flow, {"step": float("nan")}, "--step"), (strip, {"context": "1,-1"}, "'context'"),
+    ]:
+        cfg.write_text(json.dumps({**bad, "out": str(tmp_path)}))
+        assert run([*command, "--config", cfg]) == 2, bad
+        assert name in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("command, name", [
