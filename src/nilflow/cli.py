@@ -256,13 +256,18 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def cmd_equidistribution(cfg: dict) -> int:
+    """Weyl sums |S_N|/N of every character (p, q) with 0 < max(|p|, |q|) <=
+    --radius along two orbits: the sampled nilflow of --substitution, and
+    the golden skew product, which is defined for Fibonacci only and so does
+    not depend on --substitution."""
     outdir = Path(cfg["out"])
+    data = eigen_data(factor(parse_substitution(cfg["substitution"])))
     reports = {}
     for kind in ("skew", "nilflow"):
         rep = equidistribution_report(
             kind, cfg["iters"], radius=cfg["radius"],
             # a config file may give an integer; the report writes a float
-            threshold=float(cfg["threshold"]),
+            threshold=float(cfg["threshold"]), data=data,
         )
         reports[kind] = rep
         print(f"{kind}: worst |S_N|/N = {rep['worst_modulus']:.6f} "
@@ -397,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Heisenberg nilflow and niltranslation experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for name, command in COMMANDS.items():
+        # a command's docstring is the description in its -h
+        p = sub.add_parser(name, description=command.__doc__)
         p.add_argument("--config", help="JSON configuration file")
         for key, opt in OPTIONS.items():
             if name in opt.commands:

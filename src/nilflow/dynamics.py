@@ -1091,6 +1091,14 @@ def _trig_rows(t, rows, scratch) -> None:
         s[k] += np.multiply(c[k - 1], s[1], out=scratch)
 
 
+def _rotation(delta: float, r: int):
+    """R(delta) with R @ (rows of t) = rows of t + delta, by angle addition."""
+    import numpy as np
+    angle = 2 * np.pi * np.arange(r + 1) * delta
+    c, s = np.diag(np.cos(angle)), np.diag(np.sin(angle))
+    return np.block([[c, -s], [s, c]])
+
+
 def _birkhoff_moduli(chars, n_iter: int, chunk: int, points) -> dict:
     """|S_N|/N of each character; ``points(k0, n)`` gives orbit points k0 .. k0+n-1.
 
@@ -1098,21 +1106,40 @@ def _birkhoff_moduli(chars, n_iter: int, chunk: int, points) -> dict:
     chunk, summed into G = [[CC, CS], [SC, SS]] with CS[a, b] the sum of
     cos 2 pi a x sin 2 pi b y.  For p = sp a, q = sq b (sp, sq = +-1):
     e(p x + q y) = CC - sp sq SS + i (sp SC + sq CS) at [a, b].
+
+    After the first chunk, ``points`` may give x, or both x and y, as a float
+    delta: that coordinate is a translation, t_{k0+j} = t_j + delta mod 1,
+    so its rows are the first chunk's turned by :func:`_rotation` and no cos
+    or sin runs over the chunk.  With both translated the chunk adds
+    R(dx) G0 R(dy)^T, G0 the first chunk's Gram matrix over n points.
     """
     import numpy as np
     if n_iter < 1:
         raise ValueError(f"n_iter must be positive, got {n_iter}")
     r = max((max(abs(p), abs(q)) for p, q in chars), default=0)
     width = min(chunk, n_iter)
+    x, y = points(0, width)
     rows_x, rows_y = np.empty((2, 2 * r + 2, width))
     scratch = np.empty(width)
-    total = np.zeros((2 * r + 2, 2 * r + 2))
-    for k0 in range(0, n_iter, chunk):
+    _trig_rows(x, rows_x, scratch)
+    _trig_rows(y, rows_y, scratch)
+    del x, y
+    first = {width: rows_x @ rows_y.T}  # G0 by n, the tail's on demand
+    total = first[width].copy()
+    for k0 in range(chunk, n_iter, chunk):
         n = min(chunk, n_iter - k0)
         x, y = points(k0, n)
-        _trig_rows(x, rows_x[:, :n], scratch[:n])
+        if isinstance(y, float):
+            if n not in first:
+                first[n] = rows_x[:, :n] @ rows_y[:, :n].T
+            total += _rotation(x, r) @ first[n] @ _rotation(y, r).T
+            continue
         _trig_rows(y, rows_y[:, :n], scratch[:n])
-        total += rows_x[:, :n] @ rows_y[:, :n].T
+        if isinstance(x, float):  # rows_x keeps the first chunk's rows
+            total += _rotation(x, r) @ (rows_x[:, :n] @ rows_y[:, :n].T)
+        else:
+            _trig_rows(x, rows_x[:, :n], scratch[:n])
+            total += rows_x[:, :n] @ rows_y[:, :n].T
     cc, cs = total[:r + 1, :r + 1], total[:r + 1, r + 1:]
     sc, ss = total[r + 1:, :r + 1], total[r + 1:, r + 1:]
     moduli = {}
@@ -1148,7 +1175,10 @@ def weyl_sums_skew_product(chars, n_iter: int, u0: float = 0.0, v0: float = 0.0,
     u = {u0 + k0/phi^2}, v = {v0 + k0 u0 + k0(k0-1)/(2 phi^2) - k0/(2 phi^3)},
     and exported as correctly rounded doubles.  Inside a chunk the base steps
     by the float 1/phi^2 and the fiber is a float cumulative sum, so rounding
-    builds up over at most ``chunk`` steps and never across chunks.
+    builds up over at most ``chunk`` steps and never across chunks.  The base
+    is a rotation: its trig rows are the first chunk's turned by the shift
+    float(u) - float(u0), taken afresh from each chunk's exact start, and only
+    the fiber v gets fresh cos and sin rows per chunk.
     """
     import numpy as np
     u0, v0 = golden(u0), golden(v0)
@@ -1159,7 +1189,8 @@ def weyl_sums_skew_product(chars, n_iter: int, u0: float = 0.0, v0: float = 0.0,
                         - k0 * HALF_INV_PHI3)[1]
         u = _mod1(scalar_float(us) + np.arange(n) * float(INV_PHI2))
         w = u - float(HALF_INV_PHI3)
-        return u, _mod1(scalar_float(vs) + np.cumsum(w) - w)
+        v = _mod1(scalar_float(vs) + np.cumsum(w) - w)
+        return (scalar_float(us) - scalar_float(u0) if k0 else u), v
     return _birkhoff_moduli(chars, n_iter, chunk, points)
 
 
@@ -1181,7 +1212,10 @@ def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
     so that 1, step*alpha and step*beta are rationally independent; the
     default is :func:`off_field_step` of the field (sqrt(2) for Q(sqrt 5),
     sqrt(3) for Q(sqrt 2)).  Orbit positions come from the closed flow
-    formula.
+    formula.  Both coordinates are translations: chunk k0 is the first chunk
+    shifted by (k0 step alpha, k0 step beta) mod 1, each computed afresh as
+    the float point k0 (never accumulated), so a chunk costs one rotation of
+    the first chunk's Gram matrix and no cos or sin over its points.
     """
     import numpy as np
     if step is None:
@@ -1189,7 +1223,10 @@ def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
     alpha, beta = scalar_float(data.alpha), scalar_float(data.beta)
 
     def points(k0, n):
-        t = np.arange(k0, k0 + n, dtype=np.float64) * step
+        if k0:
+            t = k0 * step
+            return (t * alpha) % 1.0, (t * beta) % 1.0
+        t = np.arange(n, dtype=np.float64) * step
         return _mod1(t * alpha), _mod1(t * beta)
     return _birkhoff_moduli(chars, n_iter, chunk, points)
 

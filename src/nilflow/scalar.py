@@ -230,16 +230,6 @@ class QuadraticContext:
     def __repr__(self) -> str:
         return f"QuadraticContext({self.trace}, {self.det})"
 
-    @classmethod
-    def from_text(cls, text: str) -> "QuadraticContext":
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 'T,D', got {text!r}")
-        try:
-            return cls(int(parts[0]), int(parts[1]))
-        except ValueError as exc:
-            raise ParseError(f"bad context {text!r}: {exc}") from exc
-
     @property
     def lam(self) -> "QuadraticNumber":
         """The distinguished root as a field element."""

@@ -150,6 +150,26 @@ def test_equidistribution_artifact(tmp_path, capsys):
     assert report["skew"]["passed"]
 
 
+def test_equidistribution_uses_the_substitution(tmp_path, capsys):
+    from nilflow.dynamics import character_grid, weyl_sums_nilflow
+    args = ["equidistribution", "--iters", 20000, "--radius", 2, "--format", "jsonl"]
+    sub = "a->aab;b->a"
+    assert run([*args, "--out", tmp_path / "default"]) == 0
+    assert run([*args, "--substitution", sub, "--out", tmp_path / "aab"]) == 0
+    default, aab = (json.loads((tmp_path / d / "weyl-sums.json").read_text())
+                    for d in ("default", "aab"))
+    table = weyl_sums_nilflow(eigen_data(factor(parse_substitution(sub))),
+                              character_grid(2), 20000)
+    assert aab["nilflow"]["n_iter"] == 20000
+    assert aab["nilflow"]["moduli"] == {f"{p},{q}": m for (p, q), m in table.items()}
+    assert aab["nilflow"]["moduli"] != default["nilflow"]["moduli"]
+    # the golden skew product is Fibonacci's whatever the substitution
+    assert aab["skew"] == default["skew"]
+    # a substitution that fails (H) is a hypothesis violation, as in orbit
+    assert run([*args, "--substitution", "a->ab;b->b", "--out", tmp_path / "bad"]) == 3
+    assert not (tmp_path / "bad").exists()
+
+
 def test_csv_floats_do_not_depend_on_earlier_commands(tmp_path):
     skew = ["orbit", "--kind", "skew", "--iters", 30, "--format", "csv"]
     assert run([*skew, "--out", tmp_path / "first"]) == 0

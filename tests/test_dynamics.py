@@ -737,20 +737,25 @@ def _check_weyl_kernel_against_direct_sums(chars):
     )
     from nilflow.scalar import scalar_float
 
-    n = 3000
-    t = np.arange(n) * off_field_step(5)
     alpha, beta = scalar_float(FIB_DATA.alpha), scalar_float(FIB_DATA.beta)
-    want = _direct_moduli(chars, (t * alpha) % 1.0, (t * beta) % 1.0)
-    got = weyl_sums_nilflow(FIB_DATA, chars, n)
-    assert set(got) == set(chars)
-    for pq in chars:
-        assert abs(got[pq] - want[pq]) < 1e-12, pq
-    # chunks of 1000 re-seed the closed form at k0 = 1000 and 2000
-    for u0, v0 in ((0.0, 0.0), (0.25, 0.5)):
-        want = _direct_moduli(chars, *_exact_skew_orbit(u0, v0, n))
-        fast = weyl_sums_skew_product(chars, n, u0=u0, v0=v0, chunk=1000)
+    # one chunk; then the chunks at 1000, 2000 and 3000 turned from the first,
+    # the last a 500-point tail
+    for n, chunk in ((3000, 1 << 14), (3500, 1000)):
+        t = np.arange(n) * off_field_step(5)
+        want = _direct_moduli(chars, (t * alpha) % 1.0, (t * beta) % 1.0)
+        got = weyl_sums_nilflow(FIB_DATA, chars, n, chunk=chunk)
+        assert set(got) == set(chars)
         for pq in chars:
-            assert abs(fast[pq] - want[pq]) < 1e-9, (u0, v0, pq)
+            assert abs(got[pq] - want[pq]) < 1e-12, (n, pq)
+    # chunks of 1000 re-seed the closed form at k0 = 1000, 2000 (and 3000);
+    # from u0 = 0.25 some base shifts float(u) - float(u0) are negative
+    for n in (3000, 3500):
+        for u0, v0 in ((0.0, 0.0), (0.25, 0.5)):
+            want = _direct_moduli(chars, *_exact_skew_orbit(u0, v0, n))
+            fast = weyl_sums_skew_product(chars, n, u0=u0, v0=v0, chunk=1000)
+            for pq in chars:
+                assert abs(fast[pq] - want[pq]) < 1e-9, (n, u0, v0, pq)
+    n = 3000
     want = _direct_moduli(chars, *_exact_skew_orbit(0, 0, n))
     exact = weyl_sums_skew_exact(chars, n)
     for pq in chars:
@@ -795,21 +800,26 @@ def test_weyl_sums_do_not_depend_on_the_chunk():
 def test_nilflow_weyl_sums_match_the_geometric_series():
     mpmath = pytest.importorskip("mpmath")
     from nilflow.dynamics import character_grid, weyl_sums_nilflow
-    n = 10**5
-    table = weyl_sums_nilflow(FIB_DATA, character_grid(3), n)
-    with mpmath.workdps(40):
-        phi = (1 + mpmath.sqrt(5)) / 2
+    # Fibonacci in Q(sqrt 5) with step sqrt 2, and a->aab;b->a in Q(sqrt 2)
+    # with step sqrt 3: the first chunk, 60 chunks turned from it and a turned
+    # 576-point tail
+    aab = eigen_data(factor(parse_substitution("a->aab;b->a")))
+    for data, n, m in ((FIB_DATA, 10**5, 2), (aab, 10**6, 3)):
+        table = weyl_sums_nilflow(data, character_grid(3), n)
+        with mpmath.workdps(40):
+            ctx = data.context
+            lam = (ctx.trace + mpmath.sqrt(ctx.disc)) / 2
 
-        def real(x):  # a + b*phi in the golden field
-            return (mpmath.mpf(x.a.numerator) / x.a.denominator
-                    + mpmath.mpf(x.b.numerator) / x.b.denominator * phi)
+            def real(x):  # a + b*l in Q(l)
+                return (mpmath.mpf(x.a.numerator) / x.a.denominator
+                        + mpmath.mpf(x.b.numerator) / x.b.denominator * lam)
 
-        alpha, beta = real(FIB_DATA.alpha), real(FIB_DATA.beta)
-        for (p, q), got in table.items():
-            theta = mpmath.sqrt(2) * (p * alpha + q * beta)
-            want = abs(mpmath.sin(mpmath.pi * n * theta)
-                       / (n * mpmath.sin(mpmath.pi * theta)))
-            assert abs(got - float(want)) < 1e-9, (p, q)
+            alpha, beta = real(data.alpha), real(data.beta)
+            for (p, q), got in table.items():
+                theta = mpmath.sqrt(m) * (p * alpha + q * beta)
+                want = abs(mpmath.sin(mpmath.pi * n * theta)
+                           / (n * mpmath.sin(mpmath.pi * theta)))
+                assert abs(got - float(want)) < 1e-9, (data.context, p, q)
 
 
 def test_skew_weyl_sums_stay_small_in_memory():
