@@ -1074,29 +1074,71 @@ def _mod1(x):
 
 
 def _trig_rows(t, rows, scratch) -> None:
-    """rows[k] = cos 2 pi k t and rows[r + 1 + k] = sin 2 pi k t for k = 0 .. r:
-    one cos and one sin at k = 1, then angle addition."""
+    """rows[k] = cos 2 pi k t and rows[r + 1 + k] = sin 2 pi k t for k = 0 .. r
+    (r >= 1): one cos and one sin at k = 1, then :func:`_angle_addition`."""
     import numpy as np
     r = len(rows) // 2 - 1
+    rows[0], rows[r + 1] = 1.0, 0.0
+    np.multiply(t, 2 * np.pi, out=scratch)
+    np.cos(scratch, out=rows[1])
+    np.sin(scratch, out=rows[r + 2])
+    _angle_addition(rows, scratch)
+
+
+def _angle_sum(ca, sa, cb, sb, c, s, scratch) -> None:
+    """c, s = cos and sin of a + b, from those of a and of b."""
+    import numpy as np
+    np.multiply(ca, cb, out=c)
+    c -= np.multiply(sa, sb, out=scratch)
+    np.multiply(sa, cb, out=s)
+    s += np.multiply(ca, sb, out=scratch)
+
+
+def _angle_addition(rows, scratch) -> None:
+    """The rows k = 2 .. r of :func:`_trig_rows` from its rows k = 0, 1."""
+    r = len(rows) // 2 - 1
     c, s = rows[:r + 1], rows[r + 1:]
-    c[0], s[0] = 1.0, 0.0
-    if r:
-        np.multiply(t, 2 * np.pi, out=scratch)
-        np.cos(scratch, out=c[1])
-        np.sin(scratch, out=s[1])
     for k in range(2, r + 1):
-        np.multiply(c[k - 1], c[1], out=c[k])
-        c[k] -= np.multiply(s[k - 1], s[1], out=scratch)
-        np.multiply(s[k - 1], c[1], out=s[k])
-        s[k] += np.multiply(c[k - 1], s[1], out=scratch)
+        _angle_sum(c[k - 1], s[k - 1], c[1], s[1], c[k], s[k], scratch)
+
+
+def _chirp_rows(drift: float, k1, rows, b: int, scratch) -> None:
+    """The rows of :func:`_trig_rows` at t_j + j drift, j < n, into rows[:, :n],
+    from k1 = (cos 2 pi t_j, sin 2 pi t_j), j < n.
+
+    e(t_j + j drift) is e(t_j) times the chirp e(j drift), and over
+    j = i b + l the chirp is e(i b drift) e(l drift): two products of an
+    (m, 2) and a (2, b) matrix, m = ceil(n/b), so n points take m + b cos and
+    sin.  The chirp is built in the k = 0 rows (``rows`` has at least m b
+    columns), which then get back their 1 and 0.
+    """
+    import numpy as np
+    r = len(rows) // 2 - 1
+    n = k1.shape[1]
+    m = -(-n // b)
+    hi = np.multiply(np.arange(0, m * b, b), 2 * np.pi * drift)
+    lo = np.multiply(np.arange(b), 2 * np.pi * drift)
+    ch, sh, lo = np.cos(hi), np.sin(hi), np.stack([np.cos(lo), np.sin(lo)])
+    cc, cs = rows[0, :m * b].reshape(m, b), rows[r + 1, :m * b].reshape(m, b)
+    np.matmul(np.stack([ch, -sh], axis=1), lo, out=cc)  # cos 2 pi j drift
+    np.matmul(np.stack([sh, ch], axis=1), lo, out=cs)   # sin 2 pi j drift
+    _angle_sum(k1[0], k1[1], rows[0, :n], rows[r + 1, :n], rows[1, :n],
+               rows[r + 2, :n], scratch[:n])
+    rows[0], rows[r + 1] = 1.0, 0.0
+    _angle_addition(rows[:, :n], scratch[:n])
 
 
 def _rotation(delta: float, r: int):
     """R(delta) with R @ (rows of t) = rows of t + delta, by angle addition."""
     import numpy as np
     angle = 2 * np.pi * np.arange(r + 1) * delta
-    c, s = np.diag(np.cos(angle)), np.diag(np.sin(angle))
-    return np.block([[c, -s], [s, c]])
+    c, s, m = np.cos(angle), np.sin(angle), r + 1
+    rot = np.zeros((2 * m, 2 * m))
+    rot[:m, m:] = -0.0  # the signed zeros of a block -diag(s)
+    diag = np.einsum("aibi->abi", rot.reshape(2, m, 2, m))  # of block (a, b)
+    diag[0, 0] = diag[1, 1] = c
+    diag[0, 1], diag[1, 0] = -s, s
+    return rot
 
 
 def _birkhoff_moduli(chars, n_iter: int, chunk: int, points) -> dict:
@@ -1107,39 +1149,56 @@ def _birkhoff_moduli(chars, n_iter: int, chunk: int, points) -> dict:
     cos 2 pi a x sin 2 pi b y.  For p = sp a, q = sq b (sp, sq = +-1):
     e(p x + q y) = CC - sp sq SS + i (sp SC + sq CS) at [a, b].
 
-    After the first chunk, ``points`` may give x, or both x and y, as a float
-    delta: that coordinate is a translation, t_{k0+j} = t_j + delta mod 1,
-    so its rows are the first chunk's turned by :func:`_rotation` and no cos
-    or sin runs over the chunk.  With both translated the chunk adds
-    R(dx) G0 R(dy)^T, G0 the first chunk's Gram matrix over n points.
+    ``points`` gives each coordinate as a float array, and after the first
+    chunk it may instead give it as floats (delta, drift): then
+    t_{k0+j} = t_j + delta + j drift mod 1, with t_j the first chunk's
+    points, and a coordinate so given stays so given.  Its rows at
+    t_j + j drift are the first chunk's rows, or with a drift
+    :func:`_chirp_rows` of the first chunk's k = 1 rows, so no cos or sin runs
+    over the chunk; :func:`_rotation` R(delta) adds the delta.  A chunk adds
+    R(dx) (rows_x rows_y^T) R(dy)^T, where with two translations (both
+    drifts 0) the product in brackets is the first chunk's Gram matrix over
+    n points.  Given delta and drift each rounded once, the phase of turned
+    point j errs by its first-chunk point's error plus at most
+    j |err drift| + |err delta| and the rounding of j drift: about
+    chunk 2^-52 turns per harmonic, never growing across chunks.
     """
     import numpy as np
     if n_iter < 1:
         raise ValueError(f"n_iter must be positive, got {n_iter}")
-    r = max((max(abs(p), abs(q)) for p, q in chars), default=0)
+    r = max([1] + [max(abs(p), abs(q)) for p, q in chars])
     width = min(chunk, n_iter)
+    b = math.isqrt(width - 1) + 1  # the chirp's blocks: j = i b + l
     x, y = points(0, width)
-    rows_x, rows_y = np.empty((2, 2 * r + 2, width))
-    scratch = np.empty(width)
-    _trig_rows(x, rows_x, scratch)
-    _trig_rows(y, rows_y, scratch)
+    rows = np.empty((2, 2 * r + 2, -(-width // b) * b))
+    scratch = np.empty(rows.shape[2])
+    _trig_rows(x, rows[0, :, :width], scratch[:width])
+    _trig_rows(y, rows[1, :, :width], scratch[:width])
     del x, y
-    first = {width: rows_x @ rows_y.T}  # G0 by n, the tail's on demand
+    first = {width: rows[0, :, :width] @ rows[1, :, :width].T}  # G0 by n
+    k1 = [None, None]  # a drifting coordinate's first k = 1 rows
     total = first[width].copy()
     for k0 in range(chunk, n_iter, chunk):
         n = min(chunk, n_iter - k0)
         x, y = points(k0, n)
-        if isinstance(y, float):
+        if isinstance(x, tuple) and isinstance(y, tuple) and not (x[1] or y[1]):
             if n not in first:
-                first[n] = rows_x[:, :n] @ rows_y[:, :n].T
-            total += _rotation(x, r) @ first[n] @ _rotation(y, r).T
-            continue
-        _trig_rows(y, rows_y[:, :n], scratch[:n])
-        if isinstance(x, float):  # rows_x keeps the first chunk's rows
-            total += _rotation(x, r) @ (rows_x[:, :n] @ rows_y[:, :n].T)
+                first[n] = rows[0, :, :n] @ rows[1, :, :n].T
+            gram = first[n]
         else:
-            _trig_rows(x, rows_x[:, :n], scratch[:n])
-            total += rows_x[:, :n] @ rows_y[:, :n].T
+            for i, t in enumerate((x, y)):
+                if not isinstance(t, tuple):
+                    _trig_rows(t, rows[i, :, :n], scratch[:n])
+                elif t[1]:
+                    if k1[i] is None:
+                        k1[i] = rows[i, [1, r + 2], :width]
+                    _chirp_rows(t[1], k1[i][:, :n], rows[i], b, scratch)
+            gram = rows[0, :, :n] @ rows[1, :, :n].T
+        if isinstance(x, tuple):
+            gram = _rotation(x[0], r) @ gram
+        if isinstance(y, tuple):
+            gram = gram @ _rotation(y[0], r).T
+        total += gram
     cc, cs = total[:r + 1, :r + 1], total[:r + 1, r + 1:]
     sc, ss = total[r + 1:, :r + 1], total[r + 1:, r + 1:]
     moduli = {}
@@ -1155,7 +1214,8 @@ def weyl_sums_skew_exact(chars, n_iter: int, sample_every: int = 1) -> dict:
 
     Exact iteration is slow next to the vectorized closed form, so this is
     the cross-check path: characters are evaluated at float images of exact
-    orbit points, optionally every ``sample_every`` steps.
+    orbit points, optionally every ``sample_every`` steps, each chunk's
+    points as fresh arrays.
     """
     import numpy as np
     u, v, pts = golden(0), golden(0), []
@@ -1167,30 +1227,45 @@ def weyl_sums_skew_exact(chars, n_iter: int, sample_every: int = 1) -> dict:
                             lambda k0, n: np.array(pts[k0:k0 + n]).T)
 
 
+def _skew_shifts(u0, k0: int):
+    """(E, D) in [0, 1)^2, exact in Q(sqrt 5), with u_{k0+j} = u_j + E and
+    v_{k0+j} = v_j + D + j E mod 1 on every golden skew product orbit with
+    base start u0.
+
+    From the closed forms u_k = u0 + k/phi^2 and
+    v_k = v0 + k u0 + k(k-1)/(2 phi^2) - k/(2 phi^3): E = u_k0 - u_0 and
+    D = v_k0 - v_0, and the cross term j k0/phi^2 of v_{k0+j} is j E.
+    """
+    return (floor_mod1(k0 * INV_PHI2)[1],
+            floor_mod1(k0 * u0 + k0 * (k0 - 1) // 2 * INV_PHI2
+                       - k0 * HALF_INV_PHI3)[1])
+
+
 def weyl_sums_skew_product(chars, n_iter: int, u0: float = 0.0, v0: float = 0.0,
                            chunk: int = 1 << 14) -> dict:
     """Birkhoff averages of characters along the golden skew product orbit.
 
-    Each chunk starts from the orbit point k0 decided exactly in Q(sqrt 5),
-    u = {u0 + k0/phi^2}, v = {v0 + k0 u0 + k0(k0-1)/(2 phi^2) - k0/(2 phi^3)},
-    and exported as correctly rounded doubles.  Inside a chunk the base steps
-    by the float 1/phi^2 and the fiber is a float cumulative sum, so rounding
-    builds up over at most ``chunk`` steps and never across chunks.  The base
-    is a rotation: its trig rows are the first chunk's turned by the shift
-    float(u) - float(u0), taken afresh from each chunk's exact start, and only
-    the fiber v gets fresh cos and sin rows per chunk.
+    The first chunk starts from (u0, v0) reduced mod 1 exactly in Q(sqrt 5)
+    and exported as correctly rounded doubles: the base steps by the float
+    1/phi^2 and the fiber is a float cumulative sum.  Chunk k0 is the first
+    chunk turned: u by E and v by D + j E at its point j (:func:`_skew_shifts`),
+    each decided afresh in Q(sqrt 5) from k0 and rounded once, never
+    accumulated.  So the base rows are the first chunk's, the fiber rows are
+    the first chunk's times the chirp e(j E), and no cos or sin runs over a
+    chunk after the first.  The phase of turned fiber point j errs by its
+    first-chunk point's error plus at most j |err E| + |err D| and the
+    rounding of j E: about chunk 2^-52 turns per harmonic.
     """
     import numpy as np
-    u0, v0 = golden(u0), golden(v0)
+    u0, v0 = floor_mod1(golden(u0))[1], floor_mod1(golden(v0))[1]
 
     def points(k0, n):
-        us = floor_mod1(u0 + k0 * INV_PHI2)[1]
-        vs = floor_mod1(v0 + k0 * u0 + k0 * (k0 - 1) // 2 * INV_PHI2
-                        - k0 * HALF_INV_PHI3)[1]
-        u = _mod1(scalar_float(us) + np.arange(n) * float(INV_PHI2))
+        if k0:
+            e, d = map(scalar_float, _skew_shifts(u0, k0))
+            return (e, 0.0), (d, e)
+        u = _mod1(scalar_float(u0) + np.arange(n) * float(INV_PHI2))
         w = u - float(HALF_INV_PHI3)
-        v = _mod1(scalar_float(vs) + np.cumsum(w) - w)
-        return (scalar_float(us) - scalar_float(u0) if k0 else u), v
+        return u, _mod1(scalar_float(v0) + np.cumsum(w) - w)
     return _birkhoff_moduli(chars, n_iter, chunk, points)
 
 
@@ -1225,7 +1300,7 @@ def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
     def points(k0, n):
         if k0:
             t = k0 * step
-            return (t * alpha) % 1.0, (t * beta) % 1.0
+            return ((t * alpha) % 1.0, 0.0), ((t * beta) % 1.0, 0.0)
         t = np.arange(n, dtype=np.float64) * step
         return _mod1(t * alpha), _mod1(t * beta)
     return _birkhoff_moduli(chars, n_iter, chunk, points)

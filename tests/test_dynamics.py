@@ -561,6 +561,38 @@ def test_golden_skew_orbit_closed_form():
         u, v = golden_skew_step(u, v)
 
 
+def test_skew_chunks_are_the_first_chunk_turned_and_chirped():
+    from nilflow.dynamics import _skew_shifts
+
+    def integral(x):
+        return floor_mod1(x)[1] == 0
+
+    for start in ((0, 0), (Fraction(1, 4), Fraction(1, 2)),
+                  (Fraction(1, 8), Fraction(3, 4))):
+        u0, v0 = golden(start[0]), golden(start[1])
+        walk = [(u0, v0)]  # small indices by stepping
+        while len(walk) < 2000:
+            walk.append(golden_skew_step(*walk[-1]))
+
+        def point(k):  # large ones by the closed forms
+            if k < len(walk):
+                return walk[k]
+            return (floor_mod1(u0 + k * INV_PHI2)[1],
+                    floor_mod1(v0 + k * u0 + k * (k - 1) // 2 * INV_PHI2
+                               - k * HALF_INV_PHI3)[1])
+
+        for k0 in (1, 1000, 1 << 14, 61 << 14):
+            e, d = _skew_shifts(u0, k0)
+            uk, vk = point(k0)
+            assert integral(e - (uk - u0)) and integral(d - (vk - v0)), k0
+            for j in (0, 1, 577, (1 << 14) - 1):
+                u, v = point(k0 + j)
+                uj, vj = point(j)
+                assert integral(u - uj - (uk - u0)), (start, k0, j)
+                assert integral(v - vj - (vk - v0) - j * (uk - u0)), (start, k0, j)
+                assert integral(v - vj - d - j * e), (start, k0, j)
+
+
 def test_chart_equivalence():
     rep = fibonacci_chart_equivalence(n_verify=100)
     assert rep["passed"] and rep["found"]
@@ -739,22 +771,24 @@ def _check_weyl_kernel_against_direct_sums(chars):
 
     alpha, beta = scalar_float(FIB_DATA.alpha), scalar_float(FIB_DATA.beta)
     # one chunk; then the chunks at 1000, 2000 and 3000 turned from the first,
-    # the last a 500-point tail
-    for n, chunk in ((3000, 1 << 14), (3500, 1000)):
+    # the last a 500-point tail (at 1009, 2018 and 3027, a 473-point tail)
+    for n, chunk in ((3000, 1 << 14), (3500, 1000), (3500, 1009)):
         t = np.arange(n) * off_field_step(5)
         want = _direct_moduli(chars, (t * alpha) % 1.0, (t * beta) % 1.0)
         got = weyl_sums_nilflow(FIB_DATA, chars, n, chunk=chunk)
         assert set(got) == set(chars)
         for pq in chars:
             assert abs(got[pq] - want[pq]) < 1e-12, (n, pq)
-    # chunks of 1000 re-seed the closed form at k0 = 1000, 2000 (and 3000);
-    # from u0 = 0.25 some base shifts float(u) - float(u0) are negative
-    for n in (3000, 3500):
+    # chunks of 1000 or 1009 turn the first chunk at k0 = 1000, 2000 (and
+    # 3000), the fiber by a chirp over blocks of 32, which divide neither;
+    # the default chunk turns two chunks of 2^14 and a 577-point tail
+    for n, chunk in ((3000, 1000), (3500, 1000), (3500, 1009),
+                     (2 * (1 << 14) + 577, 1 << 14)):
         for u0, v0 in ((0.0, 0.0), (0.25, 0.5)):
             want = _direct_moduli(chars, *_exact_skew_orbit(u0, v0, n))
-            fast = weyl_sums_skew_product(chars, n, u0=u0, v0=v0, chunk=1000)
+            fast = weyl_sums_skew_product(chars, n, u0=u0, v0=v0, chunk=chunk)
             for pq in chars:
-                assert abs(fast[pq] - want[pq]) < 1e-9, (n, u0, v0, pq)
+                assert abs(fast[pq] - want[pq]) < 1e-9, (n, chunk, u0, v0, pq)
     n = 3000
     want = _direct_moduli(chars, *_exact_skew_orbit(0, 0, n))
     exact = weyl_sums_skew_exact(chars, n)
