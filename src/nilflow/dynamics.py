@@ -743,7 +743,7 @@ def sigma_diagonal_conjugacy_check(
         lhs = diag.from_sigma(section, section.return_map(q).point)
         rhs = diag.step(*diag.from_sigma(section, q))
         if lhs != rhs:
-            failures.append(scalar_str(q.s))
+            failures.append({"s": scalar_str(q.s), "zoff": scalar_str(q.zoff)})
     return {"samples": len(samples), "failures": failures, "passed": not failures}
 
 
@@ -1047,7 +1047,7 @@ def conjugation_suite(data: EigenData, x0, samples: int = 100, seed: int = 9,
         y = GroupPoint(rnd(), rnd(), rnd())
         x = rnd()
         if not central_shift_conjugation_holds(x, g, y):
-            failures.append({"x": str(x), "g": str(g)})
+            failures.append({"x": str(x), "g": str(g), "y": str(y)})
     return {
         "conjugation_failures": failures,
         "gamma0": scalar_str(gamma_zero(data)),
@@ -1141,64 +1141,59 @@ def _rotation(delta: float, r: int):
     return rot
 
 
-def _birkhoff_moduli(chars, n_iter: int, chunk: int, points) -> dict:
-    """|S_N|/N of each character; ``points(k0, n)`` gives orbit points k0 .. k0+n-1.
+def _birkhoff_moduli(chars, n_iter: int, chunk: int, first, turn=None) -> dict:
+    """|S_N|/N of each character over orbit points 0 .. N-1, in chunks.
 
-    The cos and sin rows of both coordinates give one real Gram matrix per
-    chunk, summed into G = [[CC, CS], [SC, SS]] with CS[a, b] the sum of
-    cos 2 pi a x sin 2 pi b y.  For p = sp a, q = sq b (sp, sq = +-1):
+    ``first(n)`` gives the first chunk's n points as two float arrays, and
+    ``turn(k0)`` every later chunk as ((dx, ex), (dy, ey)): for each
+    coordinate t_{k0+j} = t_j + d + j e mod 1, with t_j the first chunk's
+    points.  The cos and sin rows of both coordinates give one real Gram
+    matrix per chunk, summed into G = [[CC, CS], [SC, SS]] with CS[a, b] the
+    sum of cos 2 pi a x sin 2 pi b y.  For p = sp a, q = sq b (sp, sq = +-1):
     e(p x + q y) = CC - sp sq SS + i (sp SC + sq CS) at [a, b].
 
-    ``points`` gives each coordinate as a float array, and after the first
-    chunk it may instead give it as floats (delta, drift): then
-    t_{k0+j} = t_j + delta + j drift mod 1, with t_j the first chunk's
-    points, and a coordinate so given stays so given.  Its rows at
-    t_j + j drift are the first chunk's rows, or with a drift
-    :func:`_chirp_rows` of the first chunk's k = 1 rows, so no cos or sin runs
-    over the chunk; :func:`_rotation` R(delta) adds the delta.  A chunk adds
-    R(dx) (rows_x rows_y^T) R(dy)^T, where with two translations (both
-    drifts 0) the product in brackets is the first chunk's Gram matrix over
-    n points.  Given delta and drift each rounded once, the phase of turned
-    point j errs by its first-chunk point's error plus at most
-    j |err drift| + |err delta| and the rounding of j drift: about
-    chunk 2^-52 turns per harmonic, never growing across chunks.
+    Only the first chunk takes cos and sin at its points, whose arrays go
+    once their rows exist.  Chunk k0 adds R(dx) G_n R(dy)^T, :func:`_rotation`
+    R(d) adding d.  When neither coordinate drifts, G_n is the first chunk's
+    Gram matrix over n points; otherwise it is the product of the rows, a
+    drifting coordinate's rows being :func:`_chirp_rows` of its first k = 1
+    rows.  A coordinate drifts in every later chunk or in none.  Given d and
+    e each rounded once, the phase of turned point j errs by its first-chunk
+    point's error plus at most j |err e| + |err d| and the rounding of j e:
+    about chunk 2^-52 turns per harmonic, never growing across chunks.  With
+    no later chunk (chunk >= N) ``turn`` is never called.
     """
     import numpy as np
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be positive, got {n_iter}")
+    for name, size in (("n_iter", n_iter), ("chunk", chunk)):
+        if size < 1:
+            raise ValueError(f"{name} must be positive, got {size}")
     r = max([1] + [max(abs(p), abs(q)) for p, q in chars])
     width = min(chunk, n_iter)
     b = math.isqrt(width - 1) + 1  # the chirp's blocks: j = i b + l
-    x, y = points(0, width)
+    x, y = first(width)  # before the rows, so its temporaries never meet them
     rows = np.empty((2, 2 * r + 2, -(-width // b) * b))
     scratch = np.empty(rows.shape[2])
     _trig_rows(x, rows[0, :, :width], scratch[:width])
     _trig_rows(y, rows[1, :, :width], scratch[:width])
     del x, y
-    first = {width: rows[0, :, :width] @ rows[1, :, :width].T}  # G0 by n
+    grams = {width: rows[0, :, :width] @ rows[1, :, :width].T}  # G_n, no drift
     k1 = [None, None]  # a drifting coordinate's first k = 1 rows
-    total = first[width].copy()
+    total = grams[width].copy()
     for k0 in range(chunk, n_iter, chunk):
         n = min(chunk, n_iter - k0)
-        x, y = points(k0, n)
-        if isinstance(x, tuple) and isinstance(y, tuple) and not (x[1] or y[1]):
-            if n not in first:
-                first[n] = rows[0, :, :n] @ rows[1, :, :n].T
-            gram = first[n]
+        (dx, ex), (dy, ey) = turn(k0)
+        if not (ex or ey):
+            if n not in grams:
+                grams[n] = rows[0, :, :n] @ rows[1, :, :n].T
+            gram = grams[n]
         else:
-            for i, t in enumerate((x, y)):
-                if not isinstance(t, tuple):
-                    _trig_rows(t, rows[i, :, :n], scratch[:n])
-                elif t[1]:
+            for i, e in enumerate((ex, ey)):
+                if e:
                     if k1[i] is None:
                         k1[i] = rows[i, [1, r + 2], :width]
-                    _chirp_rows(t[1], k1[i][:, :n], rows[i], b, scratch)
+                    _chirp_rows(e, k1[i][:, :n], rows[i], b, scratch)
             gram = rows[0, :, :n] @ rows[1, :, :n].T
-        if isinstance(x, tuple):
-            gram = _rotation(x[0], r) @ gram
-        if isinstance(y, tuple):
-            gram = gram @ _rotation(y[0], r).T
-        total += gram
+        total += _rotation(dx, r) @ gram @ _rotation(dy, r).T
     cc, cs = total[:r + 1, :r + 1], total[:r + 1, r + 1:]
     sc, ss = total[r + 1:, :r + 1], total[r + 1:, r + 1:]
     moduli = {}
@@ -1209,22 +1204,20 @@ def _birkhoff_moduli(chars, n_iter: int, chunk: int, points) -> dict:
     return moduli
 
 
-def weyl_sums_skew_exact(chars, n_iter: int, sample_every: int = 1) -> dict:
-    """Birkhoff averages over the exact skew-product orbit, downsampled.
+def weyl_sums_skew_exact(chars, n_iter: int) -> dict:
+    """Birkhoff averages along the exact golden skew product orbit from (0, 0).
 
-    Exact iteration is slow next to the vectorized closed form, so this is
-    the cross-check path: characters are evaluated at float images of exact
-    orbit points, optionally every ``sample_every`` steps, each chunk's
-    points as fresh arrays.
+    The oracle of :func:`weyl_sums_skew_product`: the orbit is iterated
+    exactly in Q(sqrt 5), slow next to the closed forms, and its correctly
+    rounded float points are summed as one chunk, so cos and sin run at
+    every point and nothing is turned.
     """
     import numpy as np
     u, v, pts = golden(0), golden(0), []
-    for k in range(n_iter):
-        if k % sample_every == 0:
-            pts.append((scalar_float(u), scalar_float(v)))
+    for _ in range(n_iter):
+        pts.append((scalar_float(u), scalar_float(v)))
         u, v = golden_skew_step(u, v)
-    return _birkhoff_moduli(chars, len(pts), 1 << 14,
-                            lambda k0, n: np.array(pts[k0:k0 + n]).T)
+    return _birkhoff_moduli(chars, n_iter, n_iter, lambda n: np.array(pts).T)
 
 
 def _skew_shifts(u0, k0: int):
@@ -1259,14 +1252,15 @@ def weyl_sums_skew_product(chars, n_iter: int, u0: float = 0.0, v0: float = 0.0,
     import numpy as np
     u0, v0 = floor_mod1(golden(u0))[1], floor_mod1(golden(v0))[1]
 
-    def points(k0, n):
-        if k0:
-            e, d = map(scalar_float, _skew_shifts(u0, k0))
-            return (e, 0.0), (d, e)
+    def first(n):
         u = _mod1(scalar_float(u0) + np.arange(n) * float(INV_PHI2))
         w = u - float(HALF_INV_PHI3)
         return u, _mod1(scalar_float(v0) + np.cumsum(w) - w)
-    return _birkhoff_moduli(chars, n_iter, chunk, points)
+
+    def turn(k0):
+        e, d = map(scalar_float, _skew_shifts(u0, k0))
+        return (e, 0.0), (d, e)
+    return _birkhoff_moduli(chars, n_iter, chunk, first, turn)
 
 
 def off_field_step(disc: int) -> float:
@@ -1280,30 +1274,27 @@ def off_field_step(disc: int) -> float:
 
 
 def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
-                      step: float | None = None, chunk: int = 1 << 14) -> dict:
+                      chunk: int = 1 << 14) -> dict:
     """Birkhoff averages of base characters along a sampled nilflow orbit.
 
-    The sampling step must lie outside the field of the eigenvector entries,
-    so that 1, step*alpha and step*beta are rationally independent; the
-    default is :func:`off_field_step` of the field (sqrt(2) for Q(sqrt 5),
-    sqrt(3) for Q(sqrt 2)).  Orbit positions come from the closed flow
-    formula.  Both coordinates are translations: chunk k0 is the first chunk
-    shifted by (k0 step alpha, k0 step beta) mod 1, each computed afresh as
-    the float point k0 (never accumulated), so a chunk costs one rotation of
-    the first chunk's Gram matrix and no cos or sin over its points.
+    The sampling step is always :func:`off_field_step` of the field (sqrt(2)
+    for Q(sqrt 5), sqrt(3) for Q(sqrt 2)), outside the field of the
+    eigenvector entries, so that 1, step*alpha and step*beta are rationally
+    independent.  Orbit positions come from the closed flow formula.  Both
+    coordinates are translations: chunk k0 is the first chunk turned by
+    (k0 step alpha, k0 step beta) mod 1, each computed afresh as the float
+    point k0 (never accumulated), so a chunk costs one rotation of the first
+    chunk's Gram matrix and no cos or sin over its points.
     """
     import numpy as np
-    if step is None:
-        step = off_field_step(data.context.disc)
+    step = off_field_step(data.context.disc)
     alpha, beta = scalar_float(data.alpha), scalar_float(data.beta)
 
-    def points(k0, n):
-        if k0:
-            t = k0 * step
-            return ((t * alpha) % 1.0, 0.0), ((t * beta) % 1.0, 0.0)
+    def first(n):
         t = np.arange(n, dtype=np.float64) * step
         return _mod1(t * alpha), _mod1(t * beta)
-    return _birkhoff_moduli(chars, n_iter, chunk, points)
+    return _birkhoff_moduli(chars, n_iter, chunk, first, lambda k0: (
+        ((k0 * step * alpha) % 1.0, 0.0), ((k0 * step * beta) % 1.0, 0.0)))
 
 
 def equidistribution_report(kind: str, n_iter: int, radius: int = 3,
@@ -1311,6 +1302,8 @@ def equidistribution_report(kind: str, n_iter: int, radius: int = 3,
                             data: EigenData | None = None,
                             escalation: int = 10) -> dict:
     """Weyl-sum table with automatic escalation before declaring failure."""
+    if radius < 1:
+        raise ValueError(f"radius must be positive, got {radius}")
     chars = character_grid(radius)
 
     def run(n):

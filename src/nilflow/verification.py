@@ -339,19 +339,20 @@ def check_diagonal(seed: int, samples: int = 50) -> CheckResult:
     rng = random.Random(seed)
     data = eigen_data(factor(FIBONACCI))
     diag = dyn.DiagonalSection(data)
-    time_ok = all(
-        diag.return_time_audit(
-            dyn.golden(_rational(rng.randrange(0, 997), 997)),
-            dyn.golden(_rational(rng.randrange(0, 997), 997)),
-        )
-        for _ in range(20)
-    )
+    bad = _Failures()
+    for _ in range(20):
+        x = dyn.golden(_rational(rng.randrange(0, 997), 997))
+        z = dyn.golden(_rational(rng.randrange(0, 997), 997))
+        bad.record(diag.return_time_audit(x, z), "return time one", x=x, z=z)
+    time_ok = bad.count == 0
     conj = dyn.sigma_diagonal_conjugacy_check(data, samples=samples, seed=seed)
+    for case in conj["failures"]:
+        bad.record(False, "psi . T_Sigma = T_chart . psi", **case)
     audit = dyn.DiagonalSection(data, 0, 0).inequality_audit()
     return CheckResult(
         "diag.section", time_ok and conj["passed"] and audit["passed"],
-        {"return_time_one": time_ok, "conjugacy": conj["passed"],
-         "inequalities": audit},
+        _with_witness({"return_time_one": time_ok, "conjugacy": conj["passed"],
+                       "inequalities": audit}, bad),
     )
 
 
@@ -376,7 +377,13 @@ def check_plane_suite(seed: int, samples: int = 100) -> CheckResult:
     documented = "invariance_failures" in invariance and "escapes" in returns
     passed = (identity["passed"] and conj["passed"] and gamma0_ok
               and conj["nonresonance"]["nonresonant"] and documented)
-    return CheckResult("plane.suite", passed, {
+    bad = _Failures()
+    for case in identity["failures"]:
+        bad.record(False, "psi_bar . R'_1^n . R'_2 . psi_bar^{-1} = T_phi + (n-2, 0)",
+                   **case)
+    for case in conj["conjugation_failures"]:
+        bad.record(False, "C_x . T_g = T_g(x) . C_x", **case)
+    return CheckResult("plane.suite", passed, _with_witness({
         "affine_identity": identity["passed"],
         "cx_conjugation": conj["passed"],
         "gamma0_matches_grid_origin": gamma0_ok,
@@ -384,7 +391,7 @@ def check_plane_suite(seed: int, samples: int = 100) -> CheckResult:
         "region_invariance_documented_failures": invariance["invariance_failures"],
         "return_histogram": returns["histogram"],
         "return_escapes": returns["escapes"],
-    })
+    }, bad))
 
 
 def inversion_count_oracle(word: str) -> list[int]:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -789,13 +790,45 @@ def _check_weyl_kernel_against_direct_sums(chars):
             fast = weyl_sums_skew_product(chars, n, u0=u0, v0=v0, chunk=chunk)
             for pq in chars:
                 assert abs(fast[pq] - want[pq]) < 1e-9, (n, chunk, u0, v0, pq)
-    n = 3000
-    want = _direct_moduli(chars, *_exact_skew_orbit(0, 0, n))
-    exact = weyl_sums_skew_exact(chars, n)
-    for pq in chars:
-        assert abs(exact[pq] - want[pq]) < 1e-12, pq
-    with pytest.raises(ValueError):
-        weyl_sums_skew_product(chars, 0)
+    # the oracle sums one chunk, beyond 2^14 too
+    for n in (3000, (1 << 14) + 577):
+        want = _direct_moduli(chars, *_exact_skew_orbit(0, 0, n))
+        exact = weyl_sums_skew_exact(chars, n)
+        for pq in chars:
+            assert abs(exact[pq] - want[pq]) < 1e-12, (n, pq)
+    nilflow = partial(weyl_sums_nilflow, FIB_DATA)
+    for run in (weyl_sums_skew_product, nilflow, weyl_sums_skew_exact):
+        with pytest.raises(ValueError, match="n_iter must be positive"):
+            run(chars, 0)
+    for run in (weyl_sums_skew_product, nilflow):
+        with pytest.raises(ValueError, match="chunk must be positive"):
+            run(chars, 3000, chunk=0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        equidistribution_report("skew", 3000, radius=0)
+
+
+def test_no_cos_or_sin_runs_over_a_turned_chunk(monkeypatch):
+    import numpy as np
+    from nilflow.dynamics import (
+        character_grid, weyl_sums_nilflow, weyl_sums_skew_product,
+    )
+    counted = [0]
+
+    def counting(ufunc):
+        def call(x, *args, **kwargs):
+            counted[0] += np.size(x)
+            return ufunc(x, *args, **kwargs)
+        return call
+    monkeypatch.setattr(np, "cos", counting(np.cos))
+    monkeypatch.setattr(np, "sin", counting(np.sin))
+    # cos and sin at each point of the first chunk, both coordinates; after
+    # it only the chirps (2 sqrt chunk per chunk) and the rotations, where
+    # refilling one coordinate of one later chunk would cost 2 * 2^14
+    n, first = 10**6, 4 * (1 << 14)
+    for run in (weyl_sums_skew_product, partial(weyl_sums_nilflow, FIB_DATA)):
+        counted[0] = 0
+        run(character_grid(3), n)
+        assert first <= counted[0] < first + n // 16, counted[0]
 
 
 def test_mod1_is_np_remainder_bit_for_bit():

@@ -15,7 +15,7 @@ from nilflow.factorization import (
 )
 from nilflow.dynamics import SectionPoint
 from nilflow.freegroup import FIBONACCI, fixed_point_prefix
-from nilflow.heisenberg import AlgebraVector, exp_point, log_point
+from nilflow.heisenberg import AlgebraVector, GroupPoint, exp_point, log_point
 from nilflow.scalar import GOLDEN, parse_scalar
 
 
@@ -158,4 +158,82 @@ def test_broken_line_witness(monkeypatch):
     assert not result.passed and result.details["projection_sup"] >= 2
     assert result.details["witness"] == {"law": "projection within 2 of the line",
                                          "k": 6, "a_k": 6, "b_k": 0}
+    json.dumps(result.details)
+
+
+def test_diagonal_witness(monkeypatch):
+    dyn = ver.dyn
+    assert "witness" not in ver.check_diagonal(8, samples=4).details
+    data = eigen_data(factor(FIBONACCI))
+    diag = dyn.DiagonalSection(data)
+    audit = dyn.DiagonalSection.return_time_audit
+
+    def right_half_fails(self, x, z):
+        return x < Fraction(1, 2) and audit(self, x, z)
+    monkeypatch.setattr(dyn.DiagonalSection, "return_time_audit", right_half_fails)
+    result = ver.check_diagonal(8, samples=4)
+    assert not result.passed and not result.details["return_time_one"]
+    witness = result.details["witness"]
+    assert witness["law"] == "return time one"
+    # the witness is exact: it reproduces the failure
+    x, z = (parse_scalar(witness[k], GOLDEN) for k in ("x", "z"))
+    assert not right_half_fails(diag, x, z) and audit(diag, x, z)
+
+    monkeypatch.undo()
+    return_map = dyn.SigmaSection.return_map
+
+    def upper_half_stays(self, p):  # no return at all where zoff >= 0
+        return dyn.ReturnRecord(p, 0, ()) if p.zoff >= 0 else return_map(self, p)
+    monkeypatch.setattr(dyn.SigmaSection, "return_map", upper_half_stays)
+    result = ver.check_diagonal(8, samples=4)
+    assert not result.passed and result.details["return_time_one"]
+    witness = result.details["witness"]
+    assert witness["law"] == "psi . T_Sigma = T_chart . psi"
+    point = SectionPoint(*(parse_scalar(witness[k], GOLDEN) for k in ("s", "zoff")))
+    assert point.zoff >= 0
+    assert not dyn.sigma_diagonal_conjugacy_check(data, samples=[point])["passed"]
+    monkeypatch.undo()
+    assert dyn.sigma_diagonal_conjugacy_check(data, samples=[point])["passed"]
+    json.dumps(result.details)
+
+
+def _group_point(text):
+    return GroupPoint(*(Fraction(c) for c in text.strip("[]").split(", ")))
+
+
+def test_plane_suite_witness(monkeypatch):
+    dyn = ver.dyn
+    assert "witness" not in ver.check_plane_suite(10, samples=5).details
+    t_phi = dyn.t_phi_affine
+
+    def upper_half_off(x, y):
+        tx, ty = t_phi(x, y)
+        return tx, ty + (y > 0)
+    monkeypatch.setattr(dyn, "t_phi_affine", upper_half_off)
+    result = ver.check_plane_suite(10, samples=5)
+    assert not result.passed and not result.details["affine_identity"]
+    witness = result.details["witness"]
+    assert witness["law"] == "psi_bar . R'_1^n . R'_2 . psi_bar^{-1} = T_phi + (n-2, 0)"
+    # the witness is exact: it reproduces the failure
+    n = witness["n"]
+    x, y = (parse_scalar(witness[k], GOLDEN) for k in ("x", "y"))
+    u, v = dyn.r2_prime(x / dyn.PHI2, y)
+    for _ in range(n):
+        u, v = dyn.r1_prime(u, v)
+    (tx, ty), (ox, oy) = t_phi(x, y), upper_half_off(x, y)
+    assert (dyn.PHI2 * u, v) == (tx + (n - 2), ty)
+    assert (dyn.PHI2 * u, v) != (ox + (n - 2), oy)
+
+    monkeypatch.undo()
+    holds = dyn.central_shift_conjugation_holds
+
+    def upper_half_fails(x, g, y):  # depends on y, which the witness must carry
+        return y.z <= 0 and holds(x, g, y)
+    monkeypatch.setattr(dyn, "central_shift_conjugation_holds", upper_half_fails)
+    result = ver.check_plane_suite(10, samples=5)
+    assert not result.passed and not result.details["cx_conjugation"]
+    witness = result.details["witness"]
+    assert witness["law"] == "C_x . T_g = T_g(x) . C_x"
+    x, g, y = Fraction(witness["x"]), _group_point(witness["g"]), _group_point(witness["y"])
+    assert not upper_half_fails(x, g, y) and holds(x, g, y)
     json.dumps(result.details)
