@@ -74,7 +74,6 @@ from .dynamics import (
     ReturnRecord,
     SectionPoint,
     SigmaSection,
-    TorusPoint2,
     counterexample_suite,
     equidistribution_report,
     fibonacci_chart_equivalence,

@@ -24,7 +24,6 @@ from typing import NamedTuple
 from . import verification
 from .dynamics import (
     INV_PHI2,
-    TorusPoint2,
     equidistribution_report,
     golden,
     golden_skew_step,
@@ -152,10 +151,10 @@ def _orbit_rows_skew(cfg: dict):
 
 def _orbit_rows_strip(cfg: dict):
     pmap = strip_family(_exact(cfg, "s", GOLDEN), _exact(cfg, "theta", GOLDEN))
-    pt = TorusPoint2(golden(0), golden(0))
+    u, v = golden(0), golden(0)
     for k in range(cfg["iters"] + 1):
-        yield k, ("u", "v"), (pt.u, pt.v)
-        pt = pmap(pt)
+        yield k, ("u", "v"), (u, v)
+        _, u, v, _ = pmap.step_with_floors(u, v)
 
 
 ORBIT_KINDS = {

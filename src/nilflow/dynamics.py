@@ -59,7 +59,6 @@ HALF = _rational(1, 2)
 PHI = GOLDEN.lam
 INV_PHI = PHI - 1            # 1/phi
 INV_PHI2 = 2 - PHI           # 1/phi^2
-INV_PHI3 = 2 * PHI - 3       # 1/phi^3
 INV_PHI4 = 5 - 3 * PHI       # 1/phi^4
 HALF_INV_PHI3 = PHI - _rational(3, 2)   # 1/(2 phi^3)
 PHI2 = PHI + 1
@@ -84,27 +83,6 @@ def golden(x):
 
 # ---------------------------------------------------------------------------
 # piecewise torus maps
-
-
-class TorusPoint2:
-    """Point of the 2-torus with coordinates reduced to [0, 1) exactly."""
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u, v):
-        self.u = floor_mod1(u)[1]
-        self.v = floor_mod1(v)[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusPoint2):
-            return NotImplemented
-        return self.u == other.u and self.v == other.v
-
-    def __hash__(self) -> int:
-        return hash((self.u, self.v))
-
-    def __repr__(self) -> str:
-        return f"TorusPoint2({scalar_str(self.u)}, {scalar_str(self.v)})"
 
 
 @dataclass(frozen=True)
@@ -167,14 +145,8 @@ class PiecewiseTorusMap:
         k = scalar_floor(w - self.fiber_lo if self.fiber_lo else w)
         return i, u + b.du, (w - k if k else w), k
 
-    def step_with_floors(self, p: TorusPoint2) -> tuple[TorusPoint2, int]:
-        _, u, v, k = self.step_coords(p.u, p.v)
-        out = TorusPoint2.__new__(TorusPoint2)
-        out.u, out.v = u, v
-        return out, k
-
-    def __call__(self, p: TorusPoint2) -> TorusPoint2:
-        return self.step_with_floors(p)[0]
+    # the same function under a second name, which a tracer can wrap alone
+    step_with_floors = step_coords
 
     def _follow(self, b1: Branch):
         """The piece b1 followed by this map: b1 cut where its image meets a
@@ -262,15 +234,6 @@ def strip_family(s, theta) -> PiecewiseTorusMap:
     ])
 
 
-@dataclass(frozen=True)
-class ReturnRecord:
-    """First-return data; lattice_word replays the reduction steps exactly."""
-
-    point: object
-    time: object
-    lattice_word: tuple
-
-
 # ---------------------------------------------------------------------------
 # renormalization of the strip family
 
@@ -289,28 +252,19 @@ def renormalization_check(s, s_prime, theta, n_points: int = 101) -> dict:
     theta_prime = PHI2 * theta + PHI2 * (s + 1) - (s_prime + 1)
     induced, _ = strip_family(s, theta).induce(golden(0), INV_PHI2)
     target = strip_family(s_prime, theta_prime)
-
-    def transfer(p: TorusPoint2) -> TorusPoint2:
-        return TorusPoint2(PHI2 * p.u, a * p.u * p.u + b * p.u + p.v)
-
-    def transfer_inv(p: TorusPoint2) -> TorusPoint2:
-        w = p.u / PHI2
-        return TorusPoint2(w, p.v - a * w * w - b * w)
-
     us = [_rational(i, n_points) for i in range(n_points)]
     us.extend([INV_PHI2, INV_PHI4, INV_PHI])
     failures = []
     for i, u in enumerate(us):
-        pt = TorusPoint2(golden(u), golden(_rational(i % 3, 3)))
-        down = transfer_inv(pt)
-        lhs = transfer(induced(down))
-        rhs = target(pt)
+        u, v = golden(u), golden(_rational(i % 3, 3))
+        w = u / PHI2   # down by the transfer, step the induced map, and back up
+        _, x, y, _ = induced.step_coords(w, v - a * w * w - b * w)
+        lhs = (PHI2 * x, floor_mod1(a * x * x + b * x + y)[1])
+        rhs = target.step_coords(u, v)[1:3]
         if lhs != rhs:
-            failures.append({
-                "witness": (scalar_str(pt.u), scalar_str(pt.v)),
-                "lhs": (scalar_str(lhs.u), scalar_str(lhs.v)),
-                "rhs": (scalar_str(rhs.u), scalar_str(rhs.v)),
-            })
+            failures.append({"witness": (scalar_str(u), scalar_str(v)),
+                             "lhs": tuple(map(scalar_str, lhs)),
+                             "rhs": tuple(map(scalar_str, rhs))})
     return {
         "a": scalar_str(a),
         "b": scalar_str(b),
@@ -387,6 +341,16 @@ class SectionPoint:
     zoff: QuadraticNumber
 
 
+@dataclass(frozen=True)
+class ReturnRecord:
+    """A return to the section: the start flowed for ``time``, times the
+    lattice element ``lattice`` = (n, m, p), is the group point of ``point``."""
+
+    point: SectionPoint
+    time: QuadraticNumber
+    lattice: tuple
+
+
 class SigmaSection:
     """Transversal of the expanding flow along the contracting direction.
 
@@ -452,7 +416,7 @@ class SigmaSection:
             t, u, nm = d.t_b, s + d.s_b, (0, -1)
         return u, self._flow_offset(s, zoff, t, u, *nm), t, nm
 
-    def _step(self, s, zoff):
+    def _step(self, s, zoff) -> ReturnRecord:
         return _reduced(*self._flight(s, zoff))
 
     def return_map(self, p: SectionPoint) -> ReturnRecord:
@@ -461,13 +425,11 @@ class SigmaSection:
             raise ValueError("not a valid section point")
         i, s, zoff, k = self.table.step_coords(p.s, p.zoff)
         t, nm = self._returns[i]
-        return ReturnRecord(SectionPoint(s, zoff), t, ((*nm, -k),))
+        return ReturnRecord(SectionPoint(s, zoff), t, (*nm, -k))
 
     def replay(self, start: SectionPoint, record: ReturnRecord) -> bool:
         g = flow(self.vec, record.time, self.to_group(start))
-        for lat in record.lattice_word:
-            g = g * GroupPoint(*lat)
-        return g == self.to_group(record.point)
+        return g * GroupPoint(*record.lattice) == self.to_group(record.point)
 
     def _crossing_rows(self, s, ns):
         """Each row n of ns with the range of m where the crossing comes at
@@ -480,7 +442,7 @@ class SigmaSection:
             yield n, range(max((-n * self._rho).floor() + 1, -(vn - self._sigma).floor()),
                            (1 - vn).floor() + 1)
 
-    def _crossing_step(self, s, zoff):
+    def _crossing_step(self, s, zoff) -> ReturnRecord:
         """First crossing of the CLOSED segment [s_a, s_b], any lattice offset.
 
         The half-open section never contains the line point at parameter
@@ -533,10 +495,11 @@ class SigmaSection:
         }
 
 
-def _reduced(u, w, t, nm):
-    """The point over u with w reduced into [-1/2, 1/2) by pc, t, (n, m, pc)."""
+def _reduced(u, w, t, nm) -> ReturnRecord:
+    """The return at time t to the point over u, with w reduced into
+    [-1/2, 1/2) by pc and lattice element (n, m, pc)."""
     pc = -(w + HALF).floor()
-    return SectionPoint(u, w + pc), t, (*nm, pc)
+    return ReturnRecord(SectionPoint(u, w + pc), t, (*nm, pc))
 
 
 def golden_like(x, data: EigenData) -> QuadraticNumber:
@@ -617,8 +580,8 @@ def self_induction_check(
         for _ in range(max_iter) if max_iter is not None else itertools.count():
             if not d.s_a <= s_cur <= d.s_b:
                 break
-            point, t, _ = section._crossing_step(s_cur, w_cur)
-            s_cur, w_cur, elapsed = point.s, point.zoff, elapsed + t
+            hop = section._crossing_step(s_cur, w_cur)
+            s_cur, w_cur, elapsed = hop.point.s, hop.point.zoff, elapsed + hop.time
             back = s_cur / d.lam_prime
             if d.s_a <= back < d.s_b:
                 hit = (back, floor_mod1(det * w_cur + HALF)[1] - HALF)
@@ -1154,14 +1117,14 @@ def _birkhoff_moduli(chars, n_iter: int, chunk: int, first, turn=None) -> dict:
 
     Only the first chunk takes cos and sin at its points, whose arrays go
     once their rows exist.  Chunk k0 adds R(dx) G_n R(dy)^T, :func:`_rotation`
-    R(d) adding d.  When neither coordinate drifts, G_n is the first chunk's
-    Gram matrix over n points; otherwise it is the product of the rows, a
-    drifting coordinate's rows being :func:`_chirp_rows` of its first k = 1
-    rows.  A coordinate drifts in every later chunk or in none.  Given d and
-    e each rounded once, the phase of turned point j errs by its first-chunk
-    point's error plus at most j |err e| + |err d| and the rounding of j e:
-    about chunk 2^-52 turns per harmonic, never growing across chunks.  With
-    no later chunk (chunk >= N) ``turn`` is never called.
+    R(d) adding d.  Until a coordinate drifts, G_n is the first chunk's Gram
+    matrix over n points; from then on it is the product of the rows, and
+    that coordinate's rows are :func:`_chirp_rows` of its first k = 1 rows
+    in every chunk, with drift 0 as well.  Given d and e each rounded once,
+    the phase of turned point j errs by its first-chunk point's error plus at
+    most j |err e| + |err d| and the rounding of j e: about chunk 2^-52 turns
+    per harmonic, never growing across chunks.  With no later chunk
+    (chunk >= N) ``turn`` is never called.
     """
     import numpy as np
     for name, size in (("n_iter", n_iter), ("chunk", chunk)):
@@ -1182,16 +1145,16 @@ def _birkhoff_moduli(chars, n_iter: int, chunk: int, first, turn=None) -> dict:
     for k0 in range(chunk, n_iter, chunk):
         n = min(chunk, n_iter - k0)
         (dx, ex), (dy, ey) = turn(k0)
-        if not (ex or ey):
+        for i, e in enumerate((ex, ey)):
+            if e and k1[i] is None:
+                k1[i] = rows[i, [1, r + 2], :width]
+            if k1[i] is not None:  # once chirped, rows[i] is no longer the first chunk's
+                _chirp_rows(e, k1[i][:, :n], rows[i], b, scratch)
+        if k1[0] is None and k1[1] is None:
             if n not in grams:
                 grams[n] = rows[0, :, :n] @ rows[1, :, :n].T
             gram = grams[n]
         else:
-            for i, e in enumerate((ex, ey)):
-                if e:
-                    if k1[i] is None:
-                        k1[i] = rows[i, [1, r + 2], :width]
-                    _chirp_rows(e, k1[i][:, :n], rows[i], b, scratch)
             gram = rows[0, :, :n] @ rows[1, :, :n].T
         total += _rotation(dx, r) @ gram @ _rotation(dy, r).T
     cc, cs = total[:r + 1, :r + 1], total[:r + 1, r + 1:]

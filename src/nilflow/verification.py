@@ -368,12 +368,12 @@ def check_plane_suite(seed: int, samples: int = 100) -> CheckResult:
     The region audit counts as produced-and-documented; the default
     coefficients failing invariance is the expected outcome.
     """
-    identity = dyn.affine_identity_check(n_points=samples, seed=seed)
+    suite = dyn.counterexample_suite(n_points=samples, seed=seed)
+    identity, invariance, returns = (
+        suite[k] for k in ("affine_identity", "region_invariance", "return_counts"))
     data = eigen_data(factor(FIBONACCI))
     conj = dyn.conjugation_suite(data, _rational(1, 3), samples=samples, seed=seed)
     gamma0_ok = dyn.gamma_zero(data) == _rational(3, 2) - data.lam
-    invariance = dyn.region_invariance_audit()
-    returns = dyn.rprime_return_audit(seed=seed)
     documented = "invariance_failures" in invariance and "escapes" in returns
     passed = (identity["passed"] and conj["passed"] and gamma0_ok
               and conj["nonresonance"]["nonresonant"] and documented)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -15,9 +16,9 @@ from nilflow.dynamics import (
     DiagonalSection,
     PiecewiseTorusMap,
     RegionCoeffs,
+    ReturnRecord,
     SectionPoint,
     SigmaSection,
-    TorusPoint2,
     affine_identity_check,
     central_shift_conjugation_holds,
     counterexample_suite,
@@ -53,8 +54,8 @@ FIB_DATA = eigen_data(factor(FIBONACCI))
 
 def test_strip_family_example():
     m = strip_family(-1, 0)
-    image = m(TorusPoint2(golden(0), golden(0)))
-    assert image.u == INV_PHI and image.v == INV_PHI2
+    _, u, v, _ = m.step_coords(golden(0), golden(0))
+    assert u == INV_PHI and v == INV_PHI2
 
 
 def test_strip_breakpoint_exact():
@@ -69,10 +70,10 @@ def test_strip_preserves_fibers():
     for i in range(10):
         u = golden(Fraction(i, 10))
         v1, v2 = golden(Fraction(1, 3)), golden(Fraction(2, 3))
-        p1 = m(TorusPoint2(u, v1))
-        p2 = m(TorusPoint2(u, v2))
-        assert p1.u == p2.u
-        assert (p1.v - v1) == (p2.v - v2) or (p1.v - v1) - (p2.v - v2) in (-1, 1)
+        _, u1, w1, _ = m.step_coords(u, v1)
+        _, u2, w2, _ = m.step_coords(u, v2)
+        assert u1 == u2
+        assert (w1 - v1) == (w2 - v2) or (w1 - v1) - (w2 - v2) in (-1, 1)
 
 
 def test_return_counts():
@@ -152,12 +153,15 @@ def test_piecewise_compose_and_invert():
     m2 = m.compose(m)
     inv = m.invert()
     rng = random.Random(1)
+
+    def step(table, p):
+        return table.step_coords(*p)[1:3]
     for _ in range(60):
-        p = TorusPoint2(golden(Fraction(rng.randrange(0, 997), 997)),
-                        golden(Fraction(rng.randrange(0, 997), 997)))
-        assert m2(p) == m(m(p))
-        assert inv(m(p)) == p
-        assert m(inv(p)) == p
+        p = (golden(Fraction(rng.randrange(0, 997), 997)),
+             golden(Fraction(rng.randrange(0, 997), 997)))
+        assert step(m2, p) == step(m, step(m, p))
+        assert step(inv, step(m, p)) == p
+        assert step(m, step(inv, p)) == p
     # composition and inversion stay in the class: partitions were validated
     assert m2.branches[0].lo == 0 and m2.branches[-1].hi == 1
 
@@ -205,6 +209,32 @@ def test_renormalization_random_triples():
         sp = Fraction(rng.randrange(-20, 20), 11)
         th = Fraction(rng.randrange(-20, 20), 13)
         assert renormalization_check(s, sp, th, n_points=41)["passed"]
+
+
+def test_renormalization_failures_carry_exact_witnesses(monkeypatch):
+    # the target member, at theta' = phi^2, turned by 1/7 in the fiber: every
+    # point fails, and each failure's strings reproduce it
+    import nilflow.dynamics as dyn
+    real, shift = dyn.strip_family, golden(Fraction(1, 7))
+
+    def shifted(s, theta):
+        return real(s, theta + shift if golden(theta) == PHI2 else theta)
+    monkeypatch.setattr(dyn, "strip_family", shifted)
+    r = renormalization_check(-1, -1, 1)
+    assert r["theta_prime"] == "1+1*l" and not r["passed"]
+    assert len(r["failures"]) == r["checked"] == 104
+    induced, _ = real(-1, 1).induce(golden(0), INV_PHI2)
+    target = shifted(-1, PHI2)
+    a, b = (parse_scalar(r[k], GOLDEN) for k in ("a", "b"))
+    for failure in r["failures"]:
+        u, v = (golden(parse_scalar(x, GOLDEN)) for x in failure["witness"])
+        w = u / PHI2
+        _, x, y, _ = induced.step_coords(w, v - a * w * w - b * w)
+        lhs = (PHI2 * x, floor_mod1(a * x * x + b * x + y)[1])
+        rhs = target.step_coords(u, v)[1:3]
+        assert lhs != rhs
+        assert failure["lhs"] == tuple(map(str, lhs))
+        assert failure["rhs"] == tuple(map(str, rhs))
 
 
 def test_psi_identity():
@@ -280,8 +310,7 @@ def test_sigma_table_equals_flow_geometry():
         samples.append(SectionPoint(top, golden_like(Fraction(-1, 2), data)))
         for q in samples:
             rec = section.return_map(q)
-            point, t, lat = section._step(q.s, q.zoff)
-            assert (rec.point, rec.time, rec.lattice_word) == (point, t, (lat,))
+            assert rec == section._step(q.s, q.zoff)
             assert section.replay(q, rec)
 
 
@@ -369,7 +398,7 @@ def _scan_crossing_step(section, s, zoff):
     assert g1.x - n == x2 and g1.y - m == y2
     wz = g1.z + g1.x * (-m) - section.quadric.evaluate(x2, y2)
     pc = -(wz + Fraction(1, 2)).floor()
-    return SectionPoint(u, wz + pc), t, (-n, -m, pc)
+    return ReturnRecord(SectionPoint(u, wz + pc), t, (-n, -m, pc))
 
 
 def _scan_early_crossings(section, p, window=4):
@@ -468,11 +497,11 @@ def test_self_induction_stops_at_the_predicted_time(monkeypatch):
 
     def never_lands(self, s, zoff):
         calls.append(s)
-        point, t, lat = real(self, s, zoff)
-        back = point.s / data.lam_prime
+        hop = real(self, s, zoff)
+        back = hop.point.s / data.lam_prime
         if data.s_a <= back < data.s_b:
-            point = SectionPoint(outside, point.zoff)
-        return point, t, lat
+            hop = replace(hop, point=SectionPoint(outside, hop.point.zoff))
+        return hop
 
     monkeypatch.setattr(SigmaSection, "_crossing_step", never_lands)
     rep = self_induction_check(data, samples=1)
@@ -805,6 +834,31 @@ def _check_weyl_kernel_against_direct_sums(chars):
             run(chars, 3000, chunk=0)
     with pytest.raises(ValueError, match="radius must be positive"):
         equidistribution_report("skew", 3000, radius=0)
+
+
+def test_weyl_kernel_mixed_drifts_match_direct_sums():
+    # y drifts in one later chunk and not in the other, in both orders: rows
+    # chirped for one chunk must not be reused as the first chunk's
+    import numpy as np
+    from nilflow.dynamics import _birkhoff_moduli, character_grid
+    chars = character_grid(2)
+    n, chunk = 2500, 1000
+    j = np.arange(chunk)
+    x0, y0 = (j * 2 ** 0.5) % 1.0, (j * j * 0.0137) % 1.0
+    drift, still = (0.3, 0.01), (0.7, 0.0)
+    for turns in ((drift, still), (still, drift)):
+        shifts = {k0: ((0.25 * i, 0.0), turn)
+                  for i, (k0, turn) in enumerate(zip((1000, 2000), turns), 1)}
+        got = _birkhoff_moduli(chars, n, chunk, lambda m: (x0[:m].copy(), y0[:m].copy()),
+                               shifts.__getitem__)
+        xs, ys = [x0], [y0]
+        for k0, ((dx, _), (dy, ey)) in shifts.items():
+            m = min(chunk, n - k0)
+            xs.append((x0[:m] + dx) % 1.0)
+            ys.append((y0[:m] + dy + j[:m] * ey) % 1.0)
+        want = _direct_moduli(chars, np.concatenate(xs), np.concatenate(ys))
+        for pq in chars:
+            assert abs(got[pq] - want[pq]) < 1e-12, (turns, pq)
 
 
 def test_no_cos_or_sin_runs_over_a_turned_chunk(monkeypatch):

@@ -183,7 +183,7 @@ def test_diagonal_witness(monkeypatch):
     return_map = dyn.SigmaSection.return_map
 
     def upper_half_stays(self, p):  # no return at all where zoff >= 0
-        return dyn.ReturnRecord(p, 0, ()) if p.zoff >= 0 else return_map(self, p)
+        return dyn.ReturnRecord(p, 0, (0, 0, 0)) if p.zoff >= 0 else return_map(self, p)
     monkeypatch.setattr(dyn.SigmaSection, "return_map", upper_half_stays)
     result = ver.check_diagonal(8, samples=4)
     assert not result.passed and result.details["return_time_one"]
