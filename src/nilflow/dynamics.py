@@ -1036,151 +1036,113 @@ def _mod1(x):
     return np.subtract(x, np.floor(x), out=x)
 
 
-def _trig_rows(t, rows, scratch) -> None:
-    """rows[k] = cos 2 pi k t and rows[r + 1 + k] = sin 2 pi k t for k = 0 .. r
-    (r >= 1): one cos and one sin at k = 1, then :func:`_angle_addition`."""
-    import numpy as np
-    r = len(rows) // 2 - 1
-    rows[0], rows[r + 1] = 1.0, 0.0
-    np.multiply(t, 2 * np.pi, out=scratch)
-    np.cos(scratch, out=rows[1])
-    np.sin(scratch, out=rows[r + 2])
-    _angle_addition(rows, scratch)
+def _turns(*terms):
+    """The sum of n gamma mod 1 over the terms (gamma, n), gamma exact and n
+    an integer or an array of integers held as doubles, each to about an ulp.
 
-
-def _angle_sum(ca, sa, cb, sb, c, s, scratch) -> None:
-    """c, s = cos and sin of a + b, from those of a and of b."""
-    import numpy as np
-    np.multiply(ca, cb, out=c)
-    c -= np.multiply(sa, sb, out=scratch)
-    np.multiply(sa, cb, out=s)
-    s += np.multiply(ca, sb, out=scratch)
-
-
-def _angle_addition(rows, scratch) -> None:
-    """The rows k = 2 .. r of :func:`_trig_rows` from its rows k = 0, 1."""
-    r = len(rows) // 2 - 1
-    c, s = rows[:r + 1], rows[r + 1:]
-    for k in range(2, r + 1):
-        _angle_sum(c[k - 1], s[k - 1], c[1], s[1], c[k], s[k], scratch)
-
-
-def _chirp_rows(drift: float, k1, rows, b: int, scratch) -> None:
-    """The rows of :func:`_trig_rows` at t_j + j drift, j < n, into rows[:, :n],
-    from k1 = (cos 2 pi t_j, sin 2 pi t_j), j < n.
-
-    e(t_j + j drift) is e(t_j) times the chirp e(j drift), and over
-    j = i b + l the chirp is e(i b drift) e(l drift): two products of an
-    (m, 2) and a (2, b) matrix, m = ceil(n/b), so n points take m + b cos and
-    sin.  The chirp is built in the k = 0 rows (``rows`` has at least m b
-    columns), which then get back their 1 and 0.
+    gamma is reduced mod 1 exactly and split as hi + lo, hi a multiple of
+    2^-t with t = 53 - (bits of max n), so that n hi and its fractional part
+    are exact, and 0 <= lo < 2^-t adds n lo rounded once.
     """
     import numpy as np
-    r = len(rows) // 2 - 1
-    n = k1.shape[1]
-    m = -(-n // b)
-    hi = np.multiply(np.arange(0, m * b, b), 2 * np.pi * drift)
-    lo = np.multiply(np.arange(b), 2 * np.pi * drift)
-    ch, sh, lo = np.cos(hi), np.sin(hi), np.stack([np.cos(lo), np.sin(lo)])
-    cc, cs = rows[0, :m * b].reshape(m, b), rows[r + 1, :m * b].reshape(m, b)
-    np.matmul(np.stack([ch, -sh], axis=1), lo, out=cc)  # cos 2 pi j drift
-    np.matmul(np.stack([sh, ch], axis=1), lo, out=cs)   # sin 2 pi j drift
-    _angle_sum(k1[0], k1[1], rows[0, :n], rows[r + 1, :n], rows[1, :n],
-               rows[r + 2, :n], scratch[:n])
-    rows[0], rows[r + 1] = 1.0, 0.0
-    _angle_addition(rows[:, :n], scratch[:n])
+    total = 0.0
+    for gamma, n in terms:
+        gamma = floor_mod1(gamma)[1]
+        t = 53 - int(np.max(n)).bit_length()
+        k = scalar_floor(gamma * (1 << t))
+        whole = n * (k / (1 << t))
+        total = total + (whole - np.floor(whole)) + n * scalar_float(gamma - _rational(k, 1 << t))
+    return _mod1(total)
 
 
-def _rotation(delta: float, r: int):
-    """R(delta) with R @ (rows of t) = rows of t + delta, by angle addition."""
-    import numpy as np
-    angle = 2 * np.pi * np.arange(r + 1) * delta
-    c, s, m = np.cos(angle), np.sin(angle), r + 1
-    rot = np.zeros((2 * m, 2 * m))
-    rot[:m, m:] = -0.0  # the signed zeros of a block -diag(s)
-    diag = np.einsum("aibi->abi", rot.reshape(2, m, 2, m))  # of block (a, b)
-    diag[0, 0] = diag[1, 1] = c
-    diag[0, 1], diag[1, 0] = -s, s
-    return rot
+def _block_moduli(chars, n_iter: int, chunk: int | None, rows) -> dict:
+    """|S_N|/N of each character over orbit points k = iC + j < N, in blocks.
 
+    The block length C is ``min(chunk, N)``, ceil(sqrt N) by default, and
+    there are m = ceil(N/C) blocks.  ``rows(C, m)`` gives, mod 1, the phases
+    x_j, y_j of the first block's points (j < C), the shifts X_i, Y_i of
+    block i < m, and the chirp h n^2 (n < max(C, m)) or None for h = 0:
+    point iC + j is (x_j + X_i, y_j + Y_i + 2 h i j).  So
+    S(p, q) = sum_i A_i T_i with A_i = e(p X_i + q Y_i),
+    T_i = sum_j B_j e(2 q h i j) and B_j = e(p x_j + q y_j).  By
+    2ij = i^2 + j^2 - (i - j)^2, T_i = w_i sum_j B_j w_j conj(w_(i-j)) with
+    w_n = e(q h n^2): one FFT convolution of length at least m + C - 1 gives
+    every T_i (Bluestein's chirp-z transform).  Without a chirp, or at
+    q = 0, every full block has T_i = sum_j B_j and no FFT runs.  The last
+    block, full or not, is summed directly.
 
-def _birkhoff_moduli(chars, n_iter: int, chunk: int, first, turn=None) -> dict:
-    """|S_N|/N of each character over orbit points 0 .. N-1, in chunks.
-
-    ``first(n)`` gives the first chunk's n points as two float arrays, and
-    ``turn(k0)`` every later chunk as ((dx, ex), (dy, ey)): for each
-    coordinate t_{k0+j} = t_j + d + j e mod 1, with t_j the first chunk's
-    points.  The cos and sin rows of both coordinates give one real Gram
-    matrix per chunk, summed into G = [[CC, CS], [SC, SS]] with CS[a, b] the
-    sum of cos 2 pi a x sin 2 pi b y.  For p = sp a, q = sq b (sp, sq = +-1):
-    e(p x + q y) = CC - sp sq SS + i (sp SC + sq CS) at [a, b].
-
-    Only the first chunk takes cos and sin at its points, whose arrays go
-    once their rows exist.  Chunk k0 adds R(dx) G_n R(dy)^T, :func:`_rotation`
-    R(d) adding d.  Until a coordinate drifts, G_n is the first chunk's Gram
-    matrix over n points; from then on it is the product of the rows, and
-    that coordinate's rows are :func:`_chirp_rows` of its first k = 1 rows
-    in every chunk, with drift 0 as well.  Given d and e each rounded once,
-    the phase of turned point j errs by its first-chunk point's error plus at
-    most j |err e| + |err d| and the rounding of j e: about chunk 2^-52 turns
-    per harmonic, never growing across chunks.  With no later chunk
-    (chunk >= N) ``turn`` is never called.
+    Each row takes one complex exponential per point; the harmonics are its
+    powers and their conjugates, and |S(-p, -q)| = |S(p, q)|, so characters
+    are taken with q >= 0 and grouped by q.
     """
     import numpy as np
-    for name, size in (("n_iter", n_iter), ("chunk", chunk)):
-        if size < 1:
-            raise ValueError(f"{name} must be positive, got {size}")
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be positive, got {n_iter}")
+    if chunk is None:
+        chunk = math.isqrt(n_iter - 1) + 1
+    elif chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
+    c = min(chunk, n_iter)
+    m = -(-n_iter // c)
+    tail = n_iter - (m - 1) * c  # points of the last block
     r = max([1] + [max(abs(p), abs(q)) for p, q in chars])
-    width = min(chunk, n_iter)
-    b = math.isqrt(width - 1) + 1  # the chirp's blocks: j = i b + l
-    x, y = first(width)  # before the rows, so its temporaries never meet them
-    rows = np.empty((2, 2 * r + 2, -(-width // b) * b))
-    scratch = np.empty(rows.shape[2])
-    _trig_rows(x, rows[0, :, :width], scratch[:width])
-    _trig_rows(y, rows[1, :, :width], scratch[:width])
-    del x, y
-    grams = {width: rows[0, :, :width] @ rows[1, :, :width].T}  # G_n, no drift
-    k1 = [None, None]  # a drifting coordinate's first k = 1 rows
-    total = grams[width].copy()
-    for k0 in range(chunk, n_iter, chunk):
-        n = min(chunk, n_iter - k0)
-        (dx, ex), (dy, ey) = turn(k0)
-        for i, e in enumerate((ex, ey)):
-            if e and k1[i] is None:
-                k1[i] = rows[i, [1, r + 2], :width]
-            if k1[i] is not None:  # once chirped, rows[i] is no longer the first chunk's
-                _chirp_rows(e, k1[i][:, :n], rows[i], b, scratch)
-        if k1[0] is None and k1[1] is None:
-            if n not in grams:
-                grams[n] = rows[0, :, :n] @ rows[1, :, :n].T
-            gram = grams[n]
-        else:
-            gram = rows[0, :, :n] @ rows[1, :, :n].T
-        total += _rotation(dx, r) @ gram @ _rotation(dy, r).T
-    cc, cs = total[:r + 1, :r + 1], total[:r + 1, r + 1:]
-    sc, ss = total[r + 1:, :r + 1], total[r + 1:, r + 1:]
+
+    def powers(phase):  # e(k t) for k = 0 .. r
+        out = np.empty((r + 1, len(phase)), dtype=np.complex128)
+        out[0], out[1] = 1.0, np.exp(2j * np.pi * phase)
+        for k in range(2, r + 1):
+            np.multiply(out[k - 1], out[1], out=out[k])
+        return out
+
+    *phases, chirp = rows(c, m)
+    x, y, sx, sy = map(powers, phases)
+    w = None if chirp is None else powers(chirp)
+    def half(pq):  # the one of (p, q) and (-p, -q) that is computed
+        p, q = pq
+        return pq if q > 0 or (q == 0 and p >= 0) else (-p, -q)
+    groups: dict[int, set] = {}
+    for p, q in map(half, chars):
+        groups.setdefault(q, set()).add(p)
     moduli = {}
-    for p, q in chars:
-        a, b, sp, sq = abs(p), abs(q), -1 if p < 0 else 1, -1 if q < 0 else 1
-        moduli[p, q] = math.hypot(cc[a, b] - sp * sq * ss[a, b],
-                                  sp * sc[a, b] + sq * cs[a, b]) / n_iter
-    return moduli
+    for q, ps in groups.items():
+        ps = sorted(ps)
+        b = np.array([x[p] if p >= 0 else x[-p].conj() for p in ps]) * y[q]
+        a = np.array([sx[p] if p >= 0 else sx[-p].conj() for p in ps]) * sy[q]
+        if w is None or q == 0:
+            t = np.repeat(b.sum(axis=1, keepdims=True), m, axis=1)
+            t[:, -1] = b[:, :tail].sum(axis=1)
+        else:
+            wq = w[q]
+            b *= wq[:c]
+            size = 1 << (m + c - 2).bit_length()
+            kernel = np.zeros(size, dtype=np.complex128)
+            kernel[:m], kernel[size - c + 1:] = wq[:m].conj(), wq[c - 1:0:-1].conj()
+            t = np.fft.ifft(np.fft.fft(b, size) * np.fft.fft(kernel))[:, :m]
+            t[:, -1] = (b[:, :tail] * wq[abs(m - 1 - np.arange(tail))].conj()).sum(axis=1)
+            t *= wq[:m]
+        for p, s in zip(ps, (a * t).sum(axis=1)):
+            moduli[p, q] = float(abs(s)) / n_iter
+    return {pq: moduli[half(pq)] for pq in chars}
 
 
 def weyl_sums_skew_exact(chars, n_iter: int) -> dict:
     """Birkhoff averages along the exact golden skew product orbit from (0, 0).
 
     The oracle of :func:`weyl_sums_skew_product`: the orbit is iterated
-    exactly in Q(sqrt 5), slow next to the closed forms, and its correctly
-    rounded float points are summed as one chunk, so cos and sin run at
-    every point and nothing is turned.
+    exactly in Q(sqrt 5), slow next to the closed forms, and each character
+    is summed directly over its correctly rounded float points, one complex
+    exponential per point, so it shares no code with the block kernel.
     """
     import numpy as np
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be positive, got {n_iter}")
     u, v, pts = golden(0), golden(0), []
     for _ in range(n_iter):
         pts.append((scalar_float(u), scalar_float(v)))
         u, v = golden_skew_step(u, v)
-    return _birkhoff_moduli(chars, n_iter, n_iter, lambda n: np.array(pts).T)
+    x, y = np.array(pts).T
+    return {(p, q): abs(np.exp(2j * np.pi * (p * x + q * y)).sum()) / n_iter
+            for p, q in chars}
 
 
 def _skew_shifts(u0, k0: int):
@@ -1198,32 +1160,28 @@ def _skew_shifts(u0, k0: int):
 
 
 def weyl_sums_skew_product(chars, n_iter: int, u0: float = 0.0, v0: float = 0.0,
-                           chunk: int = 1 << 14) -> dict:
+                           chunk: int | None = None) -> dict:
     """Birkhoff averages of characters along the golden skew product orbit.
 
-    The first chunk starts from (u0, v0) reduced mod 1 exactly in Q(sqrt 5)
-    and exported as correctly rounded doubles: the base steps by the float
-    1/phi^2 and the fiber is a float cumulative sum.  Chunk k0 is the first
-    chunk turned: u by E and v by D + j E at its point j (:func:`_skew_shifts`),
-    each decided afresh in Q(sqrt 5) from k0 and rounded once, never
-    accumulated.  So the base rows are the first chunk's, the fiber rows are
-    the first chunk's times the chirp e(j E), and no cos or sin runs over a
-    chunk after the first.  The phase of turned fiber point j errs by its
-    first-chunk point's error plus at most j |err E| + |err D| and the
-    rounding of j E: about chunk 2^-52 turns per harmonic.
+    The start (u0, v0) is reduced mod 1 exactly in Q(sqrt 5).  With blocks
+    of C points and (E, D) = :func:`_skew_shifts` (u0, C), block i starts
+    at E_i = i E and D_i = i D + C (i choose 2) E, and its point j is
+    (u_j + E_i, v_j + D_i + i j E): a chirp h = E/2 for
+    :func:`_block_moduli`.  Every phase row is a sum of n gamma mod 1 with
+    gamma exact (:func:`_turns`), so each errs by about 2^-52 turns.
     """
     import numpy as np
     u0, v0 = floor_mod1(golden(u0))[1], floor_mod1(golden(v0))[1]
 
-    def first(n):
-        u = _mod1(scalar_float(u0) + np.arange(n) * float(INV_PHI2))
-        w = u - float(HALF_INV_PHI3)
-        return u, _mod1(scalar_float(v0) + np.cumsum(w) - w)
-
-    def turn(k0):
-        e, d = map(scalar_float, _skew_shifts(u0, k0))
-        return (e, 0.0), (d, e)
-    return _birkhoff_moduli(chars, n_iter, chunk, first, turn)
+    def rows(c, m):
+        e, d = _skew_shifts(u0, c)
+        j, i, n = (np.arange(k, dtype=np.float64) for k in (c, m, max(c, m)))
+        return (_turns((u0, 1), (INV_PHI2, j)),
+                _turns((v0, 1), (u0 - HALF_INV_PHI3, j), (INV_PHI2, j * (j - 1) / 2)),
+                _turns((e, i)),
+                _turns((d, i), (c * e, i * (i - 1) / 2)),
+                _turns((e / 2, n * n)))
+    return _block_moduli(chars, n_iter, chunk, rows)
 
 
 def off_field_step(disc: int) -> float:
@@ -1237,27 +1195,25 @@ def off_field_step(disc: int) -> float:
 
 
 def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
-                      chunk: int = 1 << 14) -> dict:
+                      chunk: int | None = None) -> dict:
     """Birkhoff averages of base characters along a sampled nilflow orbit.
 
     The sampling step is always :func:`off_field_step` of the field (sqrt(2)
     for Q(sqrt 5), sqrt(3) for Q(sqrt 2)), outside the field of the
     eigenvector entries, so that 1, step*alpha and step*beta are rationally
-    independent.  Orbit positions come from the closed flow formula.  Both
-    coordinates are translations: chunk k0 is the first chunk turned by
-    (k0 step alpha, k0 step beta) mod 1, each computed afresh as the float
-    point k0 (never accumulated), so a chunk costs one rotation of the first
-    chunk's Gram matrix and no cos or sin over its points.
+    independent.  Sample k sits at k (step alpha, step beta) mod 1, with
+    step the double and alpha, beta exact, so with blocks of C points
+    block i is the first block translated by i C (step alpha, step beta):
+    no chirp, and :func:`_block_moduli` runs no FFT.
     """
     import numpy as np
-    step = off_field_step(data.context.disc)
-    alpha, beta = scalar_float(data.alpha), scalar_float(data.beta)
+    step = _rational(*off_field_step(data.context.disc).as_integer_ratio())
+    gx, gy = step * data.alpha, step * data.beta
 
-    def first(n):
-        t = np.arange(n, dtype=np.float64) * step
-        return _mod1(t * alpha), _mod1(t * beta)
-    return _birkhoff_moduli(chars, n_iter, chunk, first, lambda k0: (
-        ((k0 * step * alpha) % 1.0, 0.0), ((k0 * step * beta) % 1.0, 0.0)))
+    def rows(c, m):
+        j, i = np.arange(c, dtype=np.float64), np.arange(m, dtype=np.float64)
+        return _turns((gx, j)), _turns((gy, j)), _turns((c * gx, i)), _turns((c * gy, i)), None
+    return _block_moduli(chars, n_iter, chunk, rows)
 
 
 def equidistribution_report(kind: str, n_iter: int, radius: int = 3,

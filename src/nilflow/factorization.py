@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .freegroup import GENERATOR_SUBSTITUTIONS, Endomorphism, broken_line
 from .heisenberg import AlgebraVector, GroupPoint, flow
-from .scalar import QuadraticContext, QuadraticNumber, _rational
+from .scalar import GOLDEN, QuadraticContext, QuadraticNumber, _rational
 
 
 class HypothesisError(ValueError):
@@ -253,6 +253,18 @@ class HypothesisReport:
     lam_prime: QuadraticNumber | None = None
 
 
+# one context per field, GOLDEN for Q(sqrt 5), so that eigen data and the
+# golden constants multiply by the same-context route of QuadraticNumber
+_CONTEXTS = {(GOLDEN.trace, GOLDEN.det): GOLDEN}
+
+
+def _context(trace: int, det: int) -> QuadraticContext:
+    ctx = _CONTEXTS.get((trace, det))
+    if ctx is None:
+        ctx = _CONTEXTS[trace, det] = QuadraticContext(trace, det)
+    return ctx
+
+
 def check_hypothesis_H(endo: HeisenbergEndo) -> HypothesisReport:
     """Hyperbolicity report: unimodular, real irrational eigenvalues, |lam| > 1.
 
@@ -273,10 +285,10 @@ def check_hypothesis_H(endo: HeisenbergEndo) -> HypothesisReport:
     root = None
     try:
         if tr > 0:
-            ctx = QuadraticContext(tr, det)
+            ctx = _context(tr, det)
             root = ctx.lam
         elif tr < 0:
-            ctx = QuadraticContext(-tr, det)
+            ctx = _context(-tr, det)
             root = QuadraticNumber(0, -1, ctx)
         else:
             failures.append("zero trace gives |lam| = |lam'|")

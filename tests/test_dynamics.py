@@ -623,6 +623,24 @@ def test_skew_chunks_are_the_first_chunk_turned_and_chirped():
                 assert integral(v - vj - d - j * e), (start, k0, j)
 
 
+def test_skew_block_starts_are_quadratic_in_the_block_index():
+    # with blocks of c points, block i starts at E_i = i E and
+    # D_i = i D + c (i choose 2) E mod 1, (E, D) = _skew_shifts(u0, c)
+    from nilflow.dynamics import _skew_shifts
+
+    def integral(x):
+        return floor_mod1(x)[1] == 0
+
+    for c in (1000, 1009, 1 << 14):
+        for start in (0, Fraction(1, 4)):
+            u0 = golden(start)
+            e, d = _skew_shifts(u0, c)
+            for i in range(1000):
+                ei, di = _skew_shifts(u0, i * c)
+                assert integral(ei - i * e), (c, start, i)
+                assert integral(di - i * d - c * (i * (i - 1) // 2) * e), (c, start, i)
+
+
 def test_chart_equivalence():
     rep = fibonacci_chart_equivalence(n_verify=100)
     assert rep["passed"] and rep["found"]
@@ -800,8 +818,8 @@ def _check_weyl_kernel_against_direct_sums(chars):
     from nilflow.scalar import scalar_float
 
     alpha, beta = scalar_float(FIB_DATA.alpha), scalar_float(FIB_DATA.beta)
-    # one chunk; then the chunks at 1000, 2000 and 3000 turned from the first,
-    # the last a 500-point tail (at 1009, 2018 and 3027, a 473-point tail)
+    # one block of 3000; blocks of 1000 with a last one of 500, and of 1009
+    # with a last one of 473
     for n, chunk in ((3000, 1 << 14), (3500, 1000), (3500, 1009)):
         t = np.arange(n) * off_field_step(5)
         want = _direct_moduli(chars, (t * alpha) % 1.0, (t * beta) % 1.0)
@@ -809,9 +827,8 @@ def _check_weyl_kernel_against_direct_sums(chars):
         assert set(got) == set(chars)
         for pq in chars:
             assert abs(got[pq] - want[pq]) < 1e-12, (n, pq)
-    # chunks of 1000 or 1009 turn the first chunk at k0 = 1000, 2000 (and
-    # 3000), the fiber by a chirp over blocks of 32, which divide neither;
-    # the default chunk turns two chunks of 2^14 and a 577-point tail
+    # blocks of 1000 or 1009, whose chirp-z transforms run over 3 or 4
+    # blocks; blocks of 2^14 at 2^15 + 577 end in a last block of 577
     for n, chunk in ((3000, 1000), (3500, 1000), (3500, 1009),
                      (2 * (1 << 14) + 577, 1 << 14)):
         for u0, v0 in ((0.0, 0.0), (0.25, 0.5)):
@@ -819,7 +836,7 @@ def _check_weyl_kernel_against_direct_sums(chars):
             fast = weyl_sums_skew_product(chars, n, u0=u0, v0=v0, chunk=chunk)
             for pq in chars:
                 assert abs(fast[pq] - want[pq]) < 1e-9, (n, chunk, u0, v0, pq)
-    # the oracle sums one chunk, beyond 2^14 too
+    # the oracle sums its points directly, beyond 2^14 too
     for n in (3000, (1 << 14) + 577):
         want = _direct_moduli(chars, *_exact_skew_orbit(0, 0, n))
         exact = weyl_sums_skew_exact(chars, n)
@@ -836,32 +853,44 @@ def _check_weyl_kernel_against_direct_sums(chars):
         equidistribution_report("skew", 3000, radius=0)
 
 
-def test_weyl_kernel_mixed_drifts_match_direct_sums():
-    # y drifts in one later chunk and not in the other, in both orders: rows
-    # chirped for one chunk must not be reused as the first chunk's
+def test_weyl_blocks_match_direct_sums_around_a_square():
+    # the default block length is ceil(sqrt N): one block at N = 1 and 2, 40
+    # at N = 1599 (a last block of 39 points) and 1600 (a full one), 41 at
+    # 1601 (a last block of 2); blocks of 700 at 1601 leave one of 201
     import numpy as np
-    from nilflow.dynamics import _birkhoff_moduli, character_grid
-    chars = character_grid(2)
-    n, chunk = 2500, 1000
-    j = np.arange(chunk)
-    x0, y0 = (j * 2 ** 0.5) % 1.0, (j * j * 0.0137) % 1.0
-    drift, still = (0.3, 0.01), (0.7, 0.0)
-    for turns in ((drift, still), (still, drift)):
-        shifts = {k0: ((0.25 * i, 0.0), turn)
-                  for i, (k0, turn) in enumerate(zip((1000, 2000), turns), 1)}
-        got = _birkhoff_moduli(chars, n, chunk, lambda m: (x0[:m].copy(), y0[:m].copy()),
-                               shifts.__getitem__)
-        xs, ys = [x0], [y0]
-        for k0, ((dx, _), (dy, ey)) in shifts.items():
-            m = min(chunk, n - k0)
-            xs.append((x0[:m] + dx) % 1.0)
-            ys.append((y0[:m] + dy + j[:m] * ey) % 1.0)
-        want = _direct_moduli(chars, np.concatenate(xs), np.concatenate(ys))
+    from nilflow.dynamics import (
+        character_grid, off_field_step, weyl_sums_nilflow, weyl_sums_skew_product,
+    )
+    from nilflow.scalar import scalar_float
+    chars = character_grid(3) + [(0, 0)]
+    alpha, beta = scalar_float(FIB_DATA.alpha), scalar_float(FIB_DATA.beta)
+    sizes = ((1, None), (2, None), (1599, None), (1600, None), (1601, None), (1601, 700))
+    for u0, v0 in ((0.0, 0.0), (0.25, 0.5)):
+        x, y = _exact_skew_orbit(u0, v0, 1601)
+        for n, chunk in sizes:
+            want = _direct_moduli(chars, x[:n], y[:n])
+            got = weyl_sums_skew_product(chars, n, u0=u0, v0=v0, chunk=chunk)
+            for pq in chars:
+                assert abs(got[pq] - want[pq]) < 1e-12, (n, chunk, u0, v0, pq)
+    for n, chunk in sizes:
+        t = np.arange(n) * off_field_step(5)
+        want = _direct_moduli(chars, (t * alpha) % 1.0, (t * beta) % 1.0)
+        got = weyl_sums_nilflow(FIB_DATA, chars, n, chunk=chunk)
         for pq in chars:
-            assert abs(got[pq] - want[pq]) < 1e-12, (turns, pq)
+            assert abs(got[pq] - want[pq]) < 1e-12, (n, chunk, pq)
 
 
-def test_no_cos_or_sin_runs_over_a_turned_chunk(monkeypatch):
+def test_skew_weyl_sums_err_by_about_an_ulp_per_phase():
+    from nilflow.dynamics import character_grid, weyl_sums_skew_product
+    chars, n = character_grid(3), 20_000
+    for u0, v0 in ((0.0, 0.0), (0.25, 0.5)):
+        want = _direct_moduli(chars, *_exact_skew_orbit(u0, v0, n))
+        got = weyl_sums_skew_product(chars, n, u0=u0, v0=v0)
+        for pq in chars:
+            assert abs(got[pq] - want[pq]) < 1e-13, (u0, v0, pq)
+
+
+def test_weyl_kernel_exponentiates_only_its_block_rows(monkeypatch):
     import numpy as np
     from nilflow.dynamics import (
         character_grid, weyl_sums_nilflow, weyl_sums_skew_product,
@@ -873,16 +902,15 @@ def test_no_cos_or_sin_runs_over_a_turned_chunk(monkeypatch):
             counted[0] += np.size(x)
             return ufunc(x, *args, **kwargs)
         return call
-    monkeypatch.setattr(np, "cos", counting(np.cos))
-    monkeypatch.setattr(np, "sin", counting(np.sin))
-    # cos and sin at each point of the first chunk, both coordinates; after
-    # it only the chirps (2 sqrt chunk per chunk) and the rotations, where
-    # refilling one coordinate of one later chunk would cost 2 * 2^14
-    n, first = 10**6, 4 * (1 << 14)
+    for name in ("cos", "sin", "exp"):
+        monkeypatch.setattr(np, name, counting(getattr(np, name)))
+    # one complex exponential per point of the block rows: 2 of C and 2 of
+    # m = ceil(N/C) points, and on the skew product a chirp of max(C, m),
+    # with C = m = 1000 at N = 10^6; the orbit itself would be 10^6 points
     for run in (weyl_sums_skew_product, partial(weyl_sums_nilflow, FIB_DATA)):
         counted[0] = 0
-        run(character_grid(3), n)
-        assert first <= counted[0] < first + n // 16, counted[0]
+        run(character_grid(3), 10**6)
+        assert 0 < counted[0] < 1 << 16, counted[0]
 
 
 def test_mod1_is_np_remainder_bit_for_bit():
@@ -922,8 +950,7 @@ def test_nilflow_weyl_sums_match_the_geometric_series():
     mpmath = pytest.importorskip("mpmath")
     from nilflow.dynamics import character_grid, weyl_sums_nilflow
     # Fibonacci in Q(sqrt 5) with step sqrt 2, and a->aab;b->a in Q(sqrt 2)
-    # with step sqrt 3: the first chunk, 60 chunks turned from it and a turned
-    # 576-point tail
+    # with step sqrt 3, in the default blocks of 317 and 1000 points
     aab = eigen_data(factor(parse_substitution("a->aab;b->a")))
     for data, n, m in ((FIB_DATA, 10**5, 2), (aab, 10**6, 3)):
         table = weyl_sums_nilflow(data, character_grid(3), n)

@@ -180,6 +180,14 @@ def test_eigen_values_fibonacci():
     assert abs(float(d.s_b) - 0.4472) < 1e-4
 
 
+def test_eigen_data_share_one_context_per_field():
+    # so products of eigen data with golden constants take the same-context route
+    assert FIB_DATA.context is GOLDEN and FIB_DATA.lam.ctx is GOLDEN
+    aab = parse_substitution("a->aab;b->a")
+    first, second = eigen_data(factor(aab)), eigen_data(factor(aab))
+    assert first.context is second.context and first.context is not GOLDEN
+
+
 def test_parallelism_identities():
     d = FIB_DATA
     assert (d.t_a * d.alpha - 1) * d.beta_p == d.t_a * d.beta * d.alpha_p
