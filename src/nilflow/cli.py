@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -395,7 +396,9 @@ def _exact(cfg: dict, key: str, ctx, parse=parse_scalar):
         raise ParseError(f"{flag}: {exc}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and reused."""
     parser = argparse.ArgumentParser(
         prog="nilflow",
         description="Exact Heisenberg nilflow and niltranslation experiments",

@@ -21,7 +21,6 @@ import it when called, so the exact maps start without it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -29,7 +28,6 @@ from fractions import Fraction
 
 from .factorization import (
     EigenData,
-    SurfaceQuadric,
     eigen_data,
     factor,
     flow_of,
@@ -87,18 +85,15 @@ def golden(x):
 
 @dataclass(frozen=True)
 class Branch:
-    """On u in [lo, hi): u += du and v += a2 u^2 + a1 u + a0, v mod 1."""
+    """On u in [lo, hi): u += du and v += a1 u + a0, v mod 1."""
 
     lo: object
     hi: object
     du: object
-    a2: object
     a1: object
     a0: object
 
     def poly(self, u):
-        if self.a2:
-            return self.a2 * u * u + self.a1 * u + self.a0
         return self.a1 * u + self.a0
 
 
@@ -106,8 +101,8 @@ class PiecewiseTorusMap:
     """Fibered map over an exchange of the subintervals of its base [lo, hi).
 
     The base is read off the sorted branches; the fiber is reduced mod 1
-    into [fiber_lo, fiber_lo + 1).  The v-update is an exact polynomial of
-    degree at most two in u, a class closed under composition and inversion.
+    into [fiber_lo, fiber_lo + 1).  The v-update is exact and affine in u,
+    a class closed under composition and inversion.
     The constructor certifies that the branches partition [lo, hi) and that
     every branch image lies in it, so a step never reduces u.
     """
@@ -156,13 +151,8 @@ class PiecewiseTorusMap:
             lo = max(b1.lo, b2.lo - c)
             hi = min(b1.hi, b2.hi - c)
             if lo < hi:
-                yield Branch(
-                    lo, hi,
-                    du=c + b2.du,
-                    a2=b1.a2 + b2.a2,
-                    a1=b1.a1 + 2 * b2.a2 * c + b2.a1,
-                    a0=b1.a0 + b2.a2 * c * c + b2.a1 * c + b2.a0,
-                )
+                yield Branch(lo, hi, du=c + b2.du, a1=b1.a1 + b2.a1,
+                             a0=b1.a0 + b2.a1 * c + b2.a0)
 
     def compose(self, other: "PiecewiseTorusMap") -> "PiecewiseTorusMap":
         """self after other."""
@@ -171,8 +161,7 @@ class PiecewiseTorusMap:
 
     def invert(self) -> "PiecewiseTorusMap":
         return PiecewiseTorusMap([
-            Branch(b.lo + b.du, b.hi + b.du, du=-b.du, a2=-b.a2,
-                   a1=2 * b.a2 * b.du - b.a1, a0=(b.a1 - b.a2 * b.du) * b.du - b.a0)
+            Branch(b.lo + b.du, b.hi + b.du, du=-b.du, a1=-b.a1, a0=b.a1 * b.du - b.a0)
             for b in self.branches], self.fiber_lo)
 
     def induce(self, lo, hi) -> tuple["PiecewiseTorusMap", tuple[int, ...]]:
@@ -189,7 +178,7 @@ class PiecewiseTorusMap:
             raise ValueError(f"[{scalar_str(lo)}, {scalar_str(hi)}) is not a "
                              f"nonempty subinterval of the base")
         zero = lo - lo
-        pending, done, n = [Branch(lo, hi, zero, zero, zero, zero)], [], 0
+        pending, done, n = [Branch(lo, hi, zero, zero, zero)], [], 0
         while pending:
             n, moving, pending, landed = n + 1, pending, [], []
             for piece in (q for p in moving for q in self._follow(p)):
@@ -214,23 +203,19 @@ def _affine_branch(lo, hi, lift) -> Branch:
     """
     h = (hi - lo) / 4
     (u0, w0), (_, w1), (_, w2) = (lift(s) for s in (lo, lo + h, lo + 2 * h))
-    a2 = w2 - 2 * w1 + w0
-    if a2 != 0:
+    if w2 - 2 * w1 + w0 != 0:
         raise ArithmeticError("map is not affine in the fiber")
     a1 = (w1 - w0) / h
-    return Branch(lo, hi, u0 - lo, a2, a1, w0 - a1 * lo)
+    return Branch(lo, hi, u0 - lo, a1, w0 - a1 * lo)
 
 
 def strip_family(s, theta) -> PiecewiseTorusMap:
     """The two-branch strip map on [0,1)^2 with breakpoint 1/phi^2."""
     s = golden(s)
     theta = golden(theta)
-    zero = golden(0)
     return PiecewiseTorusMap([
-        Branch(zero, INV_PHI2, du=INV_PHI,
-               a2=zero, a1=-PHI, a0=theta - INV_PHI + (s + 1) * PHI),
-        Branch(INV_PHI2, golden(1), du=-INV_PHI2,
-               a2=zero, a1=-INV_PHI, a0=theta + (s + 1) * INV_PHI),
+        Branch(golden(0), INV_PHI2, du=INV_PHI, a1=-PHI, a0=theta - INV_PHI + (s + 1) * PHI),
+        Branch(INV_PHI2, golden(1), du=-INV_PHI2, a1=-INV_PHI, a0=theta + (s + 1) * INV_PHI),
     ])
 
 
@@ -363,9 +348,9 @@ class SigmaSection:
     and :meth:`replay` flow the group point as oracles.
     """
 
-    def __init__(self, data: EigenData, quadric: SurfaceQuadric | None = None):
+    def __init__(self, data: EigenData):
         self.data = d = data
-        self.quadric = quadric if quadric is not None else surface_quadric(data)
+        self.quadric = surface_quadric(data)
         self.vec = flow_of(data, "lam")
         zero = data.zero()
         self.table = PiecewiseTorusMap(
@@ -470,19 +455,19 @@ class SigmaSection:
         t, u, (n, m) = best
         return _reduced(u, self._flow_offset(s, zoff, t, u, -n, -m), t, (-n, -m))
 
-    def early_crossing_audit(self, p: SectionPoint, window: int = 4) -> dict:
+    def early_crossing_audit(self, p: SectionPoint) -> dict:
         """Certify the step time is the first crossing of the section line.
 
-        Solves every lattice translate in the window for the exact crossing
-        time of the planar flow line and reports any hit with a smaller
-        positive time and parameter inside [s_a, s_b).
+        Solves every lattice translate (n, m) with |n|, |m| <= 4 for the exact
+        crossing time of the planar flow line and reports any hit with a
+        smaller positive time and parameter inside [s_a, s_b).
         """
         d = self.data
         t_branch = d.t_a if p.s >= 0 else d.t_b
         early = []
         found_return = False
-        for n, ms in self._crossing_rows(p.s, range(-window, window + 1)):
-            for m in range(max(-window, ms.start), min(window + 1, ms.stop)):
+        for n, ms in self._crossing_rows(p.s, range(-4, 5)):
+            for m in range(max(-4, ms.start), min(5, ms.stop)):
                 t = n * d.t_a + m * d.t_b
                 if p.s + n * d.s_a + m * d.s_b < d.s_b:
                     if t < t_branch:
@@ -522,12 +507,10 @@ def section_samples(data: EigenData, count: int, seed: int = 11) -> list[Section
     return pts[:count]
 
 
-def iet_orbit_check(data: EigenData, iterates: int, start=None) -> dict:
-    """Iterate the section return; certify IET structure along the orbit."""
+def iet_orbit_check(data: EigenData, iterates: int) -> dict:
+    """Iterate the section return from (0, 0); certify IET structure along the orbit."""
     section = SigmaSection(data)
-    p = start if start is not None else SectionPoint(
-        golden_like(0, data), golden_like(0, data)
-    )
+    p = SectionPoint(golden_like(0, data), golden_like(0, data))
     translations = set()
     times = set()
     for _ in range(iterates):
@@ -547,23 +530,23 @@ def iet_orbit_check(data: EigenData, iterates: int, start=None) -> dict:
 
 
 def self_induction_check(
-    data: EigenData, samples: list[SectionPoint] | int = 100,
-    seed: int = 23, max_iter: int | None = None,
+    data: EigenData, samples: list[SectionPoint] | int = 100, seed: int = 23,
 ) -> dict:
     """Exact check that conjugating the induced map undoes the automorphism.
 
-    For each sample q the return map image T(q) must equal the pullback of
-    the first return to the automorphism image of the section started from
-    the pushforward of q.  Membership in the image section is tested exactly
-    by pulling candidate hits back.  The automorphism turns the return time
-    t(q) into |lam| t(q), so the search sums the exact crossing times and
-    stops at the first crossing that reaches |lam| t(q) without a hit;
-    ``max_iter``, if given, also caps the number of crossings.
+    For each sample q the pullback of the first return to the automorphism
+    image of the section, started from the pushforward of q, must equal
+    T(q) for lam > 0 and T^-1(q) for lam < 0, where T is the return map.
+    Membership in the image section is tested exactly by pulling candidate
+    hits back.  The automorphism turns a return time t into |lam| t, so the
+    search sums the exact crossing times and stops at the first crossing
+    that reaches |lam| t without a hit, with t the return time from q to
+    T(q), or from T^-1(q) to q.
     """
     section = SigmaSection(data)
     d = data
     det = d.endo.det_m()
-    lam = d.lam if d.lam > 0 else -d.lam
+    lam, inverse = (d.lam, None) if d.lam > 0 else (-d.lam, section.table.invert())
     if isinstance(samples, int):
         samples = section_samples(data, samples, seed=seed)
     # Image endpoints must stay inside the closed section parameter range.
@@ -571,23 +554,21 @@ def self_induction_check(
     containment = d.s_a <= min(image_ends) and max(image_ends) <= d.s_b
     failures = []
     for q in samples:
-        rec = section.return_map(q)
-        rhs, due = rec.point, lam * rec.time
+        if inverse is None:
+            rec = section.return_map(q)
+            rhs, due = rec.point, lam * rec.time
+        else:
+            rhs = SectionPoint(*inverse.step_coords(q.s, q.zoff)[1:3])
+            due = lam * section.return_map(rhs).time
         s_cur = d.lam_prime * q.s
         w_cur = floor_mod1(det * q.zoff + HALF)[1] - HALF
-        elapsed = 0
-        hit = None
-        for _ in range(max_iter) if max_iter is not None else itertools.count():
-            if not d.s_a <= s_cur <= d.s_b:
-                break
+        elapsed, hit = 0, None
+        while hit is None and elapsed < due and d.s_a <= s_cur <= d.s_b:
             hop = section._crossing_step(s_cur, w_cur)
             s_cur, w_cur, elapsed = hop.point.s, hop.point.zoff, elapsed + hop.time
             back = s_cur / d.lam_prime
             if d.s_a <= back < d.s_b:
                 hit = (back, floor_mod1(det * w_cur + HALF)[1] - HALF)
-                break
-            if elapsed >= due:
-                break
         witness = {"witness": scalar_str(q.s), "zoff": scalar_str(q.zoff)}
         if hit is None:
             failures.append({**witness, "reason": "no return found"})
@@ -826,14 +807,6 @@ def in_d2(c: RegionCoeffs, x, y) -> bool:
     return px < y <= px + 1 and c.r(x) - 1 < y <= c.r(x)
 
 
-def in_d1_prime(c: RegionCoeffs, x, y) -> bool:
-    return 0 < y <= 1 and y <= c.q1 * x + c.q0 and y <= c.r1 * x + c.r0 - 1
-
-
-def in_d2_prime(c: RegionCoeffs, x, y) -> bool:
-    return 0 < y <= 1 and c.r1 * x + c.r0 - 1 < y <= c.r1 * x + c.r0
-
-
 def r1_prime(x, y):
     return x + INV_PHI2, y
 
@@ -862,22 +835,22 @@ def affine_identity_check(n_points: int = 100, seed: int = 3) -> dict:
     return {"checked": 4 * n_points, "failures": failures, "passed": not failures}
 
 
-def region_invariance_audit(coeffs: RegionCoeffs | None = None,
-                            n_x: int = 21, n_y: int = 8) -> dict:
+def region_invariance_audit(coeffs: RegionCoeffs | None = None) -> dict:
     """Does R = T_phi (minus (1,0) on D_2) map D into D?  Reported, not asserted.
 
-    With the default coefficients spot checks are expected to fail; the
-    audit records the counts and a witness.
+    The points are the origin and, over x = k/21 for |k| <= 10, the heights
+    p(x) + j/9 for j = 1 .. 8.  With the default coefficients spot checks
+    are expected to fail; the audit records the counts and a witness.
     """
     c = coeffs if coeffs is not None else RegionCoeffs.default_coeffs()
     inside = 0
     stayed = 0
     witnesses = []
     points = [(golden(0), golden(0))]
-    for i in range(n_x):
-        x = golden(_rational(i - n_x // 2, n_x))
-        for j in range(1, n_y + 1):
-            points.append((x, c.p(x) + _rational(j, n_y + 1)))
+    for i in range(-10, 11):
+        x = golden(_rational(i, 21))
+        for j in range(1, 9):
+            points.append((x, c.p(x) + _rational(j, 9)))
     for x, y in points:
         if in_d1(c, x, y):
             image = t_phi_affine(x, y)
@@ -903,32 +876,35 @@ def region_invariance_audit(coeffs: RegionCoeffs | None = None,
     }
 
 
-def rprime_return_audit(coeffs: RegionCoeffs | None = None,
-                        n_samples: int = 60, seed: int = 13,
-                        max_steps: int = 12) -> dict:
-    """First return of R' to D_2': count the R'_1 powers, expect {0, 1, 2, 3}."""
+def rprime_return_audit(coeffs: RegionCoeffs | None = None, seed: int = 13) -> dict:
+    """First return of R' to D_2': count the R'_1 powers, expect {0, 1, 2, 3}.
+
+    D_1' and D_2' are D_1 and D_2 with p = 0; 60 samples of D_2' are
+    followed for at most 12 powers.
+    """
     c = coeffs if coeffs is not None else RegionCoeffs.default_coeffs()
+    flat = replace(c, p2=0, p1=0, p0=0)
     rng = random.Random(seed)
     counts: dict[int, int] = {}
     escapes = 0
     bad = []
-    for _ in range(n_samples):
+    for _ in range(60):
         y = golden(_rational(rng.randrange(1, 997), 997))
         lo = (c.r0 - 1 - y) / (-c.r1)
         width = 1 / (-c.r1)
         x = lo + width * _rational(rng.randrange(1, 997), 997)
-        if not in_d2_prime(c, x, y):
+        if not in_d2(flat, x, y):
             escapes += 1
             continue
         u, v = r2_prime(x, y)
         n = 0
-        while n <= max_steps:
-            if in_d2_prime(c, u, v):
+        while n <= 12:
+            if in_d2(flat, u, v):
                 counts[n] = counts.get(n, 0) + 1
                 if n > 3:
                     bad.append(n)
                 break
-            if not in_d1_prime(c, u, v):
+            if not in_d1(flat, u, v):
                 escapes += 1
                 break
             u, v = r1_prime(u, v)
@@ -936,7 +912,7 @@ def rprime_return_audit(coeffs: RegionCoeffs | None = None,
         else:
             escapes += 1
     return {
-        "samples": n_samples,
+        "samples": 60,
         "histogram": {str(k): v for k, v in sorted(counts.items())},
         "escapes": escapes,
         "counts_in_range": not bad,
@@ -976,11 +952,9 @@ def gamma_zero(data: EigenData) -> QuadraticNumber:
     )
 
 
-def nonresonance_report(data: EigenData, x0, grid: int = 10,
-                        gamma: QuadraticNumber | None = None) -> dict:
-    """Exact check that gamma + beta*x0 avoids the shifted-gamma grid."""
-    if gamma is None:
-        gamma = gamma_zero(data)
+def nonresonance_report(data: EigenData, x0, grid: int = 10) -> dict:
+    """Exact check that gamma_zero + beta*x0 avoids the shifted-gamma grid."""
+    gamma = gamma_zero(data)
     x0 = golden_like(x0, data)
     value = gamma + data.beta * x0
     hits = []

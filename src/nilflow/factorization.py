@@ -426,12 +426,7 @@ def _assert_eigvec(endo, value, u, v) -> None:
 
 def gamma_of(endo: HeisenbergEndo, which: str = "lam") -> QuadraticNumber:
     """Gamma of the eigenflow attached to the endomorphism's own offsets."""
-    data = eigen_data(endo)
-    if which == "lam":
-        return data.gamma
-    if which == "lam_prime":
-        return data.gamma_p
-    raise ValueError("which must be 'lam' or 'lam_prime'")
+    return flow_of(eigen_data(endo), which).gamma
 
 
 def flow_of(data: EigenData, which: str = "lam") -> AlgebraVector:

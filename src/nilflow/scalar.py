@@ -488,10 +488,9 @@ class QuadraticNumber:
     def frac(self) -> "QuadraticNumber":
         return self - self.floor()
 
-    def to_float(self, precision: int = 53) -> tuple[float, float]:
+    def to_float(self) -> tuple[float, float]:
         """Correctly rounded double and the bound ``|v| * 2^-53`` on its error.
 
-        The double is the same for every ``precision`` (at least 32 bits).
         For ``B != 0``, with ``S = floor(sqrt(disc) * 2^m)`` from the
         context, ``x * (den << m)`` lies strictly between ``N = (P << m) +
         B*S`` and ``N + B``.  ``int / int`` rounds correctly and rounding is
@@ -499,8 +498,6 @@ class QuadraticNumber:
         is irrational, hence never a rounding boundary, and doubling ``m``
         ends the loop.  Overflow raises ``OverflowError``.
         """
-        if precision < 32:
-            raise ValueError("precision must be at least 32 bits")
         A, B, d = self.A, self.B, self.d
         if B == 0:
             v = A / d

@@ -108,6 +108,15 @@ def test_induce(tmp_path, capsys):
     assert report["self_induction"]["passed"]
 
 
+@pytest.mark.parametrize("sub", ["a->AB;b->A", "a->BA;b->A", "a->AAB;b->A", "a->AAB;b->AB"])
+def test_induce_negative_trace(tmp_path, capsys, sub):
+    # lam < 0: the self-induction holds with the inverse return map
+    assert run(["induce", "--substitution", sub, "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "induce-report.json").read_text())
+    assert report["self_induction"]["passed"]
+    assert capsys.readouterr().out.strip() == "induce: renormalization ok, self-induction ok"
+
+
 def test_induce_return_counts(tmp_path, capsys):
     # the golden rotation alone fixes them, whatever s and theta are: u + 2/phi
     # lands in [0, 1/phi^2) mod 1 exactly when u < 1/phi^4, else u + 3/phi

@@ -141,7 +141,7 @@ def test_induce_errors():
             m.induce(lo, hi)
     # both branches land in [0, 1/2): a table, but not an exchange
     q = Fraction(1, 2)
-    squash = PiecewiseTorusMap([Branch(0, q, 0, 0, 0, 0), Branch(q, 1, -q, 0, 0, 0)])
+    squash = PiecewiseTorusMap([Branch(0, q, 0, 0, 0), Branch(q, 1, -q, 0, 0)])
     with pytest.raises(ValueError, match="partition"):
         squash.induce(0, q)
     with pytest.raises(ValueError, match="no branch"):
@@ -170,7 +170,7 @@ def test_piecewise_map_certificate():
     zero, half, one = golden(0), golden(Fraction(1, 2)), golden(1)
 
     def shift(lo, hi, du):
-        return Branch(lo, hi, du, zero, zero, zero)
+        return Branch(lo, hi, du, zero, zero)
     with pytest.raises(ValueError, match="empty"):
         PiecewiseTorusMap([])
     with pytest.raises(ValueError, match="partition"):
@@ -180,7 +180,7 @@ def test_piecewise_map_certificate():
     with pytest.raises(ValueError, match="leaves"):
         PiecewiseTorusMap([shift(zero, one, half)])
     q = Fraction(1, 2)
-    rotation = PiecewiseTorusMap([Branch(0, q, q, 0, 0, q), Branch(q, 1, -q, 0, 1, 0)])
+    rotation = PiecewiseTorusMap([Branch(0, q, q, 0, q), Branch(q, 1, -q, 1, 0)])
     assert (rotation.lo, rotation.hi) == (0, 1)
     step = rotation.step_coords          # a rational table steps as well
     assert step(Fraction(1, 4), Fraction(3, 4)) == (0, Fraction(3, 4), Fraction(1, 4), 1)
@@ -302,7 +302,7 @@ def test_sigma_table_equals_flow_geometry():
         assert (lo.lo, lo.hi, lo.du) == (data.s_a, 0, data.s_b)
         assert (hi.lo, hi.hi, hi.du) == (0, data.s_b, data.s_a)
         assert [t for t, _ in section._returns] == [data.t_b, data.t_a]
-        assert lo.a2 == 0 and hi.a2 == 0 and section.table.fiber_lo == Fraction(-1, 2)
+        assert section.table.fiber_lo == Fraction(-1, 2)
         samples = section_samples(data, 40, seed=13)
         assert samples[0].s == data.s_a and samples[1].s == 0
         # the largest parameter section_samples can draw below s_b
@@ -449,7 +449,7 @@ def test_crossing_solve_equals_window_scan(monkeypatch):
 
 
 def test_sigma_section_computes_no_float(monkeypatch):
-    def no_float(self, precision=53):
+    def no_float(self):
         raise AssertionError("float export in the exact core")
     monkeypatch.setattr(QuadraticNumber, "to_float", no_float)
     for data in SECTION_DATA[:2]:
@@ -470,6 +470,16 @@ def test_self_induction_boundary_sample():
     assert rep["passed"]
 
 
+@pytest.mark.parametrize("sub", ["a->AB;b->A", "a->BA;b->A", "a->AAB;b->A", "a->AAB;b->AB"])
+def test_self_induction_negative_trace(sub):
+    # for lam < 0 the pulled-back first hit is the inverse return T^-1(q);
+    # det = -1 for the first three, det = +1 and lam' < 0 for the last
+    data = eigen_data(factor(parse_substitution(sub)))
+    assert data.lam < 0
+    rep = self_induction_check(data, samples=40, seed=5)
+    assert rep["containment"] and rep["passed"], rep["failures"][:1]
+
+
 def test_self_induction_random_automorphisms():
     rng = random.Random(6)
     for data in random_hyperbolic_data(rng, 5, max_len=5):
@@ -485,15 +495,12 @@ def test_self_induction_long_returns(k):
     assert rep["passed"], rep["failures"][:1]
 
 
-def test_self_induction_stops_at_the_predicted_time(monkeypatch):
-    # a crossing solve that never lands in lam' * Sigma: each sample must give
-    # up once the crossing times reach |lam| times its return time (about k
-    # crossings), not after a cap of about k^2 crossings
-    k = 420
-    data = eigen_data(factor(parse_substitution("a->" + "a" * k + "b;b->a")))
+def _never_landing(data, calls):
+    """A crossing solve that never lands in lam' * Sigma: a hop that would
+    land is moved to a parameter of the section outside the image."""
     real = SigmaSection._crossing_step
-    calls = []
-    outside = data.s_b - (data.s_b - data.lam_prime * data.s_b) / 2
+    outside = (data.s_b + max(data.lam_prime * data.s_a, data.lam_prime * data.s_b)) / 2
+    assert not data.s_a <= outside / data.lam_prime < data.s_b
 
     def never_lands(self, s, zoff):
         calls.append(s)
@@ -502,15 +509,27 @@ def test_self_induction_stops_at_the_predicted_time(monkeypatch):
         if data.s_a <= back < data.s_b:
             hop = replace(hop, point=SectionPoint(outside, hop.point.zoff))
         return hop
+    return never_lands
 
-    monkeypatch.setattr(SigmaSection, "_crossing_step", never_lands)
+
+def test_self_induction_stops_at_the_predicted_time(monkeypatch):
+    # each sample must give up once the crossing times reach |lam| times its
+    # return time (about k crossings), not after a cap of about k^2 crossings
+    k = 420
+    data = eigen_data(factor(parse_substitution("a->" + "a" * k + "b;b->a")))
+    calls = []
+    monkeypatch.setattr(SigmaSection, "_crossing_step", _never_landing(data, calls))
     rep = self_induction_check(data, samples=1)
     assert [f["reason"] for f in rep["failures"]] == ["no return found"]
     assert 0 < len(calls) <= 2 * k
 
 
-def test_self_induction_max_iter_override():
-    rep = self_induction_check(FIB_DATA, samples=12, seed=5, max_iter=1)
+def test_self_induction_witness_of_a_missed_return(monkeypatch):
+    # a crossing solve that never lands: every sample fails with a witness,
+    # and the witness passes under the real solve
+    with monkeypatch.context() as patch:
+        patch.setattr(SigmaSection, "_crossing_step", _never_landing(FIB_DATA, []))
+        rep = self_induction_check(FIB_DATA, samples=12, seed=5)
     assert not rep["passed"]
     failure = rep["failures"][0]
     assert failure["reason"] == "no return found"

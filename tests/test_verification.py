@@ -3,6 +3,7 @@ fails, absent (so the report bytes are unchanged) when every case passes."""
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from nilflow import verification as ver
@@ -82,10 +83,17 @@ def test_decompose_witness(monkeypatch):
 def test_self_induction_witness(monkeypatch):
     check = ver.dyn.self_induction_check
     assert "witness" not in ver.check_self_induction(7, samples=6, autos=1).details
-    # a cap of one crossing misses the longer returns: a genuine failure
-    monkeypatch.setattr(ver.dyn, "self_induction_check",
-                        lambda data, **kw: check(data, max_iter=1, **kw))
-    result = ver.check_self_induction(7, samples=6, autos=1)
+    # a crossing solve that never lands in lam' * Sigma: a genuine failure
+    real = ver.dyn.SigmaSection._crossing_step
+
+    def never_lands(self, s, zoff):
+        hop = real(self, s, zoff)
+        d = self.data
+        off = d.s_b + (d.s_b - d.s_a)   # outside the segment, and off lam' * Sigma
+        return replace(hop, point=SectionPoint(off, hop.point.zoff))
+    with monkeypatch.context() as patch:
+        patch.setattr(ver.dyn.SigmaSection, "_crossing_step", never_lands)
+        result = ver.check_self_induction(7, samples=6, autos=1)
     assert not result.passed and result.details["fibonacci"] is False
     witness = result.details["witness"]
     assert witness["law"] == "T = Lambda^-1 . (T induced on lam' Sigma) . Lambda"
