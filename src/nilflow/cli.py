@@ -7,7 +7,8 @@ seed, exact values are emitted as strings, floats with 17 significant
 digits, and files are written atomically, so equal configurations produce
 byte-identical outputs.
 
-Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
+Exit codes: 0 success, 1 verification failure, 2 parse/usage error (also
+an ``equidistribution --iters`` past the Weyl kernel's memory budget),
 3 hypothesis violation, 4 I/O error.
 """
 
@@ -25,6 +26,7 @@ from typing import NamedTuple
 from . import verification
 from .dynamics import (
     INV_PHI2,
+    WeylSizeError,
     equidistribution_report,
     golden,
     golden_skew_step,
@@ -445,6 +447,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except WeylSizeError as exc:
+        print(f"error: --iters: {exc}", file=sys.stderr)
         return 2
     except (HypothesisError, EigenSignError) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)

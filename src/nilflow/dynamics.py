@@ -1002,6 +1002,26 @@ def character_grid(radius: int = 3) -> list[tuple[int, int]]:
             for q in range(-radius, radius + 1) if (p, q) != (0, 0)]
 
 
+# the most memory the Weyl block kernel may hold at once, in bytes: the
+# CLI's --iters is capped at about 1.1e12 for radius 3
+WEYL_MEMORY_BUDGET = 2 << 30
+
+
+class WeylSizeError(ValueError):
+    """A Weyl-sum size whose block kernel would pass ``WEYL_MEMORY_BUDGET``."""
+
+
+def _block_bytes(n: int, r: int) -> int:
+    """An upper bound on the bytes :func:`_block_moduli` holds at radius r
+    with C and m at most n: five power tables of r + 1 rows, per q up to
+    2r + 1 rows of b, a and t and three FFT rows of length at most
+    2^(bits of 2n - 2), the kernel's FFT, the float phase rows, and 4 MiB
+    for what does not grow with n."""
+    size = 1 << (2 * n - 2).bit_length()
+    return (16 * (5 * (r + 1) * n + (2 * r + 1) * (4 * n + 3 * size) + size)
+            + 64 * n + (4 << 20))
+
+
 def _mod1(x):
     """x - floor(x) in place on a float array: the same doubles as
     ``np.remainder(x, 1.0)`` (both are the exact x - floor(x), rounded once),
@@ -1023,6 +1043,9 @@ def _turns(*terms):
     for gamma, n in terms:
         gamma = floor_mod1(gamma)[1]
         t = 53 - int(np.max(n)).bit_length()
+        if t < 0:
+            raise ValueError(f"n = {int(np.max(n))} is 2^53 or more, past the exact "
+                             "integers of a double")
         k = scalar_floor(gamma * (1 << t))
         whole = n * (k / (1 << t))
         total = total + (whole - np.floor(whole)) + n * scalar_float(gamma - _rational(k, 1 << t))
@@ -1060,6 +1083,16 @@ def _block_moduli(chars, n_iter: int, chunk: int | None, rows) -> dict:
     m = -(-n_iter // c)
     tail = n_iter - (m - 1) * c  # points of the last block
     r = max([1] + [max(abs(p), abs(q)) for p, q in chars])
+    if _block_bytes(max(c, m), r) > WEYL_MEMORY_BUDGET:
+        # default blocks: N fits iff C = ceil(sqrt N) does, so the largest is C^2
+        lo, hi = 1, max(c, m)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _block_bytes(mid, r) <= WEYL_MEMORY_BUDGET else (lo, mid)
+        raise WeylSizeError(
+            f"N = {n_iter} needs about {_block_bytes(max(c, m), r) / 2 ** 30:.1f} GiB "
+            f"in the Weyl block kernel, over its budget of {WEYL_MEMORY_BUDGET >> 30} GiB;"
+            f" the largest accepted N at radius {r} is {lo * lo}")
 
     def powers(phase):  # e(k t) for k = 0 .. r
         out = np.empty((r + 1, len(phase)), dtype=np.complex128)

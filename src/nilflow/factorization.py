@@ -462,14 +462,9 @@ class SurfaceQuadric:
     q0: QuadraticNumber
 
     def evaluate(self, x, y):
-        return (
-            self.qxx * x * x
-            + self.qxy * x * y
-            + self.qyy * y * y
-            + self.qx * x
-            + self.qy * y
-            + self.q0
-        )
+        # Horner form: 5 products
+        return ((self.qxx * x + self.qxy * y + self.qx) * x
+                + (self.qyy * y + self.qy) * y + self.q0)
 
 
 def xy_of_ts(data: EigenData, t, s):
@@ -477,14 +472,10 @@ def xy_of_ts(data: EigenData, t, s):
 
 
 def z_of_ts(data: EigenData, t, s):
-    """Central coordinate of Phi_lam^t . Phi_lam'^s applied to the identity."""
-    return (
-        data.gamma_p * s
-        + data.alpha_p * data.beta_p / 2 * s * s
-        + data.alpha * data.beta_p * s * t
-        + data.gamma * t
-        + data.alpha * data.beta / 2 * t * t
-    )
+    """Central coordinate of Phi_lam^t . Phi_lam'^s applied to the identity:
+    gamma' s + alpha' beta' s^2/2 + alpha beta' s t + gamma t + alpha beta t^2/2."""
+    return ((data.gamma_p + data.alpha_p * data.beta_p / 2 * s + data.alpha * data.beta_p * t) * s
+            + (data.gamma + data.alpha * data.beta / 2 * t) * t)
 
 
 def ts_of_xy(data: EigenData, x, y):

@@ -4,7 +4,8 @@ Points are upper triangular unipotent matrices written ``[x, y, z]`` with the
 law ``[x,y,z] * [x',y',z'] = [x+x', y+y', z+z'+x*y']``.  Scalars may be
 ``Fraction``, :class:`~nilflow.scalar.QuadraticNumber` or ``float``; integers
 are promoted to :class:`~nilflow.scalar.Rational` so that halving and floors
-stay exact.
+stay exact.  Results of the law are built by ``_point`` and ``_vector`` from
+coordinates that are already promoted.
 """
 
 from __future__ import annotations
@@ -20,17 +21,13 @@ from .scalar import (
 )
 
 
+_new = object.__new__
+
+
 def _promote(v):
     if isinstance(v, int):
         return _rational(v)
     return v
-
-
-def _check_kinds(p, q) -> None:
-    a = isinstance(p, float)
-    b = isinstance(q, float)
-    if a != b:
-        raise TypeError("cannot mix float and exact scalars")
 
 
 class GroupPoint:
@@ -50,15 +47,13 @@ class GroupPoint:
     def __mul__(self, other: "GroupPoint") -> "GroupPoint":
         if not isinstance(other, GroupPoint):
             return NotImplemented
-        _check_kinds(self.x, other.x)
-        return GroupPoint(
-            self.x + other.x,
-            self.y + other.y,
-            self.z + other.z + self.x * other.y,
-        )
+        x, ox = self.x, other.x
+        if isinstance(x, float) is not isinstance(ox, float):
+            raise TypeError("cannot mix float and exact scalars")
+        return _point(x + ox, self.y + other.y, self.z + other.z + x * other.y)
 
     def inverse(self) -> "GroupPoint":
-        return GroupPoint(-self.x, -self.y, self.x * self.y - self.z)
+        return _point(-self.x, -self.y, self.x * self.y - self.z)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupPoint):
@@ -86,14 +81,11 @@ class AlgebraVector:
         self.gamma = _promote(gamma)
 
     def scale(self, t) -> "AlgebraVector":
-        return AlgebraVector(self.alpha * t, self.beta * t, self.gamma * t)
+        return _vector(self.alpha * t, self.beta * t, self.gamma * t)
 
     def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
-        return AlgebraVector(
-            self.alpha + other.alpha,
-            self.beta + other.beta,
-            self.gamma + other.gamma,
-        )
+        return _vector(self.alpha + other.alpha, self.beta + other.beta,
+                       self.gamma + other.gamma)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraVector):
@@ -109,6 +101,20 @@ class AlgebraVector:
 
     def __repr__(self) -> str:
         return f"AlgebraVector({self.alpha!r}, {self.beta!r}, {self.gamma!r})"
+
+
+def _point(x, y, z) -> GroupPoint:
+    """A group point of promoted coordinates, such as a result of the law."""
+    g = _new(GroupPoint)
+    g.x, g.y, g.z = x, y, z
+    return g
+
+
+def _vector(alpha, beta, gamma) -> AlgebraVector:
+    """An algebra vector of promoted coordinates."""
+    v = _new(AlgebraVector)
+    v.alpha, v.beta, v.gamma = alpha, beta, gamma
+    return v
 
 
 class LatticePoint:
@@ -164,11 +170,11 @@ def commutator(a: GroupPoint, b: GroupPoint) -> GroupPoint:
 
 
 def exp_point(v: AlgebraVector) -> GroupPoint:
-    return GroupPoint(v.alpha, v.beta, v.gamma + v.alpha * v.beta / 2)
+    return _point(v.alpha, v.beta, v.gamma + v.alpha * v.beta / 2)
 
 
 def log_point(g: GroupPoint) -> AlgebraVector:
-    return AlgebraVector(g.x, g.y, g.z - g.x * g.y / 2)
+    return _vector(g.x, g.y, g.z - g.x * g.y / 2)
 
 
 def bracket(u: AlgebraVector, v: AlgebraVector) -> AlgebraVector:
@@ -204,7 +210,7 @@ def central_flow(t, g: GroupPoint) -> GroupPoint:
 
 def dilate(t, g: GroupPoint) -> GroupPoint:
     """Grading automorphism [x, y, z] -> [t*x, t*y, t^2*z]."""
-    return GroupPoint(g.x * t, g.y * t, g.z * t * t)
+    return _point(g.x * t, g.y * t, g.z * t * t)
 
 
 def canonicalize(g: GroupPoint) -> NilPoint:
@@ -213,8 +219,9 @@ def canonicalize(g: GroupPoint) -> NilPoint:
     m = -scalar_floor(g.y)
     z1 = g.z + g.x * m
     p = -scalar_floor(z1)
-    rep = GroupPoint(g.x + n, g.y + m, z1 + p)
-    return NilPoint(rep, LatticePoint(n, m, p))
+    w = _new(LatticePoint)  # three ints from the floors
+    w.n, w.m, w.p = n, m, p
+    return NilPoint(_point(g.x + n, g.y + m, z1 + p), w)
 
 
 def coset_eq(a: GroupPoint, b: GroupPoint) -> bool:

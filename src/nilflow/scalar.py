@@ -19,91 +19,109 @@ _new = object.__new__
 _gcd = math.gcd
 
 
+def _rational_sum(name: str):
+    """``Rational.__add__``, ``__sub__`` or ``__rsub__``, in one frame."""
+    neg, rev, fallback = name != "__add__", name == "__rsub__", getattr(Fraction, name)
+
+    def op(a, b):
+        tb = type(b)
+        na, d = a._numerator, a._denominator
+        if tb is Rational or tb is Fraction:
+            nb, db = b._numerator, b._denominator
+            if neg:
+                nb = -nb
+            if db == d:  # one gcd
+                n = na + nb
+                g = _gcd(n, d)
+                if g != 1:
+                    n, d = n // g, d // g
+            else:  # Knuth, TAOCP 4.5.1, as in Fraction._add
+                g = _gcd(d, db)
+                if g == 1:
+                    n, d = na * db + d * nb, d * db
+                else:
+                    s = d // g
+                    n = na * (db // g) + nb * s
+                    g2 = _gcd(n, g)
+                    n, d = (n, s * db) if g2 == 1 else (n // g2, s * (db // g2))
+        elif tb is int or tb is bool:  # gcd(na + b*d, d) = gcd(na, d) = 1
+            n = na - b * d if neg else na + b * d
+        else:
+            return fallback(a, b)
+        x = _new(Rational)
+        x._numerator, x._denominator = -n if rev else n, d
+        return x
+
+    op.__name__, op.__qualname__ = name, "Rational." + name
+    return op
+
+
+def _rational_product(name: str):
+    """``Rational.__mul__``, ``__truediv__`` or ``__rtruediv__``, in one frame."""
+    div, rev, fallback = name != "__mul__", name == "__rtruediv__", getattr(Fraction, name)
+
+    def op(a, b):
+        tb = type(b)
+        if tb is Rational or tb is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif tb is int or tb is bool:
+            nb, db = b, 1
+        else:
+            return fallback(a, b)
+        na, da = a._numerator, a._denominator
+        if rev:
+            na, da, nb, db = nb, db, na, da
+        if div:  # times db/nb, with a positive denominator
+            if nb > 0:
+                nb, db = db, nb
+            elif nb < 0:
+                nb, db = -db, -nb
+            else:
+                return fallback(a, b)  # raises ZeroDivisionError
+        # the two cross gcds of lowest-terms factors
+        g = _gcd(na, db)
+        if g != 1:
+            na, db = na // g, db // g
+        g = _gcd(nb, da)
+        if g != 1:
+            nb, da = nb // g, da // g
+        x = _new(Rational)
+        x._numerator, x._denominator = na * nb, da * db
+        return x
+
+    op.__name__, op.__qualname__ = name, "Rational." + name
+    return op
+
+
 class Rational(Fraction):
     """A ``Fraction`` whose exact arithmetic works directly on its two integers.
 
     ``+ - * /``, unary minus, ``==``, integer powers and ``math.floor`` with
-    an ``int`` or ``Fraction`` partner return a ``Rational`` in lowest terms:
-    one gcd for a sum, the two cross gcds for a product or quotient (Knuth,
-    TAOCP 4.5.1, as in ``Fraction``), with no ``numbers``-ABC dispatch and no
-    re-normalising constructor.  Every other partner (float, complex,
-    :class:`QuadraticNumber`, foreign numbers) and every other operation is
-    ``Fraction``'s own, so mixed arithmetic, hashing, ordering, ``str`` and
-    ``repr`` (``Fraction(n, d)``) are the stdlib's.  Instances keep the
-    inherited ``_numerator``/``_denominator`` slots and add none.
+    an ``int``, ``bool`` or ``Fraction`` partner return a ``Rational`` in
+    lowest terms, computed in the operator's own frame: one gcd for a sum
+    over a common denominator, else Knuth's two (TAOCP 4.5.1, as in
+    ``Fraction``), and the two cross gcds for a product or quotient, with no
+    ``numbers``-ABC dispatch and no re-normalising constructor.  Every other
+    partner (float, complex, :class:`QuadraticNumber`, foreign numbers) and
+    every other operation is ``Fraction``'s own, so mixed arithmetic,
+    hashing, ordering, ``str`` and ``repr`` (``Fraction(n, d)``) are the
+    stdlib's.  Instances keep the inherited ``_numerator``/``_denominator``
+    slots and add none.
     """
 
     __slots__ = ()
 
-    def __add__(a, b):
-        tb = type(b)
-        if tb is Rational or tb is Fraction:
-            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
-        if tb is int:
-            # gcd(n + b*d, d) = gcd(n, d) = 1
-            return _coprime(a._numerator + b * a._denominator, a._denominator)
-        return Fraction.__add__(a, b)
-
-    __radd__ = __add__
-
-    def __sub__(a, b):
-        tb = type(b)
-        if tb is Rational or tb is Fraction:
-            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
-        if tb is int:
-            return _coprime(a._numerator - b * a._denominator, a._denominator)
-        return Fraction.__sub__(a, b)
-
-    def __rsub__(a, b):
-        tb = type(b)
-        if tb is Rational or tb is Fraction:
-            return _sum(b._numerator, b._denominator, -a._numerator, a._denominator)
-        if tb is int:
-            return _coprime(b * a._denominator - a._numerator, a._denominator)
-        return Fraction.__rsub__(a, b)
-
-    def __mul__(a, b):
-        tb = type(b)
-        if tb is Rational or tb is Fraction:
-            return _product(a._numerator, a._denominator, b._numerator, b._denominator)
-        if tb is int:
-            g = _gcd(b, a._denominator)
-            return _coprime(a._numerator * (b // g), a._denominator // g)
-        return Fraction.__mul__(a, b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(a, b):
-        tb = type(b)
-        if tb is Rational or tb is Fraction:
-            nb, db = b._numerator, b._denominator
-        elif tb is int:
-            nb, db = b, 1
-        else:
-            return Fraction.__truediv__(a, b)
-        if nb > 0:
-            return _product(a._numerator, a._denominator, db, nb)
-        if nb < 0:
-            return _product(a._numerator, a._denominator, -db, -nb)
-        return Fraction.__truediv__(a, b)  # raises ZeroDivisionError
-
-    def __rtruediv__(a, b):
-        tb = type(b)
-        if tb is Rational or tb is Fraction:
-            nb, db = b._numerator, b._denominator
-        elif tb is int:
-            nb, db = b, 1
-        else:
-            return Fraction.__rtruediv__(a, b)
-        na = a._numerator
-        if na > 0:
-            return _product(nb, db, a._denominator, na)
-        if na < 0:
-            return _product(nb, db, -a._denominator, -na)
-        return Fraction.__rtruediv__(a, b)  # raises ZeroDivisionError
+    __add__ = __radd__ = _rational_sum("__add__")
+    __sub__ = _rational_sum("__sub__")
+    __rsub__ = _rational_sum("__rsub__")
+    __mul__ = __rmul__ = _rational_product("__mul__")
+    __truediv__ = _rational_product("__truediv__")
+    __rtruediv__ = _rational_product("__rtruediv__")
 
     def __neg__(a):
-        return _coprime(-a._numerator, a._denominator)
+        x = _new(Rational)
+        x._numerator, x._denominator = -a._numerator, a._denominator
+        return x
 
     def __pow__(a, b):
         if type(b) is not int:
@@ -140,32 +158,6 @@ def _coprime(n: int, d: int) -> Rational:
     x = _new(Rational)
     x._numerator, x._denominator = n, d
     return x
-
-
-def _sum(na: int, da: int, nb: int, db: int) -> Rational:
-    """``na/da + nb/db`` for lowest-terms inputs; see ``Fraction._add``."""
-    g = _gcd(da, db)
-    if g == 1:
-        return _coprime(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = _gcd(t, g)
-    if g2 == 1:
-        return _coprime(t, s * db)
-    return _coprime(t // g2, s * (db // g2))
-
-
-def _product(na: int, da: int, nb: int, db: int) -> Rational:
-    """``(na/da) * (nb/db)`` for lowest-terms inputs with positive ``da``, ``db``."""
-    g1 = _gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = _gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return _coprime(na * nb, da * db)
 
 
 def _rational(n: int, d: int = 1) -> Rational:

@@ -108,23 +108,27 @@ def check_group_suite(seed: int, cases: int = 1000) -> CheckResult:
     """Associativity, inverses, BCH, exp/log round trips, norm symmetry."""
     rng = random.Random(seed)
     bad = _Failures()
+    identity = GroupPoint.identity()
+    shifts = [GroupPoint(1, 0, 0), GroupPoint(0, 1, 0), GroupPoint(0, 0, 1),
+              GroupPoint(-2, 3, 5)]
     for _ in range(cases):
         a, b, c = _rand_point(rng), _rand_point(rng), _rand_point(rng)
+        inv, n4 = a.inverse(), norm4(a)
         bad.record((a * b) * c == a * (b * c), "associativity", a=a, b=b, c=c)
-        bad.record(a * a.inverse() == GroupPoint.identity(), "inverse", a=a)
-        bad.record(norm4(a) == norm4(a.inverse()), "norm symmetry", a=a)
-        w = rng.choice([GroupPoint(1, 0, 0), GroupPoint(0, 1, 0), GroupPoint(0, 0, 1),
-                        GroupPoint(-2, 3, 5)])
+        bad.record(a * inv == identity, "inverse", a=a)
+        bad.record(n4 == norm4(inv), "norm symmetry", a=a)
+        w = rng.choice(shifts)
         bad.record(canonicalize(a).rep == canonicalize(a * w).rep,
                    "lattice coset representative", a=a, w=w)
         t = _rand_fraction(rng)
-        bad.record(dilate(t, a).x == a.x * t and norm4(dilate(t, a)) == t ** 4 * norm4(a),
-                   "dilation", a=a, t=t)
+        at = dilate(t, a)
+        bad.record(at.x == a.x * t and norm4(at) == t ** 4 * n4, "dilation", a=a, t=t)
     for _ in range(cases):
         u, v = _rand_vector(rng), _rand_vector(rng)
-        bad.record(exp_point(u + v) * exp_point(bracket(u, v)) == exp_point(u) * exp_point(v),
+        eu = exp_point(u)
+        bad.record(exp_point(u + v) * exp_point(bracket(u, v)) == eu * exp_point(v),
                    "BCH", u=u, v=v)
-        bad.record(log_point(exp_point(u)) == u, "exp/log round trip", u=u)
+        bad.record(log_point(eu) == u, "exp/log round trip", u=u)
     return CheckResult("group.suite", bad.count == 0,
                        _with_witness({"cases": cases, "failures": bad.count}, bad))
 
@@ -260,20 +264,17 @@ def check_surface(seed: int, cases: int = 1000) -> CheckResult:
 def check_strip(seed: int) -> CheckResult:
     """Return counts, renormalization triples and the coboundary identity."""
     rng = random.Random(seed)
-    counts_ok = True
-    for i in range(100):
-        u = _rational(rng.randrange(0, 997), 2609)  # inside [0, 1/phi^2)
-        if u >= dyn.INV_PHI2:
-            continue
-        n = dyn.strip_return_count(u)
-        expect = 2 if u < dyn.INV_PHI4 else 3
-        counts_ok = counts_ok and n == expect
+    bad = _Failures()
+    us = [_rational(rng.randrange(0, 997), 2609) for _ in range(100)]  # [0, 1/phi^2)
     eps = _rational(1, 10 ** 6)
-    for u, expect in [
+    cases = [(u, 2 if u < dyn.INV_PHI4 else 3) for u in us if u < dyn.INV_PHI2] + [
         (dyn.INV_PHI4 - eps, 2), (dyn.INV_PHI4, 3), (dyn.INV_PHI4 + eps, 3),
         (_rational(0), 2), (dyn.INV_PHI2 - eps, 3),
-    ]:
-        counts_ok = counts_ok and dyn.strip_return_count(u) == expect
+    ]
+    for u, expect in cases:
+        n = dyn.strip_return_count(u)
+        bad.record(n == expect, "return count", u=u, n=n, expected=expect)
+    counts_ok = bad.count == 0
     triples = [
         (-1, -1, 0),
         (-1, -1, 1),
@@ -282,16 +283,26 @@ def check_strip(seed: int) -> CheckResult:
         (_rational(2, 9), _rational(2, 9), _rational(-3, 8)),
     ]
     renorm = [dyn.renormalization_check(*tr, n_points=101) for tr in triples]
+    for (s, s_prime, theta), r in zip(triples, renorm):
+        if r["failures"]:
+            bad.record(False, "induced strip map = renormalized strip map",
+                       s=s, s_prime=s_prime, theta=theta, failure=r["failures"][0])
     psi = dyn.psi_identity_check(100)
+    if psi["identity_failures"]:
+        bad.record(False, "psi(y) = p(y - 1/phi^2) - p(y) - y - 1/(2 phi^3)",
+                   y=psi["identity_failures"][0])
+    elif not psi["passed"]:
+        bad.record(False, "psi0 = psi1 = -1/phi and the jump at 1/phi^2 is -1",
+                   **{k: psi[k] for k in ("psi0", "psi1", "jump_left_minus_right")})
     passed = counts_ok and all(r["passed"] for r in renorm) and psi["passed"]
-    return CheckResult("strip.induction", passed, {
+    return CheckResult("strip.induction", passed, _with_witness({
         "counts_ok": counts_ok,
         "renormalization": [r["passed"] for r in renorm],
         "theta_prime_example": renorm[1]["theta_prime"],
         "psi": {k: psi[k] for k in
                 ("psi0", "psi1", "jump_left_minus_right", "opposite_sign_failures",
                  "passed")},
-    })
+    }, bad))
 
 
 def check_sigma_section(seed: int, iterates: int = 10_000) -> CheckResult:

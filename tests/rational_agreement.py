@@ -10,7 +10,8 @@ without pytest, hypothesis or numpy can run it directly:
     python tests/rational_agreement.py [cases]
 
 which loads ``src/nilflow/scalar.py`` by path (that module imports only the
-standard library) and checks random pairs with entries up to 10^22.
+standard library) and checks random pairs with entries up to 10^22, each
+also against a partner over its own denominator, then :func:`edge_pairs`.
 """
 
 from __future__ import annotations
@@ -114,13 +115,32 @@ def random_fraction(rng: random.Random, bits: int) -> Fraction:
     return Fraction(num, rng.choice((1, rng.randrange(1, 2 ** bits), -rng.randrange(1, 9))))
 
 
+def edge_pairs() -> list[tuple[Fraction, object]]:
+    """Pairs at each branch of the one-frame kernel, in both orders through
+    :func:`agree`: common denominators whose sum or difference cancels to
+    lowest terms, to an integer or to zero; int and bool partners; negative
+    and zero divisors; and entries of 10^22."""
+    big = 10 ** 22
+    xs = [Fraction(5, 12), Fraction(-5, 12), Fraction(7, 12), Fraction(0), Fraction(3),
+          Fraction(-1), Fraction(big + 1, big), Fraction(-big, 7), Fraction(big, 3)]
+    ys = [Fraction(7, 12), Fraction(-5, 12), Fraction(1, 12), Fraction(5, 12),
+          Fraction(big - 1, big), Fraction(-big - 1, big), Fraction(big, 7), Fraction(-3, 7),
+          Fraction(-2, 3), Fraction(0), Fraction(-1), 0, 1, -1, -6, 12, big, -big, 3 * big,
+          True, False]
+    return [(x, y) for x in xs for y in ys]
+
+
 def run(rational_type, quadratic=(), cases: int = 3000, seed: int = 0) -> int:
-    """Check ``cases`` random pairs with entries up to 10^22; returns ``cases``."""
+    """Check ``cases`` random pairs with entries up to 10^22, each also with a
+    partner over the same denominator, then :func:`edge_pairs`; returns ``cases``."""
     rng = random.Random(seed)
     bits = (10 ** 22).bit_length()
     for _ in range(cases):
-        agree(rational_type, random_fraction(rng, bits),
-              random_partner(rng, bits, quadratic))
+        x = random_fraction(rng, bits)
+        agree(rational_type, x, random_partner(rng, bits, quadratic))
+        agree(rational_type, x, Fraction(rng.randrange(-2 ** bits, 2 ** bits), x.denominator))
+    for x, y in edge_pairs():
+        agree(rational_type, x, y)
     return cases
 
 

@@ -356,3 +356,15 @@ def test_orbit_artifacts_against_an_independent_oracle(tmp_path, kind, config):
         assert fields[0] == str(k)
         for name, text in zip(names, fields[1:]):
             assert float(text) == _mp_float(record[name]), (k, name)
+
+
+def test_equidistribution_past_the_memory_budget_exits_2_at_once(tmp_path, capsys):
+    import time
+    out = tmp_path / "eq"
+    start = time.perf_counter()
+    assert run(["equidistribution", "--iters", 10**13, "--out", out]) == 2
+    assert time.perf_counter() - start < 10  # refused before the sums, not killed
+    err = capsys.readouterr().err
+    assert err.startswith("error: --iters: N = 10000000000000 needs about")
+    assert err.rstrip().endswith("the largest accepted N at radius 3 is 1099511627776")
+    assert not out.exists()

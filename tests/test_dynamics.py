@@ -1004,3 +1004,52 @@ def test_skew_weyl_sums_stay_small_in_memory():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
+
+
+def test_weyl_memory_bound_holds_and_caps_the_size():
+    import math
+    import re
+    import tracemalloc
+
+    from nilflow.dynamics import (
+        WEYL_MEMORY_BUDGET, WeylSizeError, _block_bytes, _block_moduli, character_grid,
+        weyl_sums_nilflow, weyl_sums_skew_product,
+    )
+    # the estimate bounds what the kernel really holds, at both radii and kinds
+    for radius, n in ((1, 10**4), (3, 10**6), (3, 2**20 + 1)):
+        chars = character_grid(radius)
+        weyl_sums_skew_product(chars, 100)  # imports numpy.fft outside the trace
+        for run in (lambda: weyl_sums_skew_product(chars, n),
+                    lambda: weyl_sums_nilflow(FIB_DATA, chars, n)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _block_bytes(math.isqrt(n - 1) + 1, radius), (radius, n, peak)
+
+    # past the budget: a named error before any row is computed or allocated
+    def rows(c, m):
+        raise AssertionError("rows computed")
+    chars = character_grid(3)
+    with pytest.raises(WeylSizeError, match=r"^N = 10000000000000 needs about") as got:
+        _block_moduli(chars, 10**13, None, rows)
+    limit = int(re.search(r"largest accepted N at radius 3 is (\d+)$", str(got.value))[1])
+    c = math.isqrt(limit)
+    assert c * c == limit
+    assert _block_bytes(c, 3) <= WEYL_MEMORY_BUDGET < _block_bytes(c + 1, 3)
+    with pytest.raises(WeylSizeError):
+        _block_moduli(chars, limit + 1, None, rows)
+    with pytest.raises(AssertionError, match="rows computed"):
+        _block_moduli(chars, limit, None, rows)  # accepted: goes on to the rows
+
+
+def test_turns_names_n_past_the_doubles_integers():
+    import numpy as np
+
+    from nilflow.dynamics import _turns
+    _turns((INV_PHI2, np.array([2.0 ** 53 - 1])))
+    for n in (2 ** 53, 2 ** 60):
+        with pytest.raises(ValueError, match=f"^n = {n} is 2\\^53 or more"):
+            _turns((INV_PHI2, np.array([0.0, float(n)])))

@@ -24,7 +24,7 @@ from nilflow.heisenberg import (
     parse_group_point,
     translate,
 )
-from nilflow.scalar import GOLDEN
+from nilflow.scalar import GOLDEN, QuadraticNumber, Rational
 
 LAM = GOLDEN.lam
 
@@ -171,6 +171,39 @@ def test_canonicalize_properties():
 def test_scalar_kind_mixing_rejected():
     with pytest.raises(TypeError):
         GroupPoint(0.5, 0, 0) * GroupPoint(Fraction(1, 2), 0, 0)
+    for a, b in [(GroupPoint(0.5, 0, 0), GroupPoint(1, 0, 0)),
+                 (GroupPoint(1, 0, 0), GroupPoint(0.5, 0, 0)),
+                 (GroupPoint(LAM, 0, 0), GroupPoint(0.5, 0, 0))]:
+        with pytest.raises(TypeError) as got:
+            a * b
+        assert str(got.value) == "cannot mix float and exact scalars"
+    assert GroupPoint(0.5, 0, 0) * GroupPoint(0.25, 1.0, 0) == GroupPoint(0.75, 1.0, 0.5)
+
+
+def test_law_results_from_int_inputs_hold_rationals():
+    # results of the law skip promotion, so none may come out as an int
+    g, h, v = GroupPoint(1, 2, 3), GroupPoint(-4, 0, 5), AlgebraVector(1, -2, 3)
+    points = [g * h, g.inverse(), exp_point(v), dilate(2, g), dilate(Fraction(1, 2), g),
+              canonicalize(GroupPoint(-3, 7, 2)).rep, flow(v, 3, g), translate(v, g),
+              commutator(g, h), GroupPoint.identity() * GroupPoint.identity()]
+    for p in points:
+        assert all(type(c) is Rational for c in (p.x, p.y, p.z)), repr(p)
+    for w in (log_point(g), v.scale(2), v.scale(0), v + v, v + AlgebraVector(0, 0, 0)):
+        assert all(type(c) is Rational for c in (w.alpha, w.beta, w.gamma)), repr(w)
+    q = GroupPoint(LAM, 1, 0) * GroupPoint(1, LAM, 2)
+    assert type(q.x) is QuadraticNumber and type(q.z) is QuadraticNumber
+    assert type(q.y) is QuadraticNumber
+
+
+def test_canonicalize_witness_holds_ints():
+    for g in (GroupPoint(Fraction(7, 2), Fraction(-9, 4), 5), GroupPoint(0, 0, 0),
+              GroupPoint(LAM, -LAM, 3 * LAM)):
+        w = canonicalize(g).witness
+        assert all(type(c) is int for c in (w.n, w.m, w.p)), repr(w)
+        assert g * w.to_group() == canonicalize(g).rep
+    w = canonicalize(GroupPoint(2.5, -0.25, 7.0)).witness
+    assert (type(w.n), type(w.m), type(w.p)) == (int, int, int)
+    assert w == LatticePoint(-2, 1, -9)  # z + x m = 9.5
 
 
 def test_parse_group_point():

@@ -44,11 +44,12 @@ def test_rational_agrees_with_fraction(x, y):
 
 
 def test_rational_agrees_with_fraction_on_random_pairs():
+    # random pairs, each also over a shared denominator, then the edge pairs
     assert rational_agreement.run(Rational, QUADRATIC, cases=500, seed=1) == 500
 
 
 @settings(max_examples=200, deadline=None)
-@given(fractions, st.one_of(ints, fractions))
+@given(fractions, st.one_of(ints, st.booleans(), fractions))
 def test_exact_arithmetic_stays_rational(x, y):
     r = Rational(x.numerator, x.denominator)
     results = [r + y, y + r, r - y, y - r, r * y, y * r, -r, r ** 3]
@@ -73,7 +74,8 @@ def test_floor_hash_repr_str(x):
 
 def test_zero_division_matches_fraction():
     for a, b in [(Rational(1, 2), 0), (Rational(1, 2), Rational(0)), (1, Rational(0)),
-                 (Rational(3), Fraction(0))]:
+                 (Rational(3), Fraction(0)), (Rational(-1, 2), False), (True, Rational(0)),
+                 (Fraction(3, 7), Rational(0)), (Rational(0), Rational(0))]:
         with pytest.raises(ZeroDivisionError) as got:
             a / b
         with pytest.raises(ZeroDivisionError) as want:

@@ -245,3 +245,59 @@ def test_plane_suite_witness(monkeypatch):
     x, g, y = Fraction(witness["x"]), _group_point(witness["g"]), _group_point(witness["y"])
     assert not upper_half_fails(x, g, y) and holds(x, g, y)
     json.dumps(result.details)
+
+
+def test_strip_witness(monkeypatch):
+    dyn = ver.dyn
+    assert "witness" not in ver.check_strip(5).details
+    count = dyn.strip_return_count
+
+    def miscounts_above_a_tenth(u):
+        return count(u) + (u > Fraction(1, 10))
+    monkeypatch.setattr(dyn, "strip_return_count", miscounts_above_a_tenth)
+    result = ver.check_strip(5)
+    assert not result.passed and not result.details["counts_ok"]
+    witness = result.details["witness"]
+    assert set(witness) == {"law", "u", "n", "expected"}
+    assert witness["law"] == "return count"
+    # the witness is exact: it reproduces the failure
+    u = Fraction(witness["u"])
+    assert u > Fraction(1, 10) and witness["n"] == miscounts_above_a_tenth(u)
+    assert witness["expected"] == count(u) != witness["n"]
+    json.dumps(result.details)
+
+    # a wrong transfer coefficient a = -phi^3 - 1: the renormalization fails for real
+    monkeypatch.undo()
+    monkeypatch.setattr(dyn, "PHI3", dyn.PHI3 + 1)
+    result = ver.check_strip(5)
+    assert not result.passed and result.details["counts_ok"]
+    assert not all(result.details["renormalization"])
+    witness = result.details["witness"]
+    assert witness["law"] == "induced strip map = renormalized strip map"
+    triple = (witness["s"], witness["s_prime"], witness["theta"])
+    report = dyn.renormalization_check(*(Fraction(x) for x in triple), n_points=101)
+    first = report["failures"][0]
+    assert witness["failure"] == {k: list(v) for k, v in first.items()}
+    monkeypatch.undo()
+    assert dyn.renormalization_check(*(Fraction(x) for x in triple))["passed"]
+    json.dumps(result.details)
+
+    # psi off by one on the upper half of the fiber: the coboundary identity fails
+    psi = dyn.psi_value
+    monkeypatch.setattr(dyn, "psi_value", lambda y: psi(y) + (y > Fraction(1, 2)))
+    result = ver.check_strip(5)
+    assert not result.passed and result.details["counts_ok"]
+    assert all(result.details["renormalization"]) and not result.details["psi"]["passed"]
+    witness = result.details["witness"]
+    assert witness["law"] == "psi(y) = p(y - 1/phi^2) - p(y) - y - 1/(2 phi^3)"
+    assert parse_scalar(witness["y"], GOLDEN) > Fraction(1, 2)
+    json.dumps(result.details)
+
+    # the values psi0, psi1 or the jump, with every identity holding
+    monkeypatch.undo()
+    check = dyn.psi_identity_check
+    monkeypatch.setattr(dyn, "psi_identity_check",
+                        lambda n: {**check(n), "psi0": "0", "passed": False})
+    witness = ver.check_strip(5).details["witness"]
+    assert witness == {"law": "psi0 = psi1 = -1/phi and the jump at 1/phi^2 is -1",
+                       "psi0": "0", "psi1": "1-1*l", "jump_left_minus_right": "-1+0*l"}
