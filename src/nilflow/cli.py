@@ -2,8 +2,11 @@
 
 Commands: ``analyze``, ``orbit``, ``broken-line``, ``induce``, ``verify``
 and ``equidistribution``.  Configuration comes from an optional JSON file
-(--config) with individual flags taking precedence.  All artifacts embed the
-seed, exact values are emitted as strings, floats with 17 significant
+(--config) with individual flags taking precedence.  A command has the flags
+that it reads, plus ``--seed`` and ``--out`` on every command; a config key
+of another command is a parse error.  The verify and induce reports and the
+orbit JSONL records embed the seed; the other artifacts do not depend on
+it.  Exact values are emitted as strings, floats with 17 significant
 digits, and files are written atomically, so equal configurations produce
 byte-identical outputs.
 
@@ -46,7 +49,7 @@ from .factorization import (
 )
 from .freegroup import broken_line_counts, fixed_point_prefix, parse_substitution
 from .heisenberg import GroupPoint, canonicalize, exp_point, flow, parse_group_point
-from .scalar import GOLDEN, ParseError, _rational, parse_scalar, scalar_float, scalar_str
+from .scalar import GOLDEN, ParseError, _rational, parse_scalar
 
 
 def _fmt_float(x: float) -> str:
@@ -105,7 +108,7 @@ def cmd_analyze(cfg: dict) -> int:
         ("Q_xx", quadric.qxx), ("Q_xy", quadric.qxy), ("Q_yy", quadric.qyy),
         ("Q_x", quadric.qx), ("Q_y", quadric.qy),
     ]:
-        rows.append((name, scalar_str(value), _fmt_float(scalar_float(value))))
+        rows.append((name, str(value), _fmt_float(float(value))))
     print(f"substitution: {sub}")
     for name, exact, approx in rows:
         suffix = f"  ~ {approx}" if approx else ""
@@ -177,13 +180,13 @@ def cmd_orbit(cfg: dict) -> int:
         emit_csv(
             outdir / f"orbit-{kind}.csv",
             ["k", *names],
-            ((str(k), *(_fmt_float(scalar_float(c)) for c in coords))
+            ((str(k), *(_fmt_float(float(c)) for c in coords))
              for k, _, coords in rows),
         )
     else:
         records = [
             {"k": k, "seed": cfg["seed"],
-             **{n: scalar_str(c) for n, c in zip(names, coords)}}
+             **{n: str(c) for n, c in zip(names, coords)}}
             for k, _, coords in rows
         ]
         emit_jsonl(outdir / f"orbit-{kind}.jsonl", records)
@@ -204,7 +207,7 @@ def cmd_broken_line(cfg: dict) -> int:
     report = check_hypothesis_H(endo)
     if report.passed:
         data = eigen_data(endo)
-        af, bf = scalar_float(data.alpha), scalar_float(data.beta)
+        af, bf = float(data.alpha), float(data.beta)
     else:
         af = bf = float("nan")
     for k, (a, b, c) in enumerate(counts):
@@ -222,7 +225,7 @@ def cmd_induce(cfg: dict) -> int:
     s, s_prime, theta = (_exact(cfg, key, GOLDEN) for key in ("s", "s_prime", "theta"))
     renorm = renormalization_check(s, s_prime, theta)
     # return counts depend on the base rotation only, not on s or theta
-    counts = [{"u": scalar_str(u), "n": strip_return_count(u)}
+    counts = [{"u": str(u), "n": strip_return_count(u)}
               for u in (golden(_rational(i, 63)) for i in range(24)) if u < INV_PHI2]
     sub = parse_substitution(cfg["substitution"])
     data = eigen_data(factor(sub))
@@ -297,14 +300,14 @@ COMMANDS = {
 
 
 class Option(NamedTuple):
-    """A CLI option: the commands whose parser has its flag (none: config
-    file only), the JSON types a config file may give it, its default and
-    the argparse keywords of its flag."""
+    """A CLI option: the commands that read it, the JSON types a config file
+    may give it, its default and the argparse keywords of its flag (None:
+    config file only)."""
 
     commands: tuple[str, ...]
     types: tuple[type, ...]
     default: object
-    flag: dict
+    flag: dict | None
 
 
 _ALL = tuple(COMMANDS)
@@ -315,10 +318,12 @@ _INTEGER, _SCALAR = (int,), (str, int, float)
 OPTIONS = {
     "out": Option(_ALL, _TEXT, ".", dict(help="output directory")),
     "seed": Option(_ALL, _INTEGER, 0, dict(type=int, help="64-bit seed")),
-    "samples": Option(_ALL, _INTEGER, 100, dict(type=int)),
-    "iters": Option(_ALL, _INTEGER, 10_000, dict(type=int)),
-    "format": Option(_ALL, _TEXT, "csv", dict(choices=["csv", "jsonl"])),
-    "substitution": Option(_ALL, _TEXT, "a->ab;b->a", dict(help="e.g. 'a->ab;b->a'")),
+    "samples": Option(("induce",), _INTEGER, 100, dict(type=int)),
+    "iters": Option(("orbit", "equidistribution"), _INTEGER, 10_000, dict(type=int)),
+    "format": Option(("orbit", "equidistribution"), _TEXT, "csv",
+                     dict(choices=["csv", "jsonl"])),
+    "substitution": Option(("analyze", "orbit", "broken-line", "induce", "equidistribution"),
+                           _TEXT, "a->ab;b->a", dict(help="e.g. 'a->ab;b->a'")),
     "kind": Option(("orbit",), _TEXT, "translation", dict(choices=sorted(ORBIT_KINDS))),
     "start": Option(("orbit",), _OPTIONAL_TEXT, None, dict(help="group point '[x, y, z]'")),
     "step": Option(("orbit",), _SCALAR, "1/2",
@@ -332,7 +337,7 @@ OPTIONS = {
     "radius": Option(("equidistribution",), _INTEGER, 3, dict(type=int)),
     "threshold": Option(("equidistribution",), (int, float), 0.05, dict(type=float)),
     # an extra report file written by analyze
-    "analysis_out": Option((), _OPTIONAL_TEXT, None, {}),
+    "analysis_out": Option(("analyze",), _OPTIONAL_TEXT, None, None),
 }
 # sizes, from a flag or the config file, must be at least 1
 POSITIVE_KEYS = ("iters", "samples", "length", "radius")
@@ -343,7 +348,9 @@ def _flag(key: str) -> str:
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    cfg = {key: opt.default for key, opt in OPTIONS.items()}
+    """The options of ``args.command``: defaults, then the config file, then
+    the flags.  A config key of another command is a parse error."""
+    cfg = {key: opt.default for key, opt in OPTIONS.items() if args.command in opt.commands}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             try:
@@ -355,6 +362,8 @@ def load_config(args: argparse.Namespace) -> dict:
         for key, value in loaded.items():
             if key not in OPTIONS:
                 raise ParseError(f"unknown config key {key!r}")
+            if key not in cfg:
+                raise ParseError(f"config key {key!r} is not an option of {args.command}")
             # exact types: JSON true/false must not pass as an integer
             opt = OPTIONS[key]
             if type(value) not in opt.types:
@@ -363,7 +372,7 @@ def load_config(args: argparse.Namespace) -> dict:
                     f"{' or '.join(t.__name__ for t in opt.types)}, "
                     f"got {type(value).__name__}"
                 )
-            choices = opt.flag.get("choices")
+            choices = opt.flag and opt.flag.get("choices")
             if choices and value not in choices:
                 raise ParseError(f"config key {key!r} must be one of {choices}, got {value!r}")
         cfg.update(loaded)
@@ -373,10 +382,10 @@ def load_config(args: argparse.Namespace) -> dict:
         if value is not None:
             cfg[key] = value
     for key in POSITIVE_KEYS:
-        if cfg[key] < 1:
+        if cfg.get(key, 1) < 1:
             raise ParseError(f"--{key} must be a positive integer, got {cfg[key]}")
     # |S_N|/N <= 1; NaN fails both comparisons
-    if not 0 < cfg["threshold"] <= 1:
+    if not 0 < cfg.get("threshold", 1) <= 1:
         raise ParseError(f"--threshold must be a number in (0, 1], got {cfg['threshold']}")
     return cfg
 
@@ -411,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, description=command.__doc__)
         p.add_argument("--config", help="JSON configuration file")
         for key, opt in OPTIONS.items():
-            if name in opt.commands:
+            if name in opt.commands and opt.flag is not None:
                 p.add_argument(_flag(key), **opt.flag)
     return parser
 
@@ -426,8 +435,8 @@ def _attach_scalar_values(argv) -> list[str]:
     argv = list(argv)
     if not argv or argv[0] not in COMMANDS:
         return argv
-    flags = {_flag(key): opt.types == _SCALAR
-             for key, opt in OPTIONS.items() if argv[0] in opt.commands}
+    flags = {_flag(key): opt.types == _SCALAR for key, opt in OPTIONS.items()
+             if argv[0] in opt.commands and opt.flag is not None}
     out, tokens = [], iter(argv)
     for token in tokens:
         # argparse reads a flag's own spelling, else the one flag it abbreviates

@@ -41,15 +41,7 @@ from .heisenberg import (
     exp_point,
     flow,
 )
-from .scalar import (
-    GOLDEN,
-    QuadraticNumber,
-    _rational,
-    floor_mod1,
-    scalar_float,
-    scalar_floor,
-    scalar_str,
-)
+from .scalar import GOLDEN, QuadraticNumber, _rational, floor_mod1
 
 HALF = _rational(1, 2)
 
@@ -118,15 +110,14 @@ class PiecewiseTorusMap:
                 raise ValueError("branch domains do not partition the base interval")
         for b in self.branches:
             if not (b.lo < b.hi and self.lo <= b.lo + b.du and b.hi + b.du <= self.hi):
-                raise ValueError(f"branch image leaves [{scalar_str(self.lo)}, "
-                                 f"{scalar_str(self.hi)})")
+                raise ValueError(f"branch image leaves [{self.lo}, {self.hi})")
 
     def _index(self, u) -> int:
         if self.lo <= u:
             for i, b in enumerate(self.branches):
                 if u < b.hi:
                     return i
-        raise ValueError(f"no branch contains u = {scalar_str(u)}")
+        raise ValueError(f"no branch contains u = {u}")
 
     def branch_at(self, u) -> Branch:
         return self.branches[self._index(u)]
@@ -137,7 +128,7 @@ class PiecewiseTorusMap:
         i = self._index(u)
         b = self.branches[i]
         w = v + b.poly(u)
-        k = scalar_floor(w - self.fiber_lo if self.fiber_lo else w)
+        k = math.floor(w - self.fiber_lo if self.fiber_lo else w)
         return i, u + b.du, (w - k if k else w), k
 
     # the same function under a second name, which a tracer can wrap alone
@@ -175,8 +166,7 @@ class PiecewiseTorusMap:
         """
         self.invert()
         if not self.lo <= lo < hi <= self.hi:
-            raise ValueError(f"[{scalar_str(lo)}, {scalar_str(hi)}) is not a "
-                             f"nonempty subinterval of the base")
+            raise ValueError(f"[{lo}, {hi}) is not a nonempty subinterval of the base")
         zero = lo - lo
         pending, done, n = [Branch(lo, hi, zero, zero, zero)], [], 0
         while pending:
@@ -247,14 +237,14 @@ def renormalization_check(s, s_prime, theta, n_points: int = 101) -> dict:
         lhs = (PHI2 * x, floor_mod1(a * x * x + b * x + y)[1])
         rhs = target.step_coords(u, v)[1:3]
         if lhs != rhs:
-            failures.append({"witness": (scalar_str(u), scalar_str(v)),
-                             "lhs": tuple(map(scalar_str, lhs)),
-                             "rhs": tuple(map(scalar_str, rhs))})
+            failures.append({"witness": (str(u), str(v)),
+                             "lhs": tuple(map(str, lhs)),
+                             "rhs": tuple(map(str, rhs))})
     return {
-        "a": scalar_str(a),
-        "b": scalar_str(b),
-        "theta_prime": scalar_str(theta_prime),
-        "theta_prime_float": scalar_float(theta_prime),
+        "a": str(a),
+        "b": str(b),
+        "theta_prime": str(theta_prime),
+        "theta_prime_float": float(theta_prime),
         "checked": len(us),
         "failures": failures,
         "passed": not failures,
@@ -296,13 +286,13 @@ def psi_identity_check(n_points: int = 100) -> dict:
         shifted = floor_mod1(y - INV_PHI2)[1]
         base = p(shifted) - p(y) - y
         if psi_value(y) != base - HALF_INV_PHI3:
-            corrected_failures.append(scalar_str(y))
+            corrected_failures.append(str(y))
         if psi_value(y) != base + HALF_INV_PHI3:
             opposite_sign_failures += 1
     return {
-        "psi0": scalar_str(psi0),
-        "psi1": scalar_str(psi1),
-        "jump_left_minus_right": scalar_str(jump),
+        "psi0": str(psi0),
+        "psi1": str(psi1),
+        "jump_left_minus_right": str(jump),
         "values_match": psi0 == -INV_PHI and psi1 == -INV_PHI,
         "jump_is_minus_one": jump == -1,
         "identity_failures": corrected_failures,
@@ -471,7 +461,7 @@ class SigmaSection:
                 t = n * d.t_a + m * d.t_b
                 if p.s + n * d.s_a + m * d.s_b < d.s_b:
                     if t < t_branch:
-                        early.append({"n": n, "m": m, "t": scalar_str(t)})
+                        early.append({"n": n, "m": m, "t": str(t)})
                     found_return = found_return or t == t_branch
         return {
             "early_crossings": early,
@@ -569,15 +559,15 @@ def self_induction_check(
             back = s_cur / d.lam_prime
             if d.s_a <= back < d.s_b:
                 hit = (back, floor_mod1(det * w_cur + HALF)[1] - HALF)
-        witness = {"witness": scalar_str(q.s), "zoff": scalar_str(q.zoff)}
+        witness = {"witness": str(q.s), "zoff": str(q.zoff)}
         if hit is None:
             failures.append({**witness, "reason": "no return found"})
             continue
         if hit[0] != rhs.s or hit[1] != rhs.zoff:
             failures.append({
                 **witness,
-                "lhs": (scalar_str(hit[0]), scalar_str(hit[1])),
-                "rhs": (scalar_str(rhs.s), scalar_str(rhs.zoff)),
+                "lhs": (str(hit[0]), str(hit[1])),
+                "rhs": (str(rhs.s), str(rhs.zoff)),
             })
     return {
         "samples": len(samples),
@@ -624,12 +614,12 @@ class DiagonalSection:
         k, r = floor_mod1(g.x + g.y)
         if r != 0:
             raise ValueError("point is not on the diagonal section")
-        n = -scalar_floor(g.x)
+        n = -math.floor(g.x)
         return g.x + n, g.z + g.x * (1 - k - n)
 
     def chart(self, g: GroupPoint):
         x, z1 = self._lift(g)
-        return x, z1 - scalar_floor(z1)
+        return x, z1 - math.floor(z1)
 
     def chart_point(self, x, z) -> GroupPoint:
         return GroupPoint(x, 1 - x, z)
@@ -687,7 +677,7 @@ def sigma_diagonal_conjugacy_check(
         lhs = diag.from_sigma(section, section.return_map(q).point)
         rhs = diag.step(*diag.from_sigma(section, q))
         if lhs != rhs:
-            failures.append({"s": scalar_str(q.s), "zoff": scalar_str(q.zoff)})
+            failures.append({"s": str(q.s), "zoff": str(q.zoff)})
     return {"samples": len(samples), "failures": failures, "passed": not failures}
 
 
@@ -724,7 +714,7 @@ def fibonacci_chart_equivalence(n_verify: int = 100, seed: int = 41) -> dict:
     det = 2 * (p0 * a1 - p1 * a0)
     b2, w2 = 2 * eps * (a1 - a0) / det, eps * (p0 - p1) / det
     if b2 * b2 != 1:
-        return {**fail, "residuals": f"fiber sign b2 = {scalar_str(b2)}, not +-1"}
+        return {**fail, "residuals": f"fiber sign b2 = {b2}, not +-1"}
     b2 = b2.sign()
     r0, r1 = (b2 * q + w2 * a * a + HALF_INV_PHI3 for a, q in ((a0, q0), (a1, q1)))
     # w1 = k - (r0 - r1) for an integer k, and r1 + w1 a1 must be an integer
@@ -742,18 +732,18 @@ def fibonacci_chart_equivalence(n_verify: int = 100, seed: int = 41) -> dict:
         z = golden(_rational(rng.randrange(0, 9973), 9973))
         if h(*diag.step(x, z)) != golden_skew_step(*h(x, z)):
             return {**fail, "residuals": f"h . T_chart != T_skew . h at "
-                                         f"({scalar_str(x)}, {scalar_str(z)})"}
+                                         f"({x}, {z})"}
     return {
         "found": True,
         "eps": eps,
         "b2": b2,
-        "c1": scalar_str(zero),
-        "w2": scalar_str(w2),
-        "w1": scalar_str(w1),
+        "c1": str(zero),
+        "w2": str(w2),
+        "w1": str(w1),
         "c2": "0 (free fiber rotation)",
         "verified_points": n_verify,
-        "rotation_chart": scalar_str(data.alpha),
-        "rotation_target": scalar_str(data.beta),
+        "rotation_chart": str(data.alpha),
+        "rotation_target": str(data.beta),
         "passed": True,
     }
 
@@ -831,7 +821,7 @@ def affine_identity_check(n_points: int = 100, seed: int = 3) -> dict:
             tx, ty = t_phi_affine(x, y)
             rhs = (tx + (n - 2), ty)
             if lhs[0] != rhs[0] or lhs[1] != rhs[1]:
-                failures.append({"n": n, "x": scalar_str(x), "y": scalar_str(y)})
+                failures.append({"n": n, "x": str(x), "y": str(y)})
     return {"checked": 4 * n_points, "failures": failures, "passed": not failures}
 
 
@@ -864,8 +854,8 @@ def region_invariance_audit(coeffs: RegionCoeffs | None = None) -> dict:
             stayed += 1
         elif len(witnesses) < 5:
             witnesses.append({
-                "x": scalar_str(x), "y": scalar_str(y),
-                "image": (scalar_str(image[0]), scalar_str(image[1])),
+                "x": str(x), "y": str(y),
+                "image": (str(image[0]), str(image[1])),
             })
     return {
         "points_in_D": inside,
@@ -928,8 +918,8 @@ def counterexample_suite(coeffs: RegionCoeffs | None = None,
         "region_invariance": region_invariance_audit(c),
         "return_counts": rprime_return_audit(c, seed=seed),
         "origin_in_D2": in_d2(c, golden(0), golden(0)),
-        "p0": scalar_str(c.p(golden(0))),
-        "r0": scalar_str(c.r(golden(0))),
+        "p0": str(c.p(golden(0))),
+        "r0": str(c.r(golden(0))),
     }
 
 
@@ -965,8 +955,8 @@ def nonresonance_report(data: EigenData, x0, grid: int = 10) -> dict:
             ):
                 hits.append((n, m))
     return {
-        "x0": scalar_str(x0),
-        "gamma": scalar_str(gamma),
+        "x0": str(x0),
+        "gamma": str(gamma),
         "grid": grid,
         "resonances": hits,
         "nonresonant": not hits,
@@ -987,7 +977,7 @@ def conjugation_suite(data: EigenData, x0, samples: int = 100, seed: int = 9,
             failures.append({"x": str(x), "g": str(g), "y": str(y)})
     return {
         "conjugation_failures": failures,
-        "gamma0": scalar_str(gamma_zero(data)),
+        "gamma0": str(gamma_zero(data)),
         "nonresonance": nonresonance_report(data, x0, grid=grid),
         "passed": not failures,
     }
@@ -1023,32 +1013,44 @@ def _block_bytes(n: int, r: int) -> int:
 
 
 def _mod1(x):
-    """x - floor(x) in place on a float array: the same doubles as
+    """x - floor(x), in place on a float array: the same doubles as
     ``np.remainder(x, 1.0)`` (both are the exact x - floor(x), rounded once),
-    at a fraction of its cost."""
+    at a fraction of its cost.  A scalar gives a new one."""
     import numpy as np
-    return np.subtract(x, np.floor(x), out=x)
+    return np.subtract(x, np.floor(x), out=x if isinstance(x, np.ndarray) else None)
 
 
 def _turns(*terms):
     """The sum of n gamma mod 1 over the terms (gamma, n), gamma exact and n
-    an integer or an array of integers held as doubles, each to about an ulp.
+    an integer or an array of integers held as doubles, 0 <= n < 2^53, each
+    to about an ulp whatever n.
 
-    gamma is reduced mod 1 exactly and split as hi + lo, hi a multiple of
-    2^-t with t = 53 - (bits of max n), so that n hi and its fractional part
-    are exact, and 0 <= lo < 2^-t adds n lo rounded once.
+    gamma is reduced mod 1 exactly and cut into pieces of t = max(1, 53 - b)
+    bits, b the bits of max n: the j-th piece is a multiple of 2^-jt below
+    2^-(j-1)t, so n times it and its fractional part are exact.  Pieces are
+    taken until n times the rest of gamma is below 1/2, which then adds
+    rounded once, and the total is reduced mod 1 between pieces.  Below
+    n = 2^26 one piece suffices.
     """
     import numpy as np
     total = 0.0
     for gamma, n in terms:
-        gamma = floor_mod1(gamma)[1]
-        t = 53 - int(np.max(n)).bit_length()
-        if t < 0:
+        rest = floor_mod1(gamma)[1]
+        b = int(np.max(n)).bit_length()
+        if b > 53:
             raise ValueError(f"n = {int(np.max(n))} is 2^53 or more, past the exact "
                              "integers of a double")
-        k = scalar_floor(gamma * (1 << t))
-        whole = n * (k / (1 << t))
-        total = total + (whole - np.floor(whole)) + n * scalar_float(gamma - _rational(k, 1 << t))
+        t = s = max(1, 53 - b)
+        while True:
+            k = math.floor(rest * (1 << s))
+            rest = rest - _rational(k, 1 << s)
+            whole = n * (k / (1 << s))
+            total = total + (whole - np.floor(whole))
+            if s > b:  # n rest < 2^(b - s) <= 1/2
+                break
+            total = _mod1(total)
+            s += t
+        total = total + n * float(rest)
     return _mod1(total)
 
 
@@ -1145,7 +1147,7 @@ def weyl_sums_skew_exact(chars, n_iter: int) -> dict:
         raise ValueError(f"n_iter must be positive, got {n_iter}")
     u, v, pts = golden(0), golden(0), []
     for _ in range(n_iter):
-        pts.append((scalar_float(u), scalar_float(v)))
+        pts.append((float(u), float(v)))
         u, v = golden_skew_step(u, v)
     x, y = np.array(pts).T
     return {(p, q): abs(np.exp(2j * np.pi * (p * x + q * y)).sum()) / n_iter

@@ -1,7 +1,8 @@
 """The Heisenberg group H3 and its Lie algebra over generic scalars.
 
 Points are upper triangular unipotent matrices written ``[x, y, z]`` with the
-law ``[x,y,z] * [x',y',z'] = [x+x', y+y', z+z'+x*y']``.  Scalars may be
+law ``[x,y,z] * [x',y',z'] = [x+x', y+y', z+z'+x*y']``.  A scalar is anything
+with ``+ - * /`` and ``==``, and with ``math.floor`` where a coset is reduced:
 ``Fraction``, :class:`~nilflow.scalar.QuadraticNumber` or ``float``; integers
 are promoted to :class:`~nilflow.scalar.Rational` so that halving and floors
 stay exact.  Results of the law are built by ``_point`` and ``_vector`` from
@@ -10,15 +11,9 @@ coordinates that are already promoted.
 
 from __future__ import annotations
 
-from .scalar import (
-    ParseError,
-    QuadraticContext,
-    _rational,
-    parse_scalar,
-    scalar_float,
-    scalar_floor,
-    scalar_str,
-)
+import math
+
+from .scalar import ParseError, QuadraticContext, _rational, parse_scalar
 
 
 _new = object.__new__
@@ -64,7 +59,7 @@ class GroupPoint:
         return hash((self.x, self.y, self.z))
 
     def __str__(self) -> str:
-        return f"[{scalar_str(self.x)}, {scalar_str(self.y)}, {scalar_str(self.z)}]"
+        return f"[{self.x}, {self.y}, {self.z}]"
 
     def __repr__(self) -> str:
         return f"GroupPoint({self.x!r}, {self.y!r}, {self.z!r})"
@@ -192,7 +187,7 @@ def norm4(g: GroupPoint):
 
 
 def dist(a: GroupPoint, b: GroupPoint) -> float:
-    return scalar_float(norm4(a.inverse() * b)) ** 0.25
+    return float(norm4(a.inverse() * b)) ** 0.25
 
 
 def flow(v: AlgebraVector, t, g: GroupPoint) -> GroupPoint:
@@ -215,10 +210,10 @@ def dilate(t, g: GroupPoint) -> GroupPoint:
 
 def canonicalize(g: GroupPoint) -> NilPoint:
     """Reduce to the fundamental cube: find w in the lattice with g*w in [0,1)^3."""
-    n = -scalar_floor(g.x)
-    m = -scalar_floor(g.y)
+    n = -math.floor(g.x)
+    m = -math.floor(g.y)
     z1 = g.z + g.x * m
-    p = -scalar_floor(z1)
+    p = -math.floor(z1)
     w = _new(LatticePoint)  # three ints from the floors
     w.n, w.m, w.p = n, m, p
     return NilPoint(_point(g.x + n, g.y + m, z1 + p), w)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Union
 
 _new = object.__new__
 _gcd = math.gcd
@@ -174,9 +173,6 @@ def _rational(n: int, d: int = 1) -> Rational:
     if d < 0:
         g = -g
     return _coprime(n // g, d // g)
-
-
-Scalar = Union[int, Fraction, "QuadraticNumber", float]
 
 
 class ParseError(ValueError):
@@ -477,8 +473,9 @@ class QuadraticNumber:
         P, r = 2 * self.A + B * ctx.trace, math.isqrt(B * B * ctx.disc)
         return (P + r) // (2 * self.d) if B > 0 else (P - r - 1) // (2 * self.d)
 
-    def frac(self) -> "QuadraticNumber":
-        return self - self.floor()
+    def __floor__(self) -> int:
+        # by name, so that math.floor follows a replaced floor
+        return self.floor()
 
     def to_float(self) -> tuple[float, float]:
         """Correctly rounded double and the bound ``|v| * 2^-53`` on its error.
@@ -541,30 +538,9 @@ def floor_mod1(x):
     if type(x) is QuadraticNumber:
         n = x.floor()
         return n, (x - n if n else x)
-    if isinstance(x, QuadraticNumber):
-        n = x.floor()
-    else:
-        x = _rational(x) if isinstance(x, int) else x
-        n = math.floor(x)
+    x = _rational(x) if isinstance(x, int) else x
+    n = math.floor(x)
     return n, x - n
-
-
-def scalar_floor(x) -> int:
-    if type(x) is QuadraticNumber or isinstance(x, QuadraticNumber):
-        return x.floor()
-    return math.floor(x)
-
-
-def scalar_float(x) -> float:
-    if type(x) is QuadraticNumber or isinstance(x, QuadraticNumber):
-        return x.to_float()[0]
-    return float(x)
-
-
-def scalar_str(x) -> str:
-    if isinstance(x, (QuadraticNumber, int, Fraction)):
-        return str(x)
-    return repr(x)
 
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")

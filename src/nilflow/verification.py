@@ -48,7 +48,7 @@ from .heisenberg import (
     log_point,
     norm4,
 )
-from .scalar import GOLDEN, QuadraticNumber, Rational, _rational, scalar_str
+from .scalar import GOLDEN, QuadraticNumber, Rational, _rational
 
 
 @dataclass
@@ -90,7 +90,7 @@ class _Failures:
 
 def _exact(v):
     if isinstance(v, AlgebraVector):
-        return f"({scalar_str(v.alpha)}, {scalar_str(v.beta)}, {scalar_str(v.gamma)})"
+        return f"({v.alpha}, {v.beta}, {v.gamma})"
     if isinstance(v, (list, tuple)):
         return [_exact(x) for x in v]
     if isinstance(v, dict):

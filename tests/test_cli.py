@@ -199,11 +199,51 @@ def test_unknown_config_key_is_parse_error(tmp_path, capsys):
 
 def test_config_value_of_wrong_type_is_parse_error(tmp_path, capsys):
     cfg = tmp_path / "config.json"
-    for bad in ({"iters": "abc"}, {"iters": True}, {"threshold": "x"},
-                {"substitution": 5}, {"kind": "bogus"}, {"format": "xml"}):
+    for command, bad in (("orbit", {"iters": "abc"}), ("orbit", {"iters": True}),
+                         ("equidistribution", {"threshold": "x"}),
+                         ("orbit", {"substitution": 5}), ("orbit", {"kind": "bogus"}),
+                         ("orbit", {"format": "xml"})):
         cfg.write_text(json.dumps({**bad, "out": str(tmp_path)}))
-        assert run(["orbit", "--config", cfg]) == 2
+        assert run([command, "--config", cfg]) == 2
         assert repr(next(iter(bad))) in capsys.readouterr().err
+
+
+# the flags that a command does not read: each was once accepted and ignored
+UNREAD = {
+    "analyze": ("samples", "iters", "format"),
+    "orbit": ("samples",),
+    "broken-line": ("samples", "iters", "format"),
+    "induce": ("iters", "format"),
+    "verify": ("samples", "iters", "format", "substitution"),
+    "equidistribution": ("samples",),
+}
+
+
+def test_a_flag_exists_only_on_the_commands_that_read_it(tmp_path, capsys):
+    value = {"samples": 5, "iters": 5, "format": "jsonl", "substitution": "a->ab;b->a"}
+    assert sum(map(len, UNREAD.values())) == 14
+    cfg = tmp_path / "config.json"
+    for command, keys in UNREAD.items():
+        for key in keys:
+            with pytest.raises(SystemExit) as exc:
+                run([command, f"--{key}", value[key], "--out", tmp_path])
+            assert exc.value.code == 2, (command, key)
+            assert f"--{key}" in capsys.readouterr().err
+            cfg.write_text(json.dumps({key: value[key]}))
+            assert run([command, "--config", cfg, "--out", tmp_path]) == 2, (command, key)
+            err = capsys.readouterr().err
+            assert f"config key {key!r} is not an option of {command}" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+    # --seed and --out stay on every command, and the config file of analyze
+    # still names its report
+    assert run(["equidistribution", "--iters", 10000, "--radius", 1, "--seed", 3,
+                "--out", tmp_path / "eq"]) == 0
+    cfg.write_text(json.dumps({"analysis_out": "a.json", "seed": 1}))
+    assert run(["analyze", "--config", cfg, "--out", tmp_path / "an"]) == 0
+    assert (tmp_path / "an" / "a.json").exists()
+    with pytest.raises(SystemExit):
+        run(["analyze", "--analysis-out", "a.json"])
+    capsys.readouterr()
 
 
 def test_broken_line_without_fixed_point_is_hypothesis_violation(tmp_path, capsys):

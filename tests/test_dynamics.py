@@ -813,10 +813,9 @@ def _direct_moduli(chars, x, y):
 
 def _exact_skew_orbit(u0, v0, n):
     import numpy as np
-    from nilflow.scalar import scalar_float
     u, v, pts = golden(Fraction(u0)), golden(Fraction(v0)), []
     for _ in range(n):
-        pts.append((scalar_float(u), scalar_float(v)))
+        pts.append((float(u), float(v)))
         u, v = golden_skew_step(u, v)
     return np.array(pts).T
 
@@ -834,9 +833,8 @@ def _check_weyl_kernel_against_direct_sums(chars):
         off_field_step, weyl_sums_nilflow, weyl_sums_skew_exact,
         weyl_sums_skew_product,
     )
-    from nilflow.scalar import scalar_float
 
-    alpha, beta = scalar_float(FIB_DATA.alpha), scalar_float(FIB_DATA.beta)
+    alpha, beta = float(FIB_DATA.alpha), float(FIB_DATA.beta)
     # one block of 3000; blocks of 1000 with a last one of 500, and of 1009
     # with a last one of 473
     for n, chunk in ((3000, 1 << 14), (3500, 1000), (3500, 1009)):
@@ -880,9 +878,8 @@ def test_weyl_blocks_match_direct_sums_around_a_square():
     from nilflow.dynamics import (
         character_grid, off_field_step, weyl_sums_nilflow, weyl_sums_skew_product,
     )
-    from nilflow.scalar import scalar_float
     chars = character_grid(3) + [(0, 0)]
-    alpha, beta = scalar_float(FIB_DATA.alpha), scalar_float(FIB_DATA.beta)
+    alpha, beta = float(FIB_DATA.alpha), float(FIB_DATA.beta)
     sizes = ((1, None), (2, None), (1599, None), (1600, None), (1601, None), (1601, 700))
     for u0, v0 in ((0.0, 0.0), (0.25, 0.5)):
         x, y = _exact_skew_orbit(u0, v0, 1601)
@@ -1053,3 +1050,35 @@ def test_turns_names_n_past_the_doubles_integers():
     for n in (2 ** 53, 2 ** 60):
         with pytest.raises(ValueError, match=f"^n = {n} is 2\\^53 or more"):
             _turns((INV_PHI2, np.array([0.0, float(n)])))
+
+
+
+def _turns_error(n, gamma, x):
+    """x less the exact n gamma, mod 1 into [-1/2, 1/2), in Q(sqrt 5)."""
+    half = Fraction(1, 2)
+    return floor_mod1(golden(Fraction(float(x))) - n * gamma + half)[1] - half
+
+
+def test_turns_holds_to_an_ulp_for_every_n_below_2_53():
+    # arrays of n near 2^30, 2^40 and 2^52, where one split of gamma into
+    # hi + lo erred by up to 2^-3 turns
+    import numpy as np
+
+    from nilflow.dynamics import _turns
+    eps, rng = Fraction(1, 2 ** 51), random.Random(24)
+    for gamma in (INV_PHI2, HALF_INV_PHI3):
+        for bits in (30, 40, 52):
+            ns = [rng.randrange(1 << (bits - 1), 1 << bits) for _ in range(20)]
+            got = _turns((gamma, np.array(ns, dtype=np.float64)))
+            assert got.shape == (20,)
+            for n, x in zip(ns, got):
+                assert -eps <= _turns_error(n, gamma, x) <= eps, (bits, n)
+
+
+def test_turns_takes_a_scalar_n():
+    from nilflow.dynamics import _turns
+    eps = Fraction(1, 2 ** 51)
+    for gamma in (INV_PHI2, HALF_INV_PHI3):
+        for n in (0, 1, 3 << 28, 2 ** 41 + 1, 2 ** 53 - 1):
+            x = _turns((gamma, n))
+            assert 0 <= x < 1 and -eps <= _turns_error(n, gamma, x) <= eps, n

@@ -2,12 +2,20 @@
 
 ``perfbench/tracing.py`` is read as text, not imported, so the test needs
 neither numpy nor perfbench on the path.  A class attribute must be found in
-the class's own ``__dict__``, as the tracer looks it up there.
+the class's own ``__dict__``, as the tracer looks it up there.  A tracer
+that replaces ``QuadraticNumber.floor`` or ``to_float`` there must also see
+the floors and floats that the builtins ``math.floor`` and ``float`` take.
 """
 
 import ast
 import importlib
+import math
+from fractions import Fraction
 from pathlib import Path
+
+from nilflow.dynamics import strip_family
+from nilflow.heisenberg import GroupPoint, canonicalize
+from nilflow.scalar import GOLDEN, QuadraticNumber, floor_mod1
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,3 +44,26 @@ def test_traced_names_resolve():
     verification = vars(importlib.import_module("nilflow.verification"))
     for fn_name in _literal("VERIFY_FUNCTIONS"):
         assert callable(verification.get(fn_name)), fn_name
+
+
+def test_floors_and_floats_pass_through_replaced_methods(monkeypatch):
+    calls = {"floor": 0, "to_float": 0}
+    for name in calls:
+        def counted(self, _method=QuadraticNumber.__dict__[name], _name=name):
+            calls[_name] += 1
+            return _method(self)
+        monkeypatch.setattr(QuadraticNumber, name, counted)  # as the tracer does
+
+    def counts(f):
+        before = dict(calls)
+        f()
+        return {k: calls[k] - before[k] for k in calls}
+
+    q = GOLDEN.lam + Fraction(1, 3)
+    assert counts(lambda: math.floor(q)) == {"floor": 1, "to_float": 0}
+    assert counts(lambda: floor_mod1(q)) == {"floor": 1, "to_float": 0}
+    assert counts(lambda: canonicalize(GroupPoint(q, -q, q * q))) == {"floor": 3, "to_float": 0}
+    step = strip_family(-1, 0).step_coords
+    assert counts(lambda: step(q - 1, q)) == {"floor": 1, "to_float": 0}
+    assert counts(lambda: float(q)) == {"floor": 0, "to_float": 1}
+    assert math.floor(q) == 1 and float(q) == q.to_float()[0]

@@ -1,12 +1,17 @@
-"""The verify and induce reports, byte for byte.
+"""The exact artifacts, byte for byte.
 
 Their SHA-256 digests are pinned, so that a change to the exact layer that
-alters a report, by a value, a key or a witness that should not be there,
-fails here.  The digests are the same under CPython 3.11, 3.12 and 3.13; a
-change that means to alter a report updates them and says so.
+alters an artifact, by a value, a key, a witness that should not be there or
+a float printed from another rounding, fails here.  Besides the verify and
+induce reports, the orbit files of every kind and format (with non-default
+starts and strip parameters), the analyze report and the broken-line CSV are
+pinned, since they print and float every exact scalar they hold.  The digests
+are the same under CPython 3.11, 3.12 and 3.13; a change that means to alter
+an artifact updates them and says so.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -19,11 +24,45 @@ DIGESTS = {
                         "e373182cd5b5b2f0908d6463b4e2c8d4f06060c7ea9169b65b75de7e6d7a5ecf"),
     "induce": ("induce-report.json",
                "32b1213af5b09faf91d886a24d4323937f9ec6d0e2f97117528c987d988c1064"),
+    # the report file of analyze is named in a config file only
+    "analyze": ("analysis.json",
+                "c41b207b9fdb5a4e99c5255a104176cbe49dc9db037db8b368447b973c9b7429"),
+    "broken-line": ("broken-line.csv",
+                    "3b3c724878bbf5b5c8827f0edf066b329ba68addf6d4397f800f8d5368d2cf2d"),
+    "orbit --kind skew --iters 300 --format csv": (
+        "orbit-skew.csv",
+        "3e8a93d33548501dec9f8ec8c96a0c98aa12bc00959e06fa0b3eab668383b7b8"),
+    "orbit --kind strip --iters 300 --format csv --s=-3/7 --theta=2/7": (
+        "orbit-strip.csv",
+        "c8c23166385aaaa2f107b58022a5c9d0d4d661e793f8219484a1c5bfbe5979a7"),
+    "orbit --kind translation --iters 300 --format csv --start [1/3,2/7,-1/5]": (
+        "orbit-translation.csv",
+        "1327c371c3875635a7fd623de28d8aa6f7f88357671c39aeba9faf492c600b74"),
+    "orbit --kind flow --iters 300 --format csv --start [1/3,2/7,-1/5] --step 2/5": (
+        "orbit-flow.csv",
+        "12918a0032f090c02462d3a8c3cbeecfb2e1debda31d73a30e8cc0fd257b4cf1"),
+    "orbit --kind skew --iters 300 --format jsonl": (
+        "orbit-skew.jsonl",
+        "f7de4e382df0d2783330ef98276ee9a92a4ea37cdff6898ec8aeb824eaa65b33"),
+    "orbit --kind strip --iters 300 --format jsonl --s=-3/7 --theta=2/7": (
+        "orbit-strip.jsonl",
+        "ed742c390781d4648aeb16a39ae37463aeb18368c1839d6abc3c351606136cf1"),
+    "orbit --kind translation --iters 300 --format jsonl --start [1/3,2/7,-1/5]": (
+        "orbit-translation.jsonl",
+        "c2ba0621b54b30655a363c93bc90530ca534464fd53e515f16c0608198a2a6d7"),
+    "orbit --kind flow --iters 300 --format jsonl --start [1/3,2/7,-1/5] --step 2/5": (
+        "orbit-flow.jsonl",
+        "3f827d3234bf1b2d7e3671479e2ba6f11b9bc047d1f1c8084001578177b5ad37"),
 }
 
 
 @pytest.mark.parametrize("command", list(DIGESTS))
 def test_report_bytes_are_pinned(tmp_path, capsys, command):
     name, digest = DIGESTS[command]
-    assert main([*command.split(), "--out", str(tmp_path)]) == 0
+    argv = [*command.split(), "--out", str(tmp_path)]
+    if command == "analyze":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"analysis_out": name}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -17,8 +17,6 @@ from nilflow.scalar import (
     _rational,
     floor_mod1,
     parse_scalar,
-    scalar_float,
-    scalar_floor,
 )
 
 LAM = GOLDEN.lam
@@ -91,7 +89,7 @@ def test_sign_multiplicative():
 
 def test_floor_examples():
     assert LAM.floor() == 1
-    assert LAM.frac() == LAM - 1
+    assert math.floor(LAM) == 1 and floor_mod1(LAM)[1] == LAM - 1
     assert (-LAM).floor() == -2
     assert floor_mod1(Fraction(3, 2)) == (1, Fraction(1, 2))
 
@@ -546,15 +544,14 @@ def test_floor_and_float_helpers_on_every_partner(A, B, d, ctx, kind):
         n, r = floor_mod1(v)
         want = _oracle_floor(v, ctx) if isinstance(v, QuadraticNumber) else (
             math.floor(Fraction(v)))
-        assert scalar_floor(v) == n == want and type(n) is int
+        assert math.floor(v) == n == want and type(n) is int
         assert 0 <= r < 1 and r + n == v
         if isinstance(v, QuadraticNumber):
+            assert v.floor() == n
             assert type(r) is QuadraticNumber and math.gcd(r.A, r.B, r.d) == 1
-            assert scalar_float(v) == v.to_float()[0]
+            assert float(v) == v.to_float()[0]
             with mpmath.workdps(120):
-                assert scalar_float(v) == pytest.approx(float(mp_value(v)), rel=2 ** -50)
-        else:
-            assert scalar_float(v) == float(v)
+                assert float(v) == pytest.approx(float(mp_value(v)), rel=2 ** -50)
 
 
 def test_operator_errors_across_fields_and_with_floats():
