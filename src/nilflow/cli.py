@@ -7,8 +7,10 @@ that it reads, plus ``--seed`` and ``--out`` on every command; a config key
 of another command is a parse error.  The verify and induce reports and the
 orbit JSONL records embed the seed; the other artifacts do not depend on
 it.  Exact values are emitted as strings, floats with 17 significant
-digits, and files are written atomically, so equal configurations produce
-byte-identical outputs.
+digits, so equal configurations produce byte-identical outputs.  Files are
+written atomically: into ``<name>.tmp``, renamed once complete.  Orbit rows
+are streamed into the temp file as they are computed, so the memory of
+``orbit`` does not depend on ``--iters``.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error (also
 an ``equidistribution --iters`` past the Weyl kernel's memory budget),
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -56,27 +59,66 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def atomic_write(path: Path, text: str) -> None:
+def atomic_write(path: Path, lines) -> None:
+    """Write the strings of ``lines`` to ``path`` in one pass: into
+    ``<path>.tmp``, renamed over ``path`` once complete.  The temp file is
+    opened once the first string exists, and any exception removes it, so a
+    failed write leaves ``path`` as it was and no other file behind."""
+    lines = iter(lines)
+    head = next(lines, "")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(head)
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def emit_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    atomic_write(path, "\n".join(lines) + "\n")
+def emit_csv(path: Path, header: list[str], row_format: str, rows) -> None:
+    """The header line, then the line ``row_format % row`` of each row:
+    ``%.17g`` writes a float as ``_fmt_float`` does."""
+    line = row_format + "\n"
+    atomic_write(path, itertools.chain(
+        (",".join(header) + "\n",), (line % row for row in rows)))
 
 
-def emit_jsonl(path: Path, records) -> None:
-    encode = json.JSONEncoder(sort_keys=True).encode
-    lines = [encode(r) for r in records]
-    atomic_write(path, "\n".join(lines) + "\n")
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_int(v) -> str:
+    if type(v) is not int:  # json.dumps writes a bool as true or false
+        raise TypeError(f"a JSONL integer must be an int, not {type(v).__name__}")
+    return int.__repr__(v)
+
+
+def jsonl_lines(seed: int, names, rows):
+    """The orbit records ``{"k": k, "seed": seed, name: text, ...}`` of the
+    rows ``(k, texts)``, one line each with its newline, byte for byte as
+    ``json.JSONEncoder(sort_keys=True).encode`` writes them.  The key list
+    ``["k", "seed", *names]`` must be sorted, so that one f-string per row
+    writes the keys in place.  ``k`` and ``seed`` are ints and the texts
+    strs; any other type is a TypeError."""
+    keys = ["k", "seed", *names]
+    if sorted(set(keys)) != keys:
+        raise ValueError(f"JSONL keys {keys} are not distinct and sorted")
+    seed_text = _json_int(seed)
+    fields = "".join(", " + _json_str(n).replace("%", "%%") + ": %s" for n in names)
+    for k, texts in rows:
+        yield (f'{{"k": {_json_int(k)}, "seed": {seed_text}'
+               f'{fields % tuple(map(_json_str, texts))}}}\n')
+
+
+def emit_jsonl(path: Path, seed: int, names, rows) -> None:
+    """Orbit records, one JSON object per line (see ``jsonl_lines``)."""
+    atomic_write(path, jsonl_lines(seed, names, rows))
 
 
 def emit_report(path: Path, obj) -> None:
-    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n",))
 
 
 def cmd_analyze(cfg: dict) -> int:
@@ -172,24 +214,19 @@ ORBIT_KINDS = {
 
 
 def cmd_orbit(cfg: dict) -> int:
-    kind = cfg["kind"]
-    rows = list(ORBIT_KINDS[kind](cfg))
-    names = rows[0][1]
+    kind, seed = cfg["kind"], cfg["seed"]
+    rows = ORBIT_KINDS[kind](cfg)
+    # the first row reads the exact options, so a bad one writes no file
+    first = next(rows)
+    rows, names = itertools.chain((first,), rows), first[1]
     outdir = Path(cfg["out"])
     if cfg["format"] == "csv":
-        emit_csv(
-            outdir / f"orbit-{kind}.csv",
-            ["k", *names],
-            ((str(k), *(_fmt_float(float(c)) for c in coords))
-             for k, _, coords in rows),
-        )
+        emit_csv(outdir / f"orbit-{kind}.csv", ["k", *names],
+                 "%d" + ",%.17g" * len(names),
+                 ((k, *map(float, coords)) for k, _, coords in rows))
     else:
-        records = [
-            {"k": k, "seed": cfg["seed"],
-             **{n: str(c) for n, c in zip(names, coords)}}
-            for k, _, coords in rows
-        ]
-        emit_jsonl(outdir / f"orbit-{kind}.jsonl", records)
+        emit_jsonl(outdir / f"orbit-{kind}.jsonl", seed, names,
+                   ((k, map(str, coords)) for k, _, coords in rows))
     return 0
 
 
@@ -213,10 +250,9 @@ def cmd_broken_line(cfg: dict) -> int:
     for k, (a, b, c) in enumerate(counts):
         pu, pv = a - k * af, b - k * bf
         sup = max(sup, abs(pu), abs(pv))
-        rows.append((str(k), str(a), str(b), str(c),
-                     _fmt_float(pu), _fmt_float(pv)))
+        rows.append((k, a, b, c, pu, pv))
     emit_csv(Path(cfg["out"]) / "broken-line.csv",
-             ["k", "a", "b", "c", "proj_u", "proj_v"], rows)
+             ["k", "a", "b", "c", "proj_u", "proj_v"], "%d,%d,%d,%d,%.17g,%.17g", rows)
     print(f"emitted {len(rows)} rows, projection sup norm {sup:.6f}")
     return 0
 
@@ -278,12 +314,9 @@ def cmd_equidistribution(cfg: dict) -> int:
         print(f"{kind}: worst |S_N|/N = {rep['worst_modulus']:.6f} "
               f"at N = {rep['n_iter']}{' (escalated)' if rep['escalated'] else ''}")
     if cfg["format"] == "csv":
-        rows = []
-        for kind, rep in reports.items():
-            for pq, mod in sorted(rep["moduli"].items()):
-                rows.append((kind, pq, _fmt_float(mod)))
-        emit_csv(outdir / "weyl-sums.csv", ["kind", "p,q", "modulus"],
-                 ((k, f'"{pq}"', m) for k, pq, m in rows))
+        emit_csv(outdir / "weyl-sums.csv", ["kind", "p,q", "modulus"], '%s,"%s",%.17g',
+                 ((kind, pq, mod) for kind, rep in reports.items()
+                  for pq, mod in sorted(rep["moduli"].items())))
     else:
         emit_report(outdir / "weyl-sums.json", reports)
     return 0 if all(r["passed"] for r in reports.values()) else 1

@@ -477,6 +477,12 @@ class QuadraticNumber:
         # by name, so that math.floor follows a replaced floor
         return self.floor()
 
+    def __ceil__(self) -> int:
+        # through floor by name, as __floor__; with B != 0 the element is
+        # irrational, so never an integer
+        n = self.floor()
+        return n if self.B == 0 and n * self.d == self.A else n + 1
+
     def to_float(self) -> tuple[float, float]:
         """Correctly rounded double and the bound ``|v| * 2^-53`` on its error.
 

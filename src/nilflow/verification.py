@@ -9,6 +9,7 @@ outcome is a failure of the default coefficients.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -47,6 +48,8 @@ from .heisenberg import (
     flow_exchange_holds,
     log_point,
     norm4,
+    _point,
+    _vector,
 )
 from .scalar import GOLDEN, QuadraticNumber, Rational, _rational
 
@@ -58,16 +61,28 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def _rand_fraction(rng: random.Random, span: int = 400, den: int = 97) -> Rational:
-    return _rational(rng.randrange(-span, span + 1), den)
+@functools.cache
+def _draws() -> tuple[Rational, ...]:
+    """The rationals k/97, |k| <= 400, that the battery draws from.
+
+    ``rng.choice`` of this table takes the draw of
+    ``rng.randrange(-400, 401)``: both take ``-400 + rng._randbelow(801)``.
+    """
+    return tuple(_rational(k, 97) for k in range(-400, 401))
+
+
+def _rand_fraction(rng: random.Random) -> Rational:
+    return rng.choice(_draws())
 
 
 def _rand_point(rng: random.Random) -> GroupPoint:
-    return GroupPoint(_rand_fraction(rng), _rand_fraction(rng), _rand_fraction(rng))
+    draw, table = rng.choice, _draws()
+    return _point(draw(table), draw(table), draw(table))
 
 
 def _rand_vector(rng: random.Random) -> AlgebraVector:
-    return AlgebraVector(_rand_fraction(rng), _rand_fraction(rng), _rand_fraction(rng))
+    draw, table = rng.choice, _draws()
+    return _vector(draw(table), draw(table), draw(table))
 
 
 def _rand_in_context(rng: random.Random, ctx) -> QuadraticNumber:

@@ -4,7 +4,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from nilflow.cli import _orbit_rows_flow, main
+from nilflow import cli
+from nilflow.cli import _orbit_rows_flow, jsonl_lines, main
 from nilflow.dynamics import INV_PHI4
 from nilflow.factorization import eigen_data, factor, flow_of
 from nilflow.freegroup import parse_substitution
@@ -408,3 +409,68 @@ def test_equidistribution_past_the_memory_budget_exits_2_at_once(tmp_path, capsy
     assert err.startswith("error: --iters: N = 10000000000000 needs about")
     assert err.rstrip().endswith("the largest accepted N at radius 3 is 1099511627776")
     assert not out.exists()
+
+
+def test_jsonl_lines_are_what_json_writes():
+    encode = json.JSONEncoder(sort_keys=True).encode
+    texts = ["", "plain", "ä ß €", "\U0001f600", 'say "hi"', "back\\slash", "a/b",
+             "\x00\x01\t\n\r\x1f\x7f", "%s %d %%", "{0} {"]
+    ints = [0, 1, -1, 10**100 - 1, -(10**99) - 7, 2**63]
+    # keys after "seed" in sorted order, with quotes, escapes and '%'
+    for names in [("u", "v"), ("x", "y", "z"), ("t%s", 'u"q', "v\\", "w\n", "ä"), ()]:
+        rows = [(ints[i % len(ints)], [texts[(i + j) % len(texts)] for j in range(len(names))])
+                for i in range(12)]
+        for seed in (0, -5, 10**100):
+            lines = list(jsonl_lines(seed, names, rows))
+            assert lines == [encode({"k": k, "seed": seed, **dict(zip(names, t))}) + "\n"
+                             for k, t in rows]
+    for bad in (1.5, float("nan"), True, False, None, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            list(jsonl_lines(0, ["u"], [(1, ["a"]), (bad, ["b"])]))
+        with pytest.raises(TypeError):
+            list(jsonl_lines(0, ["u"], [(1, ["a"]), (2, [bad])]))
+        with pytest.raises(TypeError):
+            list(jsonl_lines(bad, ["u"], [(1, ["a"])]))
+    for names in [("a",), ("v", "u"), ("u", "u")]:  # keys out of order or repeated
+        with pytest.raises(ValueError):
+            list(jsonl_lines(0, names, []))
+
+
+def test_a_failed_orbit_leaves_no_file_and_the_old_artifact(tmp_path, monkeypatch):
+    assert run(["orbit", "--kind", "skew", "--iters", 30, "--format", "jsonl",
+                "--out", tmp_path]) == 0
+    old = (tmp_path / "orbit-skew.jsonl").read_bytes()
+    calls, step = [], cli.golden_skew_step
+
+    def failing(u, v):
+        calls.append(1)
+        if len(calls) == 50:
+            raise RuntimeError("step 50 fails")
+        return step(u, v)
+
+    monkeypatch.setattr(cli, "golden_skew_step", failing)
+    for fmt in ("jsonl", "csv"):
+        with pytest.raises(RuntimeError, match="step 50"):
+            run(["orbit", "--kind", "skew", "--iters", 100, "--format", fmt, "--out", tmp_path])
+        calls.clear()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["orbit-skew.jsonl"]
+    assert (tmp_path / "orbit-skew.jsonl").read_bytes() == old
+
+
+def test_orbit_memory_does_not_grow_with_iters(tmp_path):
+    import tracemalloc
+
+    def peak(iters):
+        run(["orbit", "--kind", "translation", "--iters", 2, "--format", "jsonl",
+             "--out", tmp_path])  # caches and imports outside the measurement
+        tracemalloc.start()
+        try:
+            assert run(["orbit", "--kind", "translation", "--iters", iters,
+                        "--format", "jsonl", "--out", tmp_path]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2000), peak(20000)
+    assert large - small < 256 * 1024, (small, large)
+    assert len((tmp_path / "orbit-translation.jsonl").read_text().splitlines()) == 20001

@@ -53,6 +53,12 @@ DIGESTS = {
     "orbit --kind flow --iters 300 --format jsonl --start [1/3,2/7,-1/5] --step 2/5": (
         "orbit-flow.jsonl",
         "3f827d3234bf1b2d7e3671479e2ba6f11b9bc047d1f1c8084001578177b5ad37"),
+    # a start of mixed scalar types, whose first z prints as "4/5+0*l",
+    # and a seed past 64 bits
+    "orbit --kind translation --iters 300 --format jsonl --substitution a->aab;b->a"
+    " --start [1/3+l,2/7,-1/5] --seed -12345678901234567890": (
+        "orbit-translation.jsonl",
+        "323f19dbe3476e92bfc82310cddf324a70cafcd3435c476e33df778560113c46"),
 }
 
 

@@ -94,6 +94,22 @@ def test_floor_examples():
     assert floor_mod1(Fraction(3, 2)) == (1, Fraction(1, 2))
 
 
+def test_ceil_is_exact(monkeypatch):
+    # far past a double's 53 bits, where a ceiling of float(q) is off
+    for q in (LAM * 10**30, -LAM * 10**30, LAM * 10**30 + Fraction(1, 3)):
+        assert math.ceil(q) == q.floor() + 1
+    assert math.ceil(LAM * 10**30) == 1618033988749894848204586834366
+    # rationals in the field: an integer is its own ceiling
+    for a in (Fraction(7, 3), Fraction(-7, 3), Fraction(6, 3), Fraction(-6, 3),
+              Fraction(0), Fraction(10**30 + 1, 10**15)):
+        assert math.ceil(qn(a, 0)) == math.ceil(a)
+    # through floor by name, so a replaced floor sees it
+    calls = []
+    floor = QuadraticNumber.floor
+    monkeypatch.setattr(QuadraticNumber, "floor", lambda self: calls.append(1) or floor(self))
+    assert math.ceil(LAM) == 2 and calls == [1]
+
+
 def test_floor_bracketing():
     rng = random.Random(6)
     for ctx in CONTEXTS:

@@ -301,3 +301,21 @@ def test_strip_witness(monkeypatch):
     witness = ver.check_strip(5).details["witness"]
     assert witness == {"law": "psi0 = psi1 = -1/phi and the jump at 1/phi^2 is -1",
                        "psi0": "0", "psi1": "1-1*l", "jump_left_minus_right": "-1+0*l"}
+
+
+def test_table_draws_follow_the_randrange_stream():
+    # rng.choice of the 801-entry table and rng.randrange(-400, 401) consume
+    # the generator alike, so the battery's cases are those of randrange
+    for seed in (0, 1, 7, 2**40 + 3):
+        table, ref = random.Random(seed), random.Random(seed)
+
+        def expected():
+            return Fraction(ref.randrange(-400, 401), 97)
+
+        for _ in range(200):
+            assert ver._rand_fraction(table) == expected()
+            g = ver._rand_point(table)
+            assert (g.x, g.y, g.z) == (expected(), expected(), expected())
+            v = ver._rand_vector(table)
+            assert (v.alpha, v.beta, v.gamma) == (expected(), expected(), expected())
+        assert table.random() == ref.random()
