@@ -35,6 +35,7 @@ from .heisenberg import (
     log_point,
     norm4,
     translate,
+    translation_orbit,
 )
 from .freegroup import (
     FIBONACCI,
@@ -45,6 +46,7 @@ from .freegroup import (
     concat,
     fixed_point_prefix,
     invert_word,
+    iter_broken_line_counts,
     parse_substitution,
     reduce_word,
 )

@@ -31,11 +31,11 @@ from typing import NamedTuple
 
 from . import verification
 from .dynamics import (
+    GOLDEN_SKEW,
     INV_PHI2,
     WeylSizeError,
     equidistribution_report,
     golden,
-    golden_skew_step,
     renormalization_check,
     self_induction_check,
     strip_family,
@@ -50,8 +50,8 @@ from .factorization import (
     flow_of,
     surface_quadric,
 )
-from .freegroup import broken_line_counts, fixed_point_prefix, parse_substitution
-from .heisenberg import GroupPoint, canonicalize, exp_point, flow, parse_group_point
+from .freegroup import fixed_point_prefix, iter_broken_line_counts, parse_substitution
+from .heisenberg import GroupPoint, exp_point, flow, parse_group_point, translation_orbit
 from .scalar import GOLDEN, ParseError, _rational, parse_scalar
 
 
@@ -166,9 +166,9 @@ def cmd_analyze(cfg: dict) -> int:
 
 def _orbit_rows_translation(cfg: dict, sampled_flow: bool = False):
     """Right cosets of the lattice under the left translation by exp of the
-    eigenflow, or by its time-dt flow: one group product per step from the
-    canonical representative.  The flow orbit starts at the time-0 flow of
-    the start, which gives the first point the scalar types of the later ones."""
+    eigenflow, or by its time-dt flow (``translation_orbit``).  The flow
+    orbit starts at the time-0 flow of the start, which gives the first
+    point the scalar types of the later ones."""
     data = eigen_data(factor(parse_substitution(cfg["substitution"])))
     vec = flow_of(data, "lam")
     point = (
@@ -180,10 +180,8 @@ def _orbit_rows_translation(cfg: dict, sampled_flow: bool = False):
         step, point = exp_point(vec.scale(dt)), flow(vec, dt - dt, point)
     else:
         step = exp_point(vec)
-    for k in range(cfg["iters"] + 1):
-        rep = canonicalize(point).rep
+    for k, rep in enumerate(translation_orbit(step, point, cfg["iters"])):
         yield k, ("x", "y", "z"), (rep.x, rep.y, rep.z)
-        point = step * rep
 
 
 def _orbit_rows_flow(cfg: dict):
@@ -191,18 +189,14 @@ def _orbit_rows_flow(cfg: dict):
 
 
 def _orbit_rows_skew(cfg: dict):
-    u, v = golden(0), golden(0)
-    for k in range(cfg["iters"] + 1):
-        yield k, ("u", "v"), (u, v)
-        u, v = golden_skew_step(u, v)
+    for k, uv in enumerate(GOLDEN_SKEW.orbit(golden(0), golden(0), cfg["iters"])):
+        yield k, ("u", "v"), uv
 
 
 def _orbit_rows_strip(cfg: dict):
     pmap = strip_family(_exact(cfg, "s", GOLDEN), _exact(cfg, "theta", GOLDEN))
-    u, v = golden(0), golden(0)
-    for k in range(cfg["iters"] + 1):
-        yield k, ("u", "v"), (u, v)
-        _, u, v, _ = pmap.step_with_floors(u, v)
+    for k, uv in enumerate(pmap.orbit(golden(0), golden(0), cfg["iters"])):
+        yield k, ("u", "v"), uv
 
 
 ORBIT_KINDS = {
@@ -231,29 +225,35 @@ def cmd_orbit(cfg: dict) -> int:
 
 
 def cmd_broken_line(cfg: dict) -> int:
+    """The counts of the fixed point's broken line and their projections,
+    streamed into broken-line.csv; the sup norm of the projections is
+    taken in the same pass and printed once the file is written."""
     sub = parse_substitution(cfg["substitution"])
     n = cfg["length"]
     try:
         word = fixed_point_prefix(sub, n)
     except ValueError as exc:  # not positive, or not prolongable from 'a'
         raise HypothesisError(str(exc)) from exc
-    counts = broken_line_counts(word)
     endo = factor(sub)
-    rows = []
-    sup = 0.0
     report = check_hypothesis_H(endo)
     if report.passed:
         data = eigen_data(endo)
         af, bf = float(data.alpha), float(data.beta)
     else:
         af = bf = float("nan")
-    for k, (a, b, c) in enumerate(counts):
-        pu, pv = a - k * af, b - k * bf
-        sup = max(sup, abs(pu), abs(pv))
-        rows.append((k, a, b, c, pu, pv))
+    emitted, sup = 0, 0.0
+
+    def rows():
+        nonlocal emitted, sup
+        for k, (a, b, c) in enumerate(iter_broken_line_counts(word)):
+            pu, pv = a - k * af, b - k * bf
+            sup = max(sup, abs(pu), abs(pv))
+            emitted = k + 1
+            yield k, a, b, c, pu, pv
+
     emit_csv(Path(cfg["out"]) / "broken-line.csv",
-             ["k", "a", "b", "c", "proj_u", "proj_v"], "%d,%d,%d,%d,%.17g,%.17g", rows)
-    print(f"emitted {len(rows)} rows, projection sup norm {sup:.6f}")
+             ["k", "a", "b", "c", "proj_u", "proj_v"], "%d,%d,%d,%d,%.17g,%.17g", rows())
+    print(f"emitted {emitted} rows, projection sup norm {sup:.6f}")
     return 0
 
 

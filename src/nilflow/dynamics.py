@@ -41,7 +41,18 @@ from .heisenberg import (
     exp_point,
     flow,
 )
-from .scalar import GOLDEN, QuadraticNumber, _rational, floor_mod1
+from .scalar import (
+    GOLDEN,
+    QuadraticNumber,
+    _field,
+    _floor_parts,
+    _one_context,
+    _over,
+    _rational,
+    _sign_parts,
+    _triple,
+    floor_mod1,
+)
 
 HALF = _rational(1, 2)
 
@@ -133,6 +144,58 @@ class PiecewiseTorusMap:
 
     # the same function under a second name, which a tracer can wrap alone
     step_with_floors = step_coords
+
+    def orbit(self, u, v, n: int):
+        """The points (u, v), T(u, v), ..., T^n(u, v) of this map T, each a
+        pair of field elements in lowest terms.
+
+        The integer kernel of :meth:`step_coords`: u is kept as the
+        numerators ``(A, B)`` of ``(A + B*l)/Du`` and v, less ``fiber_lo``,
+        over ``Dv``, both fixed for the whole orbit (``Du`` the lcm of the
+        denominators of u and the branch data, ``Dv`` of v, ``fiber_lo``,
+        each ``a0`` and each ``a1`` times ``Du``).  A step is one sign test
+        per breakpoint passed, one field product by ``a1`` and one floor,
+        by the scalar layer's ``_sign_parts`` and ``_floor_parts``; a point
+        takes one gcd per coordinate.  The branch data must be field
+        elements of one context, else TypeError; u, v and ``fiber_lo`` may
+        be rationals as well.  u must lie in the base (ValueError); v may
+        lie outside the fiber window.  The checks run when the method is
+        called, before any point.
+        """
+        ctx = _one_context(c for b in self.branches for c in (b.lo, b.hi, b.du, b.a1, b.a0))
+        u0, v0, fl = (_triple(x, ctx) for x in (u, v, self.fiber_lo))
+        self._index(u)
+        T, disc = ctx.trace, ctx.disc
+        Du = math.lcm(u0[2], *(c.d for b in self.branches for c in (b.hi, b.du)))
+        Dv = math.lcm(v0[2], fl[2], *(b.a0.d for b in self.branches),
+                      *(b.a1.d * Du for b in self.branches))
+        F1, F2 = _over(fl, Dv)
+        rows = []
+        for b in self.branches:
+            # a1 * u over Dv is (p1 + p2 l)(U1 + U2 l) with l^2 = T l - det
+            f = Dv // (b.a1.d * Du)
+            p1, p2 = b.a1.A * f, b.a1.B * f
+            rows.append((*_over(_triple(b.hi, ctx), Du), *_over(_triple(b.du, ctx), Du),
+                         p1, p2, p1 + T * p2, ctx.det * p2, *_over(_triple(b.a0, ctx), Dv)))
+        *inner, last = rows
+
+        def points():
+            (U1, U2), (V1, V2) = _over(u0, Du), _over(v0, Dv)
+            V1, V2 = V1 - F1, V2 - F2
+            for _ in range(n):
+                yield _field(U1, U2, Du, ctx), _field(V1 + F1, V2 + F2, Dv, ctx)
+                for row in inner:
+                    if _sign_parts(U1 - row[0], U2 - row[1], T, disc) < 0:
+                        break
+                else:
+                    row = last
+                _, _, e1, e2, p1, p2, q, r, c1, c2 = row
+                V1, V2 = V1 + p1 * U1 - r * U2 + c1, V2 + q * U2 + p2 * U1 + c2
+                V1 -= _floor_parts(V1, V2, Dv, T, disc) * Dv
+                U1, U2 = U1 + e1, U2 + e2
+            yield _field(U1, U2, Du, ctx), _field(V1 + F1, V2 + F2, Dv, ctx)
+
+        return points()
 
     def _follow(self, b1: Branch):
         """The piece b1 followed by this map: b1 cut where its image meets a
@@ -348,9 +411,13 @@ class SigmaSection:
              for lo, hi in ((d.s_a, zero), (zero, d.s_b))], -HALF)
         self._returns = ((d.t_b, (0, -1)), (d.t_a, (-1, 0)))
         self._rho, self._sigma, self._inv_sb = d.t_a / d.t_b, d.s_a / d.s_b, 1 / d.s_b
+        # the fiber window [-1/2, 1/2) in the field: with the offset on the
+        # left, a test is the offset's own comparison, no reflected one
+        self._zoff_lo, self._zoff_hi = zero - HALF, zero + HALF
 
     def contains(self, p: SectionPoint) -> bool:
-        return self.data.s_a <= p.s < self.data.s_b and -HALF <= p.zoff < HALF
+        return (self.data.s_a <= p.s < self.data.s_b
+                and p.zoff >= self._zoff_lo and p.zoff < self._zoff_hi)
 
     def point(self, s, zoff) -> SectionPoint:
         p = SectionPoint(golden_like(s, self.data), golden_like(zoff, self.data))
@@ -396,9 +463,10 @@ class SigmaSection:
 
     def return_map(self, p: SectionPoint) -> ReturnRecord:
         """One step of ``table``, whose certificate keeps the image in the section."""
-        if not -HALF <= p.zoff < HALF:
+        zoff = p.zoff
+        if not (zoff >= self._zoff_lo and zoff < self._zoff_hi):
             raise ValueError("not a valid section point")
-        i, s, zoff, k = self.table.step_coords(p.s, p.zoff)
+        i, s, zoff, k = self.table.step_coords(p.s, zoff)
         t, nm = self._returns[i]
         return ReturnRecord(SectionPoint(s, zoff), t, (*nm, -k))
 
@@ -690,6 +758,14 @@ def golden_skew_step(u, v):
     well defined mod 1, so the inputs need not be reduced."""
     u, v = golden(u), golden(v)
     return floor_mod1(u + INV_PHI2)[1], floor_mod1(v + u - HALF_INV_PHI3)[1]
+
+
+# The golden skew product as a table: the rotation by 1/phi^2, cut where it
+# wraps, under the fiber increment u - 1/(2 phi^3).
+GOLDEN_SKEW = PiecewiseTorusMap([
+    Branch(golden(0), INV_PHI, du=INV_PHI2, a1=golden(1), a0=-HALF_INV_PHI3),
+    Branch(INV_PHI, golden(1), du=INV_PHI2 - 1, a1=golden(1), a0=-HALF_INV_PHI3),
+])
 
 
 def fibonacci_chart_equivalence(n_verify: int = 100, seed: int = 41) -> dict:

@@ -350,6 +350,14 @@ class EigenData:
     s_a: QuadraticNumber
     s_b: QuadraticNumber
 
+    def __post_init__(self):
+        # the constant coefficients of z_of_ts, taken once; not fields, so
+        # eq, hash and repr stay those of the fields
+        for name, value in (("_half_apbp", self.alpha_p * self.beta_p / 2),
+                            ("_abp", self.alpha * self.beta_p),
+                            ("_half_ab", self.alpha * self.beta / 2)):
+            object.__setattr__(self, name, value)
+
     def zero(self) -> QuadraticNumber:
         return QuadraticNumber(0, 0, self.context)
 
@@ -474,8 +482,8 @@ def xy_of_ts(data: EigenData, t, s):
 def z_of_ts(data: EigenData, t, s):
     """Central coordinate of Phi_lam^t . Phi_lam'^s applied to the identity:
     gamma' s + alpha' beta' s^2/2 + alpha beta' s t + gamma t + alpha beta t^2/2."""
-    return ((data.gamma_p + data.alpha_p * data.beta_p / 2 * s + data.alpha * data.beta_p * t) * s
-            + (data.gamma + data.alpha * data.beta / 2 * t) * t)
+    return ((data.gamma_p + data._half_apbp * s + data._abp * t) * s
+            + (data.gamma + data._half_ab * t) * t)
 
 
 def ts_of_xy(data: EigenData, x, y):
@@ -490,9 +498,7 @@ def surface_quadric(data: EigenData) -> SurfaceQuadric:
     p2 = -data.alpha_p / data.delta
     q1 = -data.beta / data.delta
     q2 = data.alpha / data.delta
-    apbp2 = data.alpha_p * data.beta_p / 2
-    abp = data.alpha * data.beta_p
-    ab2 = data.alpha * data.beta / 2
+    apbp2, abp, ab2 = data._half_apbp, data._abp, data._half_ab
     quadric = SurfaceQuadric(
         qxx=apbp2 * q1 * q1 + abp * q1 * p1 + ab2 * p1 * p1,
         qxy=data.alpha_p * data.beta_p * q1 * q2 + abp * (q1 * p2 + q2 * p1)

@@ -150,24 +150,34 @@ def broken_line(word: str) -> list[GroupPoint]:
     return points
 
 
-def broken_line_counts(word: str) -> list[tuple[int, int, int]]:
-    """(a_k, b_k, c_k) for a positive word: letter counts and a-before-b pairs.
+def iter_broken_line_counts(word: str):
+    """(a_k, b_k, c_k) for k = 0 .. len(word) of a positive word, one at a
+    time: letter counts and a-before-b pairs.
 
     Integer fast path of :func:`broken_line`; for positive words the group
-    coordinates of x_k are exactly these counts.
+    coordinates of x_k are exactly these counts.  A signed word is a
+    ValueError, raised when the function is called.
     """
     if not word.islower():
         raise ValueError("counts interpretation requires a positive word")
-    out = [(0, 0, 0)]
-    a = b = c = 0
-    for ch in word:
-        if ch == "a":
-            a += 1
-        else:
-            b += 1
-            c += a
-        out.append((a, b, c))
-    return out
+
+    def counts():
+        a = b = c = 0
+        yield a, b, c
+        for ch in word:
+            if ch == "a":
+                a += 1
+            else:
+                b += 1
+                c += a
+            yield a, b, c
+
+    return counts()
+
+
+def broken_line_counts(word: str) -> list[tuple[int, int, int]]:
+    """The list of :func:`iter_broken_line_counts`."""
+    return list(iter_broken_line_counts(word))
 
 
 FIBONACCI = parse_substitution("a->ab;b->a")

@@ -13,7 +13,17 @@ from __future__ import annotations
 
 import math
 
-from .scalar import ParseError, QuadraticContext, _rational, parse_scalar
+from .scalar import (
+    ParseError,
+    QuadraticContext,
+    _field,
+    _floor_parts,
+    _one_context,
+    _over,
+    _rational,
+    _triple,
+    parse_scalar,
+)
 
 
 _new = object.__new__
@@ -217,6 +227,54 @@ def canonicalize(g: GroupPoint) -> NilPoint:
     w = _new(LatticePoint)  # three ints from the floors
     w.n, w.m, w.p = n, m, p
     return NilPoint(_point(g.x + n, g.y + m, z1 + p), w)
+
+
+def translation_orbit(step: GroupPoint, start: GroupPoint, n: int):
+    """The canonical representatives of the cosets of start, step * start,
+    ..., step^n * start: the orbit of the niltranslation by ``step``.
+
+    Row 0 is ``canonicalize(start).rep``, whose coordinates keep the types
+    of the start's.  Each later row is ``canonicalize(step * rep)`` of the
+    row before, computed on integers: a coordinate is the numerators
+    ``(A, B)`` of ``(A + B*l)/D`` over a denominator fixed for the whole
+    orbit (x over the lcm ``Dx`` of the x-denominators of step and start, y
+    likewise, z over one that also holds ``step.x * y`` and ``g.x * m``).
+    A step is integer sums, one field product by ``step.x`` and three
+    floors by the scalar layer's ``_floor_parts``; a row is three elements
+    in lowest terms, one gcd each.  ``step`` must have field coordinates of
+    one context and the start rationals or elements of it, else TypeError;
+    the check runs when the function is called, before any row.
+    """
+    ctx = _one_context((step.x, step.y, step.z))
+    rep = canonicalize(start).rep
+    a, b, c = (_triple(v, ctx) for v in (step.x, step.y, step.z))
+    x, y, z = (_triple(v, ctx) for v in (rep.x, rep.y, rep.z))
+    Dx, Dy = math.lcm(x[2], a[2]), math.lcm(y[2], b[2])
+    Dz = math.lcm(z[2], c[2], a[2] * Dy, Dx)
+    T, disc = ctx.trace, ctx.disc
+    (a1, a2), (b1, b2), (c1, c2) = _over(a, Dx), _over(b, Dy), _over(c, Dz)
+    # step.x * y over Dz is (p1 + p2 l)(Y1 + Y2 l) with l^2 = T l - det
+    f = Dz // (a[2] * Dy)
+    p1, p2 = a[0] * f, a[1] * f
+    r, q, e = ctx.det * p2, p1 + T * p2, Dz // Dx
+
+    def rows():
+        yield rep
+        (X1, X2), (Y1, Y2), (Z1, Z2) = _over(x, Dx), _over(y, Dy), _over(z, Dz)
+        for _ in range(n):
+            # g = step * rep, then canonicalize(g) with its floors n, m, p
+            gx1, gx2, gy1, gy2 = X1 + a1, X2 + a2, Y1 + b1, Y2 + b2
+            Z1, Z2 = Z1 + c1 + p1 * Y1 - r * Y2, Z2 + c2 + q * Y2 + p2 * Y1
+            m = _floor_parts(gy1, gy2, Dy, T, disc)
+            X1, X2 = gx1 - _floor_parts(gx1, gx2, Dx, T, disc) * Dx, gx2
+            Y1, Y2 = gy1 - m * Dy, gy2
+            if m:
+                Z1, Z2 = Z1 - gx1 * m * e, Z2 - gx2 * m * e
+            Z1 -= _floor_parts(Z1, Z2, Dz, T, disc) * Dz
+            yield _point(_field(X1, X2, Dx, ctx), _field(Y1, Y2, Dy, ctx),
+                         _field(Z1, Z2, Dz, ctx))
+
+    return rows()
 
 
 def coset_eq(a: GroupPoint, b: GroupPoint) -> bool:

@@ -224,6 +224,73 @@ class QuadraticContext:
         return QuadraticNumber(0, 1, self)
 
 
+def _sign_parts(A: int, B: int, trace: int, disc: int) -> int:
+    """Sign of ``A + B*l`` in the field of ``trace`` and ``disc``.
+
+    With ``P = 2A + B*trace`` the element is ``(P + B*sqrt(disc))/2``;
+    ``sqrt(disc)`` is irrational, so the comparison of ``B^2 disc`` with
+    ``P^2`` never ties.  The one sign of the package: ``QuadraticNumber``'s
+    comparisons and the orbit kernels call it.
+    """
+    if B == 0:
+        return (A > 0) - (A < 0)
+    sb = 1 if B > 0 else -1
+    P = 2 * A + B * trace
+    if P == 0 or (P > 0) == (B > 0):
+        return sb
+    return sb if B * B * disc > P * P else -sb
+
+
+def _floor_parts(A: int, B: int, d: int, trace: int, disc: int) -> int:
+    """``floor((A + B*l)/d)`` for ``d > 0``, from one integer square root.
+
+    ``(P + B*sqrt(disc))/2d`` lies strictly between ``(P + r)/2d`` and
+    ``(P + r + 1)/2d`` for ``B > 0``, with ``r = isqrt(B^2 disc)``, and
+    mirrored for ``B < 0``.  The one floor of the package:
+    ``QuadraticNumber.floor`` and the orbit kernels call it.
+    """
+    if B == 0:
+        return A // d
+    P, r = 2 * A + B * trace, math.isqrt(B * B * disc)
+    return (P + r) // (2 * d) if B > 0 else (P - r - 1) // (2 * d)
+
+
+def _field(A: int, B: int, d: int, ctx: "QuadraticContext") -> "QuadraticNumber":
+    """The element ``(A + B*l)/d`` of ``ctx`` for ``d > 0``, in lowest terms by one gcd."""
+    g = _gcd(A, B, d)
+    x = _new(QuadraticNumber)
+    x.A, x.B, x.d, x.ctx = (A, B, d, ctx) if g == 1 else (A // g, B // g, d // g, ctx)
+    return x
+
+
+def _one_context(constants) -> "QuadraticContext":
+    """The field of ``constants``, which must all be ``QuadraticNumber``s of one
+    context: the orbit kernels take their map's constants only from a field."""
+    ctx = None
+    for x in constants:
+        if type(x) is not QuadraticNumber or not (ctx is None or x.ctx is ctx or x.ctx == ctx):
+            raise TypeError("an orbit kernel needs field constants of one context, "
+                            f"got {type(x).__name__} {x!r}")
+        ctx = ctx or x.ctx
+    return ctx
+
+
+def _triple(x, ctx: "QuadraticContext") -> tuple[int, int, int]:
+    """``(A, B, d)`` with ``x = (A + B*l)/d``, for ``x`` a rational or an
+    element of ``ctx``; anything else is a TypeError."""
+    if type(x) is QuadraticNumber and (x.ctx is ctx or x.ctx == ctx):
+        return x.A, x.B, x.d
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    raise TypeError(f"expected a rational or an element of {ctx!r}, got {x!r}")
+
+
+def _over(t: tuple[int, int, int], D: int) -> tuple[int, int]:
+    """The numerators of the triple ``t`` over a multiple ``D`` of its denominator."""
+    A, B, d = t
+    return A * (D // d), B * (D // d)
+
+
 def _additive(name: str):
     """``QuadraticNumber.__add__``, ``__sub__`` or ``__rsub__``, in one frame."""
     neg, rev = name != "__add__", name == "__rsub__"
@@ -438,18 +505,10 @@ class QuadraticNumber:
             return (self - other).sign()  # foreign types raise TypeError there
         else:
             A2, B2, d2 = o
-        d = self.d
+        d, ctx = self.d, self.ctx
         if d2 == d:
-            A, B = self.A - A2, self.B - B2
-        else:
-            A, B = self.A * d2 - A2 * d, self.B * d2 - B2 * d
-        if B == 0:
-            return (A > 0) - (A < 0)
-        # A + B*l = (P + B*sqrt(disc))/2; sqrt(disc) is irrational, so no tie
-        P, sb = 2 * A + B * self.ctx.trace, 1 if B > 0 else -1
-        if P == 0 or (P > 0) == (B > 0):
-            return sb
-        return sb if B * B * self.ctx.disc > P * P else -sb
+            return _sign_parts(self.A - A2, self.B - B2, ctx.trace, ctx.disc)
+        return _sign_parts(self.A * d2 - A2 * d, self.B * d2 - B2 * d, ctx.trace, ctx.disc)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -466,12 +525,8 @@ class QuadraticNumber:
     # -- floor / float export ---------------------------------------------
 
     def floor(self) -> int:
-        B = self.B
-        if B == 0:
-            return self.A // self.d
         ctx = self.ctx
-        P, r = 2 * self.A + B * ctx.trace, math.isqrt(B * B * ctx.disc)
-        return (P + r) // (2 * self.d) if B > 0 else (P - r - 1) // (2 * self.d)
+        return _floor_parts(self.A, self.B, self.d, ctx.trace, ctx.disc)
 
     def __floor__(self) -> int:
         # by name, so that math.floor follows a replaced floor

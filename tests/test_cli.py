@@ -4,9 +4,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from nilflow import cli
 from nilflow.cli import _orbit_rows_flow, jsonl_lines, main
-from nilflow.dynamics import INV_PHI4
+from nilflow.dynamics import INV_PHI4, PiecewiseTorusMap
 from nilflow.factorization import eigen_data, factor, flow_of
 from nilflow.freegroup import parse_substitution
 from nilflow.heisenberg import GroupPoint, canonicalize, flow, parse_group_point
@@ -440,15 +439,16 @@ def test_a_failed_orbit_leaves_no_file_and_the_old_artifact(tmp_path, monkeypatc
     assert run(["orbit", "--kind", "skew", "--iters", 30, "--format", "jsonl",
                 "--out", tmp_path]) == 0
     old = (tmp_path / "orbit-skew.jsonl").read_bytes()
-    calls, step = [], cli.golden_skew_step
+    calls, orbit = [], PiecewiseTorusMap.orbit
 
-    def failing(u, v):
-        calls.append(1)
-        if len(calls) == 50:
-            raise RuntimeError("step 50 fails")
-        return step(u, v)
+    def failing(self, u, v, n):
+        for point in orbit(self, u, v, n):
+            calls.append(1)
+            if len(calls) == 50:
+                raise RuntimeError("step 50 fails")
+            yield point
 
-    monkeypatch.setattr(cli, "golden_skew_step", failing)
+    monkeypatch.setattr(PiecewiseTorusMap, "orbit", failing)
     for fmt in ("jsonl", "csv"):
         with pytest.raises(RuntimeError, match="step 50"):
             run(["orbit", "--kind", "skew", "--iters", 100, "--format", fmt, "--out", tmp_path])

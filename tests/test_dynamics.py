@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 
 from nilflow.dynamics import (
+    GOLDEN_SKEW,
     HALF_INV_PHI3,
     INV_PHI,
     INV_PHI2,
@@ -43,7 +44,7 @@ from nilflow.dynamics import (
 from nilflow.factorization import eigen_data, factor
 from nilflow.freegroup import FIBONACCI, parse_substitution
 from nilflow.heisenberg import GroupPoint, flow
-from nilflow.scalar import GOLDEN, QuadraticNumber, floor_mod1, parse_scalar
+from nilflow.scalar import GOLDEN, QuadraticContext, QuadraticNumber, floor_mod1, parse_scalar
 from nilflow.verification import random_hyperbolic_data
 
 FIB_DATA = eigen_data(factor(FIBONACCI))
@@ -270,6 +271,20 @@ def test_sigma_starting_point_validation():
     section = SigmaSection(FIB_DATA)
     with pytest.raises(ValueError):
         section.return_map(SectionPoint(FIB_DATA.s_b, golden(0)))
+
+
+def test_sigma_fiber_window_is_half_open():
+    section = SigmaSection(FIB_DATA)
+    s, eps = golden(Fraction(-1, 10)), Fraction(1, 10 ** 22)
+    for zoff in (Fraction(-1, 2), Fraction(1, 2) - eps, Fraction(0)):
+        for z in (golden(zoff), zoff):  # a field offset, and a rational one
+            assert section.contains(SectionPoint(s, z))
+            assert section.return_map(SectionPoint(s, z)).time == FIB_DATA.t_b
+    for zoff in (Fraction(1, 2), Fraction(3, 4), Fraction(-1, 2) - eps, Fraction(-7, 5)):
+        for z in (golden(zoff), zoff):
+            assert not section.contains(SectionPoint(s, z))
+            with pytest.raises(ValueError, match="not a valid section point"):
+                section.return_map(SectionPoint(s, z))
 
 
 def test_sigma_orbit_structure():
@@ -1082,3 +1097,98 @@ def test_turns_takes_a_scalar_n():
         for n in (0, 1, 3 << 28, 2 ** 41 + 1, 2 ** 53 - 1):
             x = _turns((gamma, n))
             assert 0 <= x < 1 and -eps <= _turns_error(n, gamma, x) <= eps, n
+
+
+# -- the piecewise orbit kernel -------------------------------------------------
+
+
+def step_oracle(step, u, v, n):
+    """n steps of ``step(u, v) -> (u', v')``, the start included."""
+    rows = [(u, v)]
+    for _ in range(n):
+        u, v = step(u, v)
+        rows.append((u, v))
+    return rows
+
+
+def table_oracle(table, u, v, n):
+    return step_oracle(lambda u, v: table.step_coords(u, v)[1:3], u, v, n)
+
+
+def assert_same_points(got, want):
+    """Point by point: the same type, value, text and float of both coordinates."""
+    got = list(got)
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        for a, b in zip(g, w, strict=True):
+            assert type(a) is type(b) and a == b, (k, a, b)
+            assert str(a) == str(b) and float(a) == float(b), (k, a, b)
+
+
+BIG = 10 ** 22
+
+
+@pytest.mark.parametrize("s, theta", [
+    (-1, 0), (Fraction(1, 3), Fraction(2, 7)), (Fraction(-3, 7), Fraction(2, 7)),
+    (Fraction(-5, 4), Fraction(1, 2)), (PHI, -INV_PHI2),
+    (parse_scalar("1/3+2/5*l", GOLDEN), parse_scalar("-7/11+l", GOLDEN)),
+    (golden(Fraction(BIG + 1, 3 * BIG)), parse_scalar(f"{BIG}/7-{BIG + 3}/{BIG}*l", GOLDEN)),
+])
+def test_strip_orbit_matches_step_coords(s, theta):
+    m = strip_family(s, theta)
+    starts = [(golden(0), golden(0)), (INV_PHI2, golden(Fraction(2, 3))),
+              (golden(Fraction(BIG + 7, 3 * BIG + 1)),
+               parse_scalar(f"-{BIG}/{BIG + 9}+{5 * BIG}/{BIG + 1}*l", GOLDEN))]
+    for u, v in starts:
+        assert_same_points(m.orbit(u, v, 300), table_oracle(m, u, v, 300))
+
+
+def test_skew_table_is_the_golden_skew_product():
+    starts = [(golden(0), golden(0)), (INV_PHI, golden(0)), (INV_PHI - Fraction(1, BIG), PHI),
+              (golden(Fraction(1, 4)), golden(Fraction(1, 2))),
+              (golden(Fraction(BIG + 1, 2 * BIG + 3)), parse_scalar(f"{BIG}/3-l", GOLDEN))]
+    for u, v in starts:
+        assert GOLDEN_SKEW.step_coords(u, v)[1:3] == golden_skew_step(u, v)
+        assert_same_points(GOLDEN_SKEW.orbit(u, v, 300), step_oracle(golden_skew_step, u, v, 300))
+
+
+def test_cli_tables_at_ten_thousand_iterates():
+    # the default orbits of nilflow orbit --kind skew and --kind strip
+    zero = golden(0)
+    assert_same_points(GOLDEN_SKEW.orbit(zero, zero, 10_000),
+                       step_oracle(golden_skew_step, zero, zero, 10_000))
+    m = strip_family(-1, 0)
+    assert_same_points(m.orbit(zero, zero, 10_000), table_oracle(m, zero, zero, 10_000))
+
+
+@pytest.mark.parametrize("sub", ["a->ab;b->a", "a->aab;b->a", "a->AB;b->A"])
+def test_section_table_orbit_matches_step_coords(sub):
+    data = FIB_DATA if sub == "a->ab;b->a" else eigen_data(factor(parse_substitution(sub)))
+    table = SigmaSection(data).table
+    assert table.fiber_lo == Fraction(-1, 2)
+    for p in section_samples(data, 4):
+        assert_same_points(table.orbit(p.s, p.zoff, 200),
+                           table_oracle(table, p.s, p.zoff, 200))
+    # a fiber outside the window is reduced by the first step, as by step_coords
+    u, v = data.s_a, golden_like(Fraction(7, 3), data)
+    assert_same_points(table.orbit(u, v, 20), table_oracle(table, u, v, 20))
+
+
+def test_orbit_kernel_needs_field_constants():
+    q = Fraction(1, 2)
+    rational = PiecewiseTorusMap([Branch(0, q, q, 0, 0), Branch(q, 1, -q, 0, 0)])
+    with pytest.raises(TypeError):
+        rational.orbit(0, 0, 5)
+    m = strip_family(-1, 0)
+    other = QuadraticContext(3, 1).lam
+    mixed = PiecewiseTorusMap([replace(m.branches[0], a0=other - other), m.branches[1]])
+    with pytest.raises(TypeError):
+        mixed.orbit(golden(0), golden(0), 5)
+    for u, v in ((0.25, golden(0)), (golden(0), 0.5), (golden(0), other)):
+        with pytest.raises(TypeError):
+            m.orbit(u, v, 5)
+    with pytest.raises(ValueError, match="no branch"):
+        m.orbit(golden(1), golden(0), 5)
+    # rational starts are taken into the field
+    assert_same_points(m.orbit(Fraction(1, 3), 0, 10),
+                       table_oracle(m, golden(Fraction(1, 3)), golden(0), 10))

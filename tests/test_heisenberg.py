@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nilflow.factorization import eigen_data, factor, flow_of
-from nilflow.freegroup import FIBONACCI
+from nilflow.freegroup import FIBONACCI, parse_substitution
 from nilflow.heisenberg import (
     AlgebraVector,
     GroupPoint,
@@ -23,8 +23,9 @@ from nilflow.heisenberg import (
     norm4,
     parse_group_point,
     translate,
+    translation_orbit,
 )
-from nilflow.scalar import GOLDEN, QuadraticNumber, Rational
+from nilflow.scalar import GOLDEN, QuadraticContext, QuadraticNumber, Rational, parse_scalar
 
 LAM = GOLDEN.lam
 
@@ -211,3 +212,112 @@ def test_parse_group_point():
     assert g == GroupPoint(Fraction(3, 2), Fraction(-1, 4), 2)
     h = parse_group_point("[l, 1-1*l, 0]", GOLDEN)
     assert h.x == LAM
+
+
+# -- the niltranslation orbit kernel ------------------------------------------
+
+
+def translation_oracle(step, start, n):
+    """canonicalize(step * rep) of the row before, by the group law."""
+    rows, point = [], start
+    for _ in range(n + 1):
+        rep = canonicalize(point).rep
+        rows.append(rep)
+        point = step * rep
+    return rows
+
+
+def assert_same_rows(got, want):
+    """Row by row: the same type, value, text and float of every coordinate."""
+    got = list(got)
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        for a, b in ((g.x, w.x), (g.y, w.y), (g.z, w.z)):
+            assert type(a) is type(b) and a == b, (k, a, b)
+            assert str(a) == str(b) and float(a) == float(b), (k, a, b)
+
+
+def _data(sub):
+    return eigen_data(factor(parse_substitution(sub)))
+
+
+BIG = 10 ** 22
+STARTS = {
+    "rational": "[1/3, 2/7, -1/5]",
+    "quadratic": "[1/3+l, 2/7-3*l, -1/5+5/7*l]",
+    "mixed": "[1/3+l, 2/7, -1/5]",
+    "huge": f"[{BIG + 7}/{3 * BIG + 1}+{BIG}/{BIG + 9}*l, -{5 * BIG + 3}/{BIG - 1},"
+            f" {BIG + 1}/{7 * BIG + 13}-{3 * BIG}*l]",
+}
+
+
+@pytest.mark.parametrize("sub", ["a->ab;b->a", "a->aab;b->a", "a->abb;b->ab"])
+@pytest.mark.parametrize("start", list(STARTS))
+def test_translation_orbit_matches_the_group_law(sub, start):
+    data = _data(sub)
+    step = exp_point(flow_of(data, "lam"))
+    point = parse_group_point(STARTS[start], data.context)
+    assert_same_rows(translation_orbit(step, point, 300), translation_oracle(step, point, 300))
+
+
+@pytest.mark.parametrize("dt", ["1/2", "5", "2/5-l", f"{BIG}/7+{BIG + 1}/{BIG + 3}*l"])
+@pytest.mark.parametrize("start", list(STARTS))
+def test_sampled_flow_orbit_matches_the_group_law(dt, start):
+    # the orbit of nilflow orbit --kind flow: the time-0 flow of the start,
+    # then one left translation by the time-dt flow per step
+    data = _data("a->ab;b->a")
+    vec, dt = flow_of(data, "lam"), parse_scalar(dt, data.context)
+    point = flow(vec, dt - dt, parse_group_point(STARTS[start], data.context))
+    step = exp_point(vec.scale(dt))
+    assert_same_rows(translation_orbit(step, point, 200), translation_oracle(step, point, 200))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_translation_orbit_of_any_field_step(seed):
+    # steps with denominators in every coordinate, not only eigenflows
+    rng = random.Random(seed)
+
+    def q(den):
+        return Fraction(rng.randrange(-5 * den, 5 * den), den)
+
+    ctx = QuadraticContext(*[(1, -1), (3, 1), (2, -1), (5, 3)][seed])
+    step = GroupPoint(*(QuadraticNumber(q(rng.choice([3, 7, 12])), q(rng.choice([5, 11])), ctx)
+                        for _ in range(3)))
+    start = GroupPoint(q(9), QuadraticNumber(q(4), q(13), ctx), q(25))
+    assert_same_rows(translation_orbit(step, start, 300), translation_oracle(step, start, 300))
+
+
+def test_translation_orbit_row_zero_keeps_the_start_types():
+    data = _data("a->aab;b->a")
+    point = parse_group_point(STARTS["mixed"], data.context)
+    first, second = list(translation_orbit(exp_point(flow_of(data, "lam")), point, 1))
+    assert (type(first.x), type(first.y), type(first.z)) == (
+        QuadraticNumber, Rational, QuadraticNumber)
+    assert str(first.z) == "4/5+0*l"
+    assert all(type(c) is QuadraticNumber for c in (second.x, second.y, second.z))
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_translation_orbit_at_ten_thousand_iterates(sampled):
+    # the default CLI orbits: from [0, 0, 0], step exp(v) or exp(v/2)
+    vec = flow_of(eigen_data(factor(FIBONACCI)), "lam")
+    dt = GOLDEN.lam - GOLDEN.lam + Fraction(1, 2)
+    step = exp_point(vec.scale(dt)) if sampled else exp_point(vec)
+    point = flow(vec, dt - dt, GroupPoint(0, 0, 0)) if sampled else GroupPoint(0, 0, 0)
+    assert_same_rows(translation_orbit(step, point, 10_000),
+                     translation_oracle(step, point, 10_000))
+
+
+def test_translation_orbit_needs_a_field_step():
+    data = eigen_data(factor(FIBONACCI))
+    step = exp_point(flow_of(data, "lam"))
+    other = QuadraticContext(3, 1).lam
+    for bad in (GroupPoint(Fraction(1, 3), Fraction(1, 5), 0),
+                GroupPoint(0.5, 0.25, 0.0),
+                GroupPoint(step.x, step.y, other)):
+        with pytest.raises(TypeError):
+            translation_orbit(bad, GroupPoint(0, 0, 0), 5)
+    with pytest.raises(TypeError):  # a start in another field
+        translation_orbit(step, GroupPoint(other, 0, 0), 5)
+    with pytest.raises(TypeError):  # floats do not mix with exact scalars
+        translation_orbit(step, GroupPoint(0.5, 0.25, 0.0), 5)
