@@ -4,13 +4,20 @@ Commands: ``analyze``, ``orbit``, ``broken-line``, ``induce``, ``verify``
 and ``equidistribution``.  Configuration comes from an optional JSON file
 (--config) with individual flags taking precedence.  A command has the flags
 that it reads, plus ``--seed`` and ``--out`` on every command; a config key
-of another command is a parse error.  The verify and induce reports and the
+of another command is a parse error.  Within ``orbit``, ``--substitution``
+and ``--start`` belong to the kinds translation and flow, ``--step`` to
+flow, ``--s`` and ``--theta`` to strip; such a flag or config key given to
+another kind is a parse error too.  The verify and induce reports and the
 orbit JSONL records embed the seed; the other artifacts do not depend on
 it.  Exact values are emitted as strings, floats with 17 significant
 digits, so equal configurations produce byte-identical outputs.  Files are
 written atomically: into ``<name>.tmp``, renamed once complete.  Orbit rows
-are streamed into the temp file as they are computed, so the memory of
-``orbit`` does not depend on ``--iters``.
+are written straight from the integer numerators of the orbit kernels
+(``PiecewiseTorusMap._orbit_parts``, ``heisenberg._translation_parts``) by
+``scalar._float_parts`` and ``scalar._text_parts``, which give the float
+and the text of the field element; they are streamed into the temp file as
+they are computed, so the memory of ``orbit`` does not depend on
+``--iters``.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error (also
 an ``equidistribution --iters`` past the Weyl kernel's memory budget),
@@ -51,8 +58,8 @@ from .factorization import (
     surface_quadric,
 )
 from .freegroup import fixed_point_prefix, iter_broken_line_counts, parse_substitution
-from .heisenberg import GroupPoint, exp_point, flow, parse_group_point, translation_orbit
-from .scalar import GOLDEN, ParseError, _rational, parse_scalar
+from .heisenberg import GroupPoint, _translation_parts, exp_point, flow, parse_group_point
+from .scalar import GOLDEN, ParseError, _float_parts, _rational, _text_parts, parse_scalar
 
 
 def _fmt_float(x: float) -> str:
@@ -164,11 +171,16 @@ def cmd_analyze(cfg: dict) -> int:
     return 0
 
 
+# An orbit kind returns (names, first, ctx, dens, parts): the coordinate
+# names, row 0 as exact scalars (None if parts holds it), the field, and the
+# numerator stream of the kernel with one denominator per coordinate.
+
 def _orbit_rows_translation(cfg: dict, sampled_flow: bool = False):
     """Right cosets of the lattice under the left translation by exp of the
-    eigenflow, or by its time-dt flow (``translation_orbit``).  The flow
-    orbit starts at the time-0 flow of the start, which gives the first
-    point the scalar types of the later ones."""
+    eigenflow, or by its time-dt flow (``_translation_parts``).  Row 0 is
+    the start's representative in its own scalar types.  The flow orbit
+    starts at the time-0 flow of the start, which gives the first point the
+    scalar types of the later ones."""
     data = eigen_data(factor(parse_substitution(cfg["substitution"])))
     vec = flow_of(data, "lam")
     point = (
@@ -180,8 +192,8 @@ def _orbit_rows_translation(cfg: dict, sampled_flow: bool = False):
         step, point = exp_point(vec.scale(dt)), flow(vec, dt - dt, point)
     else:
         step = exp_point(vec)
-    for k, rep in enumerate(translation_orbit(step, point, cfg["iters"])):
-        yield k, ("x", "y", "z"), (rep.x, rep.y, rep.z)
+    rep, ctx, dens, parts = _translation_parts(step, point, cfg["iters"])
+    return ("x", "y", "z"), (rep.x, rep.y, rep.z), ctx, dens, parts
 
 
 def _orbit_rows_flow(cfg: dict):
@@ -189,14 +201,12 @@ def _orbit_rows_flow(cfg: dict):
 
 
 def _orbit_rows_skew(cfg: dict):
-    for k, uv in enumerate(GOLDEN_SKEW.orbit(golden(0), golden(0), cfg["iters"])):
-        yield k, ("u", "v"), uv
+    return ("u", "v"), None, *GOLDEN_SKEW._orbit_parts(golden(0), golden(0), cfg["iters"])
 
 
 def _orbit_rows_strip(cfg: dict):
     pmap = strip_family(_exact(cfg, "s", GOLDEN), _exact(cfg, "theta", GOLDEN))
-    for k, uv in enumerate(pmap.orbit(golden(0), golden(0), cfg["iters"])):
-        yield k, ("u", "v"), uv
+    return ("u", "v"), None, *pmap._orbit_parts(golden(0), golden(0), cfg["iters"])
 
 
 ORBIT_KINDS = {
@@ -207,20 +217,47 @@ ORBIT_KINDS = {
 }
 
 
-def cmd_orbit(cfg: dict) -> int:
-    kind, seed = cfg["kind"], cfg["seed"]
-    rows = ORBIT_KINDS[kind](cfg)
-    # the first row reads the exact options, so a bad one writes no file
-    first = next(rows)
-    rows, names = itertools.chain((first,), rows), first[1]
-    outdir = Path(cfg["out"])
-    if cfg["format"] == "csv":
-        emit_csv(outdir / f"orbit-{kind}.csv", ["k", *names],
-                 "%d" + ",%.17g" * len(names),
-                 ((k, *map(float, coords)) for k, _, coords in rows))
+def _orbit_cells(csv: bool, first, ctx, dens, parts):
+    """The rows of an orbit file, ``(k, float, ...)`` for CSV and ``(k,
+    (text, ...))`` for JSONL: row 0 from ``first`` by ``float`` or ``str``
+    if it is given, then each row of numerators ``parts`` over ``dens`` by
+    ``_float_parts`` or ``_text_parts``, which write what ``float`` and
+    ``str`` of the row's field elements write."""
+    k = 0
+    if first is not None:
+        yield (0, *map(float, first)) if csv else (0, tuple(map(str, first)))
+        k = 1
+    if len(dens) == 2:
+        Du, Dv = dens
+        if csv:
+            for k, (U1, U2, V1, V2) in enumerate(parts, k):
+                yield k, _float_parts(U1, U2, Du, ctx), _float_parts(V1, V2, Dv, ctx)
+        else:
+            for k, (U1, U2, V1, V2) in enumerate(parts, k):
+                yield k, (_text_parts(U1, U2, Du), _text_parts(V1, V2, Dv))
     else:
-        emit_jsonl(outdir / f"orbit-{kind}.jsonl", seed, names,
-                   ((k, map(str, coords)) for k, _, coords in rows))
+        Dx, Dy, Dz = dens
+        if csv:
+            for k, (X1, X2, Y1, Y2, Z1, Z2) in enumerate(parts, k):
+                yield (k, _float_parts(X1, X2, Dx, ctx), _float_parts(Y1, Y2, Dy, ctx),
+                       _float_parts(Z1, Z2, Dz, ctx))
+        else:
+            for k, (X1, X2, Y1, Y2, Z1, Z2) in enumerate(parts, k):
+                yield k, (_text_parts(X1, X2, Dx), _text_parts(Y1, Y2, Dy),
+                          _text_parts(Z1, Z2, Dz))
+
+
+def cmd_orbit(cfg: dict) -> int:
+    kind, fmt = cfg["kind"], cfg["format"]
+    # the kind reads the exact options and checks the kernel's inputs, so a
+    # bad one writes no file
+    names, *orbit = ORBIT_KINDS[kind](cfg)
+    rows = _orbit_cells(fmt == "csv", *orbit)
+    path = Path(cfg["out"]) / f"orbit-{kind}.{fmt}"
+    if fmt == "csv":
+        emit_csv(path, ["k", *names], "%d" + ",%.17g" * len(names), rows)
+    else:
+        emit_jsonl(path, cfg["seed"], names, rows)
     return 0
 
 
@@ -334,13 +371,15 @@ COMMANDS = {
 
 class Option(NamedTuple):
     """A CLI option: the commands that read it, the JSON types a config file
-    may give it, its default and the argparse keywords of its flag (None:
-    config file only)."""
+    may give it, its default, the argparse keywords of its flag (None:
+    config file only) and the orbit kinds that read it (None: every kind,
+    or not an option of orbit)."""
 
     commands: tuple[str, ...]
     types: tuple[type, ...]
     default: object
     flag: dict | None
+    kinds: tuple[str, ...] | None = None
 
 
 _ALL = tuple(COMMANDS)
@@ -356,16 +395,18 @@ OPTIONS = {
     "format": Option(("orbit", "equidistribution"), _TEXT, "csv",
                      dict(choices=["csv", "jsonl"])),
     "substitution": Option(("analyze", "orbit", "broken-line", "induce", "equidistribution"),
-                           _TEXT, "a->ab;b->a", dict(help="e.g. 'a->ab;b->a'")),
+                           _TEXT, "a->ab;b->a", dict(help="e.g. 'a->ab;b->a'"),
+                           ("translation", "flow")),
     "kind": Option(("orbit",), _TEXT, "translation", dict(choices=sorted(ORBIT_KINDS))),
-    "start": Option(("orbit",), _OPTIONAL_TEXT, None, dict(help="group point '[x, y, z]'")),
+    "start": Option(("orbit",), _OPTIONAL_TEXT, None, dict(help="group point '[x, y, z]'"),
+                    ("translation", "flow")),
     "step": Option(("orbit",), _SCALAR, "1/2",
-                   dict(help="flow sampling step (exact scalar)")),
+                   dict(help="flow sampling step (exact scalar)"), ("flow",)),
     "length": Option(("broken-line",), _INTEGER, 200, dict(type=int)),
     "s": Option(("orbit", "induce"), _SCALAR, "-1",
-                dict(help="strip parameter s (exact scalar)")),
+                dict(help="strip parameter s (exact scalar)"), ("strip",)),
     "theta": Option(("orbit", "induce"), _SCALAR, "0",
-                    dict(help="strip parameter theta (exact scalar)")),
+                    dict(help="strip parameter theta (exact scalar)"), ("strip",)),
     "s_prime": Option(("induce",), _SCALAR, "-1", {}),
     "radius": Option(("equidistribution",), _INTEGER, 3, dict(type=int)),
     "threshold": Option(("equidistribution",), (int, float), 0.05, dict(type=float)),
@@ -382,8 +423,10 @@ def _flag(key: str) -> str:
 
 def load_config(args: argparse.Namespace) -> dict:
     """The options of ``args.command``: defaults, then the config file, then
-    the flags.  A config key of another command is a parse error."""
+    the flags.  A config key of another command is a parse error, and so is
+    a flag or config key of ``orbit`` that the chosen kind does not read."""
     cfg = {key: opt.default for key, opt in OPTIONS.items() if args.command in opt.commands}
+    loaded = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             try:
@@ -409,11 +452,15 @@ def load_config(args: argparse.Namespace) -> dict:
             if choices and value not in choices:
                 raise ParseError(f"config key {key!r} must be one of {choices}, got {value!r}")
         cfg.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            cfg[key] = value
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "config") and value is not None}
+    cfg.update(flags)
+    if args.command == "orbit":
+        for key in (*flags, *loaded):
+            kinds = OPTIONS[key].kinds
+            if kinds is not None and cfg["kind"] not in kinds:
+                name = _flag(key) if key in flags else f"config key {key!r}"
+                raise ParseError(f"{name} is not an option of orbit --kind {cfg['kind']}")
     for key in POSITIVE_KEYS:
         if cfg.get(key, 1) < 1:
             raise ParseError(f"--{key} must be a positive integer, got {cfg[key]}")

@@ -55,6 +55,7 @@ from .scalar import (
 )
 
 HALF = _rational(1, 2)
+_new = object.__new__
 
 # Golden-field constants: PHI is the distinguished root, so PHI = phi.
 PHI = GOLDEN.lam
@@ -145,45 +146,58 @@ class PiecewiseTorusMap:
     # the same function under a second name, which a tracer can wrap alone
     step_with_floors = step_coords
 
-    def orbit(self, u, v, n: int):
-        """The points (u, v), T(u, v), ..., T^n(u, v) of this map T, each a
-        pair of field elements in lowest terms.
+    def _integer_rows(self, ctx, du: int = 1, dv: int = 1):
+        """The branch data on integers, for u over a multiple ``Du`` of
+        ``du`` and v over a multiple ``Dv`` of ``dv``: ``(Du, Dv, F, rows)``.
 
-        The integer kernel of :meth:`step_coords`: u is kept as the
-        numerators ``(A, B)`` of ``(A + B*l)/Du`` and v, less ``fiber_lo``,
-        over ``Dv``, both fixed for the whole orbit (``Du`` the lcm of the
-        denominators of u and the branch data, ``Dv`` of v, ``fiber_lo``,
-        each ``a0`` and each ``a1`` times ``Du``).  A step is one sign test
-        per breakpoint passed, one field product by ``a1`` and one floor,
-        by the scalar layer's ``_sign_parts`` and ``_floor_parts``; a point
-        takes one gcd per coordinate.  The branch data must be field
-        elements of one context, else TypeError; u, v and ``fiber_lo`` may
-        be rationals as well.  u must lie in the base (ValueError); v may
-        lie outside the fiber window.  The checks run when the method is
-        called, before any point.
+        ``Du`` is the lcm of ``du`` and the denominators of the breakpoints
+        and translations, ``Dv`` of ``dv``, ``fiber_lo``, each ``a0`` and
+        each ``a1`` times ``Du``; ``F`` is ``fiber_lo`` over ``Dv``.  A row
+        holds a branch's ``hi`` and ``du`` over ``Du``, then ``p1, p2, q, r``
+        such that ``a1 * u`` over ``Dv`` is ``(p1*U1 - r*U2, q*U2 + p2*U1)``
+        for u ``= (U1 + U2*l)/Du`` (``(p1 + p2 l)(U1 + U2 l)`` with
+        ``l^2 = T l - det``), then ``a0`` over ``Dv``.  The branch data must
+        be elements of ``ctx`` and ``fiber_lo`` a rational or one.
         """
-        ctx = _one_context(c for b in self.branches for c in (b.lo, b.hi, b.du, b.a1, b.a0))
-        u0, v0, fl = (_triple(x, ctx) for x in (u, v, self.fiber_lo))
-        self._index(u)
-        T, disc = ctx.trace, ctx.disc
-        Du = math.lcm(u0[2], *(c.d for b in self.branches for c in (b.hi, b.du)))
-        Dv = math.lcm(v0[2], fl[2], *(b.a0.d for b in self.branches),
+        T = ctx.trace
+        fl = _triple(self.fiber_lo, ctx)
+        Du = math.lcm(du, *(c.d for b in self.branches for c in (b.hi, b.du)))
+        Dv = math.lcm(dv, fl[2], *(b.a0.d for b in self.branches),
                       *(b.a1.d * Du for b in self.branches))
-        F1, F2 = _over(fl, Dv)
         rows = []
         for b in self.branches:
-            # a1 * u over Dv is (p1 + p2 l)(U1 + U2 l) with l^2 = T l - det
             f = Dv // (b.a1.d * Du)
             p1, p2 = b.a1.A * f, b.a1.B * f
             rows.append((*_over(_triple(b.hi, ctx), Du), *_over(_triple(b.du, ctx), Du),
                          p1, p2, p1 + T * p2, ctx.det * p2, *_over(_triple(b.a0, ctx), Dv)))
-        *inner, last = rows
+        return Du, Dv, _over(fl, Dv), rows
 
-        def points():
+    def _orbit_parts(self, u, v, n: int):
+        """The integer kernel of :meth:`orbit`: ``(ctx, (Du, Dv), parts)``,
+        where ``parts`` yields ``(U1, U2, V1, V2)`` for each of the points
+        (u, v), T(u, v), ..., T^n(u, v): u ``= (U1 + U2*l)/Du`` and
+        v ``= (V1 + V2*l)/Dv``, over denominators fixed for the whole orbit
+        (:meth:`_integer_rows`) and not in lowest terms.
+
+        v is held less ``fiber_lo``.  A step is one sign test per
+        breakpoint passed, one field product by ``a1`` and one floor, by the
+        scalar layer's ``_sign_parts`` and ``_floor_parts``.  The branch
+        data must be field elements of one context, else TypeError; u, v and
+        ``fiber_lo`` may be rationals as well.  u must lie in the base
+        (ValueError); v may lie outside the fiber window.  The checks run
+        when the method is called, before any point.
+        """
+        ctx = _one_context(c for b in self.branches for c in (b.lo, b.hi, b.du, b.a1, b.a0))
+        u0, v0 = _triple(u, ctx), _triple(v, ctx)
+        self._index(u)
+        T, disc = ctx.trace, ctx.disc
+        Du, Dv, (F1, F2), (*inner, last) = self._integer_rows(ctx, u0[2], v0[2])
+
+        def parts():
             (U1, U2), (V1, V2) = _over(u0, Du), _over(v0, Dv)
             V1, V2 = V1 - F1, V2 - F2
             for _ in range(n):
-                yield _field(U1, U2, Du, ctx), _field(V1 + F1, V2 + F2, Dv, ctx)
+                yield U1, U2, V1 + F1, V2 + F2
                 for row in inner:
                     if _sign_parts(U1 - row[0], U2 - row[1], T, disc) < 0:
                         break
@@ -193,9 +207,17 @@ class PiecewiseTorusMap:
                 V1, V2 = V1 + p1 * U1 - r * U2 + c1, V2 + q * U2 + p2 * U1 + c2
                 V1 -= _floor_parts(V1, V2, Dv, T, disc) * Dv
                 U1, U2 = U1 + e1, U2 + e2
-            yield _field(U1, U2, Du, ctx), _field(V1 + F1, V2 + F2, Dv, ctx)
+            yield U1, U2, V1 + F1, V2 + F2
 
-        return points()
+        return ctx, (Du, Dv), parts()
+
+    def orbit(self, u, v, n: int):
+        """The points (u, v), T(u, v), ..., T^n(u, v) of this map T, each a
+        pair of field elements in lowest terms: :meth:`_orbit_parts`, one
+        gcd per coordinate.  Its checks run when this method is called."""
+        ctx, (Du, Dv), parts = self._orbit_parts(u, v, n)
+        return ((_field(U1, U2, Du, ctx), _field(V1, V2, Dv, ctx))
+                for U1, U2, V1, V2 in parts)
 
     def _follow(self, b1: Branch):
         """The piece b1 followed by this map: b1 cut where its image meets a
@@ -414,6 +436,9 @@ class SigmaSection:
         # the fiber window [-1/2, 1/2) in the field: with the offset on the
         # left, a test is the offset's own comparison, no reflected one
         self._zoff_lo, self._zoff_hi = zero - HALF, zero + HALF
+        ctx = zero.ctx
+        Du, Dv, F, rows = self.table._integer_rows(ctx)
+        self._integers = (ctx, Du, Dv, F, _over(_triple(self.table.lo, ctx), Du), rows)
 
     def contains(self, p: SectionPoint) -> bool:
         return (self.data.s_a <= p.s < self.data.s_b
@@ -462,13 +487,49 @@ class SigmaSection:
         return _reduced(*self._flight(s, zoff))
 
     def return_map(self, p: SectionPoint) -> ReturnRecord:
-        """One step of ``table``, whose certificate keeps the image in the section."""
-        zoff = p.zoff
-        if not (zoff >= self._zoff_lo and zoff < self._zoff_hi):
+        """One step of ``table``, whose certificate keeps the image in the
+        section: ``step_coords`` on integers, in this one frame.
+
+        With s ``= (A + B*l)/ds`` and the offset ``= (C + E*l)/dz``, the
+        step runs over ``Du*ds`` and ``Dv*ds*dz``, ``Du`` and ``Dv`` the
+        denominators of the table's integer rows (prepared once, in the
+        constructor): the window test and the reduction are one floor each,
+        a breakpoint one sign, and only the image's two coordinates become
+        field elements.  The errors are those of the window test and of
+        ``step_coords``.
+        """
+        ctx, Du, Dv, (F1, F2), (L1, L2), rows = self._integers
+        T, disc = ctx.trace, ctx.disc
+        s, z = p.s, p.zoff
+        (A, B, ds), (C, E, dz) = _triple(s, ctx), _triple(z, ctx)
+        # the offset less fiber_lo, over Dv*dz, must have floor 0
+        V1, V2 = C * Dv - F1 * dz, E * Dv - F2 * dz
+        if _floor_parts(V1, V2, Dv * dz, T, disc):
             raise ValueError("not a valid section point")
-        i, s, zoff, k = self.table.step_coords(p.s, zoff)
-        t, nm = self._returns[i]
-        return ReturnRecord(SectionPoint(s, zoff), t, (*nm, -k))
+        U1, U2 = A * Du, B * Du
+        for i, row in enumerate(rows):
+            if _sign_parts(U1 - row[0] * ds, U2 - row[1] * ds, T, disc) < 0:
+                break
+        else:
+            i = None
+        if i is None or (i == 0 and _sign_parts(U1 - L1 * ds, U2 - L2 * ds, T, disc) < 0):
+            raise ValueError(f"no branch contains u = {s}")
+        _, _, e1, e2, p1, p2, q, r, c1, c2 = row
+        # w - fiber_lo = v - fiber_lo + a1*u + a0 over Dv*ds*dz
+        W1 = (V1 + c1 * dz) * ds + (p1 * A - r * B) * Du * dz
+        W2 = (V2 + c2 * dz) * ds + (q * B + p2 * A) * Du * dz
+        D = Dv * ds * dz
+        k = _floor_parts(W1, W2, D, T, disc)
+        t, (n, m) = self._returns[i]
+        # frozen dataclasses, filled in without their per-field __setattr__
+        point = _new(SectionPoint)
+        f = point.__dict__
+        f["s"] = _field(U1 + e1 * ds, U2 + e2 * ds, Du * ds, ctx)
+        f["zoff"] = _field(W1 - k * D + F1 * ds * dz, W2 + F2 * ds * dz, D, ctx)
+        record = _new(ReturnRecord)
+        f = record.__dict__
+        f["point"], f["time"], f["lattice"] = point, t, (n, m, -k)
+        return record
 
     def replay(self, start: SectionPoint, record: ReturnRecord) -> bool:
         g = flow(self.vec, record.time, self.to_group(start))

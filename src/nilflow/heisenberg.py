@@ -229,21 +229,19 @@ def canonicalize(g: GroupPoint) -> NilPoint:
     return NilPoint(_point(g.x + n, g.y + m, z1 + p), w)
 
 
-def translation_orbit(step: GroupPoint, start: GroupPoint, n: int):
-    """The canonical representatives of the cosets of start, step * start,
-    ..., step^n * start: the orbit of the niltranslation by ``step``.
+def _translation_parts(step: GroupPoint, start: GroupPoint, n: int):
+    """The integer kernel of :func:`translation_orbit`: ``(rep, ctx, (Dx,
+    Dy, Dz), parts)`` with ``rep = canonicalize(start).rep``, and ``parts``
+    yielding ``(X1, X2, Y1, Y2, Z1, Z2)`` for rows 1 .. n, x ``= (X1 +
+    X2*l)/Dx`` and so on, not in lowest terms.
 
-    Row 0 is ``canonicalize(start).rep``, whose coordinates keep the types
-    of the start's.  Each later row is ``canonicalize(step * rep)`` of the
-    row before, computed on integers: a coordinate is the numerators
-    ``(A, B)`` of ``(A + B*l)/D`` over a denominator fixed for the whole
-    orbit (x over the lcm ``Dx`` of the x-denominators of step and start, y
-    likewise, z over one that also holds ``step.x * y`` and ``g.x * m``).
-    A step is integer sums, one field product by ``step.x`` and three
-    floors by the scalar layer's ``_floor_parts``; a row is three elements
-    in lowest terms, one gcd each.  ``step`` must have field coordinates of
-    one context and the start rationals or elements of it, else TypeError;
-    the check runs when the function is called, before any row.
+    The denominators are fixed for the whole orbit: x over the lcm ``Dx`` of
+    the x-denominators of step and start, y likewise, z over one that also
+    holds ``step.x * y`` and ``g.x * m``.  A step is integer sums, one field
+    product by ``step.x`` and three floors by the scalar layer's
+    ``_floor_parts``.  ``step`` must have field coordinates of one context
+    and the start rationals or elements of it, else TypeError; the check
+    runs when the function is called, before any row.
     """
     ctx = _one_context((step.x, step.y, step.z))
     rep = canonicalize(start).rep
@@ -258,8 +256,7 @@ def translation_orbit(step: GroupPoint, start: GroupPoint, n: int):
     p1, p2 = a[0] * f, a[1] * f
     r, q, e = ctx.det * p2, p1 + T * p2, Dz // Dx
 
-    def rows():
-        yield rep
+    def parts():
         (X1, X2), (Y1, Y2), (Z1, Z2) = _over(x, Dx), _over(y, Dy), _over(z, Dz)
         for _ in range(n):
             # g = step * rep, then canonicalize(g) with its floors n, m, p
@@ -271,6 +268,26 @@ def translation_orbit(step: GroupPoint, start: GroupPoint, n: int):
             if m:
                 Z1, Z2 = Z1 - gx1 * m * e, Z2 - gx2 * m * e
             Z1 -= _floor_parts(Z1, Z2, Dz, T, disc) * Dz
+            yield X1, X2, Y1, Y2, Z1, Z2
+
+    return rep, ctx, (Dx, Dy, Dz), parts()
+
+
+def translation_orbit(step: GroupPoint, start: GroupPoint, n: int):
+    """The canonical representatives of the cosets of start, step * start,
+    ..., step^n * start: the orbit of the niltranslation by ``step``.
+
+    Row 0 is ``canonicalize(start).rep``, whose coordinates keep the types
+    of the start's.  Each later row is ``canonicalize(step * rep)`` of the
+    row before, computed on integers by :func:`_translation_parts` and
+    returned as three field elements in lowest terms, one gcd each.  Its
+    checks run when this function is called, before any row.
+    """
+    rep, ctx, (Dx, Dy, Dz), parts = _translation_parts(step, start, n)
+
+    def rows():
+        yield rep
+        for X1, X2, Y1, Y2, Z1, Z2 in parts:
             yield _point(_field(X1, X2, Dx, ctx), _field(Y1, Y2, Dy, ctx),
                          _field(Z1, Z2, Dz, ctx))
 

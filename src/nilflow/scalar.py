@@ -255,6 +255,51 @@ def _floor_parts(A: int, B: int, d: int, trace: int, disc: int) -> int:
     return (P + r) // (2 * d) if B > 0 else (P - r - 1) // (2 * d)
 
 
+def _float_parts(A: int, B: int, d: int, ctx: "QuadraticContext") -> float:
+    """The correctly rounded double of ``(A + B*l)/d`` for ``d > 0``, in or
+    out of lowest terms; ``QuadraticNumber.to_float`` and the orbit writer
+    call it.
+
+    For ``B != 0``, with ``P = 2A + B*trace`` and ``S = floor(sqrt(disc) *
+    2^m)`` from the context, the value times ``D = 2d << m`` lies strictly
+    between ``N = (P << m) + B*S`` and ``N + B``.  ``int / int`` rounds
+    correctly and rounding is monotone, so equal quotients at both ends
+    certify the double; the value is irrational, hence never a rounding
+    boundary, and doubling ``m`` ends the loop.  Overflow raises
+    ``OverflowError``.
+    """
+    if B == 0:
+        return A / d
+    P, den = 2 * A + B * ctx.trace, 2 * d
+    m = 64 + B.bit_length() + den.bit_length()
+    while True:
+        M, S = ctx._root
+        if M < m:
+            S = math.isqrt(ctx.disc << 2 * m)
+            ctx._root = (m, S)
+        else:
+            S >>= M - m
+        N, D = (P << m) + B * S, den << m
+        v = N / D
+        if v == (N + B) / D:
+            return v
+        m *= 2
+
+
+def _text_parts(A: int, B: int, d: int) -> str:
+    """The text ``a+b*l`` or ``a-|b|*l`` of ``(A + B*l)/d`` for ``d > 0``, in
+    or out of lowest terms, with ``a`` and ``|b|`` written as
+    ``str(Fraction)`` does; ``QuadraticNumber.__str__`` and the orbit writer
+    call it."""
+    sign = "+"
+    if B < 0:
+        sign, B = "-", -B
+    g, h = _gcd(A, d), _gcd(B, d)
+    a = str(A // g) if g == d else f"{A // g}/{d // g}"
+    b = str(B // h) if h == d else f"{B // h}/{d // h}"
+    return f"{a}{sign}{b}*l"
+
+
 def _field(A: int, B: int, d: int, ctx: "QuadraticContext") -> "QuadraticNumber":
     """The element ``(A + B*l)/d`` of ``ctx`` for ``d > 0``, in lowest terms by one gcd."""
     g = _gcd(A, B, d)
@@ -539,34 +584,10 @@ class QuadraticNumber:
         return n if self.B == 0 and n * self.d == self.A else n + 1
 
     def to_float(self) -> tuple[float, float]:
-        """Correctly rounded double and the bound ``|v| * 2^-53`` on its error.
-
-        For ``B != 0``, with ``S = floor(sqrt(disc) * 2^m)`` from the
-        context, ``x * (den << m)`` lies strictly between ``N = (P << m) +
-        B*S`` and ``N + B``.  ``int / int`` rounds correctly and rounding is
-        monotone, so equal quotients at both ends certify the double; ``x``
-        is irrational, hence never a rounding boundary, and doubling ``m``
-        ends the loop.  Overflow raises ``OverflowError``.
-        """
-        A, B, d = self.A, self.B, self.d
-        if B == 0:
-            v = A / d
-            return v, abs(v) * 2.0 ** -53
-        ctx = self.ctx
-        P, den = 2 * A + B * ctx.trace, 2 * d
-        m = 64 + B.bit_length() + den.bit_length()
-        while True:
-            M, S = ctx._root
-            if M < m:
-                S = math.isqrt(ctx.disc << 2 * m)
-                ctx._root = (m, S)
-            else:
-                S >>= M - m
-            N, D = (P << m) + B * S, den << m
-            v = N / D
-            if v == (N + B) / D:
-                return v, abs(v) * 2.0 ** -53
-            m *= 2
+        """Correctly rounded double (``_float_parts``) and the bound
+        ``|v| * 2^-53`` on its error.  Overflow raises ``OverflowError``."""
+        v = _float_parts(self.A, self.B, self.d, self.ctx)
+        return v, abs(v) * 2.0 ** -53
 
     def __float__(self) -> float:
         return self.to_float()[0]
@@ -574,9 +595,7 @@ class QuadraticNumber:
     # -- text ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        """``a+b*l`` or ``a-|b|*l`` with ``a``, ``|b|`` written as ``str(Fraction)``."""
-        sign, B = ("+", self.B) if self.B >= 0 else ("-", -self.B)
-        return f"{_ratio_str(self.A, self.d)}{sign}{_ratio_str(B, self.d)}*l"
+        return _text_parts(self.A, self.B, self.d)
 
     def __repr__(self) -> str:
         return f"QuadraticNumber({self.a!r}, {self.b!r}, {self.ctx!r})"
@@ -584,14 +603,6 @@ class QuadraticNumber:
 
 # The golden field: l = (1 + sqrt(5)) / 2.
 GOLDEN = QuadraticContext(1, -1)
-
-
-def _ratio_str(n: int, d: int) -> str:
-    """``str(Fraction(n, d))`` for d > 0: one gcd, no Fraction."""
-    g = _gcd(n, d)
-    if g != 1:
-        n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def floor_mod1(x):

@@ -440,24 +440,37 @@ def pair_count_oracle(word: str) -> int:
 
 def _projection_sup(word: str) -> tuple[float, tuple[int, int, int] | None]:
     """sup over k of |a_k - k/phi| and |b_k - k/phi^2|, a_k and b_k the letter
-    counts of word[:k], with (k, a_k, b_k) at the first k where it reaches 2.
+    counts of word[:k] on the letters a and b, with (k, a_k, b_k) at the
+    first k where it reaches 2.
 
     Each deviation is the double of numpy's elementwise ``abs(a_k - k / phi)``.
+    Along a run of equal letters both deviations are linear in k, so their
+    absolute values are convex there and peak at the run's ends, by at least
+    1/phi^2 over any inner k: they are evaluated after each b and at the end
+    of each run of a's, and a run whose end reaches 2 is walked letter by
+    letter for the first k that does.
     """
     phi = (1 + 5 ** 0.5) / 2
     phi2 = phi ** 2
-    a = b = 0
-    sup, first = 0.0, None
-    for k, letter in enumerate(word, 1):
-        if letter == "a":
-            a += 1
-        else:
-            b += 1
-        da, db = abs(a - k / phi), abs(b - k / phi2)
+    # from k = -1: a b at k = 0, where both deviations are 0, starts the word
+    sup, first, k, a = 0.0, None, -1, 0
+    for n in map(len, word.split("b")):
+        k += 1  # a b, then a run of n a's
+        da, db = abs(a - k / phi), abs(k - a - k / phi2)
         if da > sup or db > sup:
             sup = max(sup, da, db)
             if sup >= 2 and first is None:
-                first = (k, a, b)
+                first = (k, a, k - a)
+        if n:
+            k, a = k + n, a + n
+            da, db = abs(a - k / phi), abs(k - a - k / phi2)
+            if da > sup or db > sup:
+                sup = max(sup, da, db)
+                if sup >= 2 and first is None:
+                    b = k - a
+                    j = next(j for j in range(k - n + 1, k + 1)
+                             if abs(j - b - j / phi) >= 2 or abs(b - j / phi2) >= 2)
+                    first = (j, j - b, b)
     return sup, first
 
 

@@ -5,11 +5,18 @@ import mpmath
 import pytest
 
 from nilflow.cli import _orbit_rows_flow, jsonl_lines, main
-from nilflow.dynamics import INV_PHI4, PiecewiseTorusMap
+from nilflow.dynamics import GOLDEN_SKEW, INV_PHI4, PiecewiseTorusMap, golden, strip_family
 from nilflow.factorization import eigen_data, factor, flow_of
 from nilflow.freegroup import parse_substitution
-from nilflow.heisenberg import GroupPoint, canonicalize, flow, parse_group_point
-from nilflow.scalar import GOLDEN, QuadraticNumber, parse_scalar
+from nilflow.heisenberg import (
+    GroupPoint,
+    canonicalize,
+    exp_point,
+    flow,
+    parse_group_point,
+    translation_orbit,
+)
+from nilflow.scalar import GOLDEN, QuadraticNumber, _field, parse_scalar
 
 
 def run(args):
@@ -79,13 +86,16 @@ def test_flow_orbit_matches_the_flow_from_the_start(start, step):
     # --start and --step are read in the field of the substitution's eigenvalue
     for sub in ("a->ab;b->a", "a->aab;b->a"):
         cfg = {"substitution": sub, "start": start, "step": step, "iters": 40}
-        rows = list(_orbit_rows_flow(cfg))
+        names, first, ctx, dens, parts = _orbit_rows_flow(cfg)
+        assert names == ("x", "y", "z")
+        # row 0 as given, and the numerators of each later row over dens
+        rows = [first, *(tuple(map(_field, p[::2], p[1::2], dens, [ctx] * 3)) for p in parts)]
         data = eigen_data(factor(parse_substitution(sub)))
         vec = flow_of(data, "lam")
         g = parse_group_point(start, data.context) if start else GroupPoint(0, 0, 0)
         dt = parse_scalar(step, data.context)
         t = dt - dt
-        for k, names, coords in rows:
+        for coords in rows:
             rep = canonicalize(flow(vec, t, g)).rep
             assert coords == (rep.x, rep.y, rep.z)
             assert [type(c) for c in coords] == [type(rep.x), type(rep.y), type(rep.z)]
@@ -246,6 +256,46 @@ def test_a_flag_exists_only_on_the_commands_that_read_it(tmp_path, capsys):
     capsys.readouterr()
 
 
+# each orbit kind with flags of orbit that it does not read
+UNREAD_BY_KIND = {
+    "skew": {"start": "[1/3, 0, 0]", "step": "1/2", "s": "1/2", "theta": "0",
+             "substitution": "a->aab;b->a"},
+    "strip": {"start": "[0, 0, 0]", "step": "1/2", "substitution": "a->ab;b->a"},
+    "translation": {"step": "1/3", "s": "1/2", "theta": "1/7"},
+    "flow": {"s": "-1", "theta": "0"},
+}
+
+
+def test_an_orbit_flag_exists_only_for_the_kinds_that_read_it(tmp_path, capsys):
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    for kind, values in UNREAD_BY_KIND.items():
+        for key, value in values.items():
+            flag = "--" + key
+            assert run(["orbit", "--kind", kind, flag, value, "--out", out]) == 2, (kind, key)
+            assert f"{flag} is not an option of orbit --kind {kind}" in capsys.readouterr().err
+            # the key in a config file, the kind from a flag or from the file too
+            for config, args in [({key: value}, ["--kind", kind]), ({"kind": kind, key: value}, [])]:
+                cfg.write_text(json.dumps(config))
+                assert run(["orbit", *args, "--config", cfg, "--out", out]) == 2, (kind, key)
+                err = capsys.readouterr().err
+                assert f"config key {key!r} is not an option of orbit --kind {kind}" in err
+            # a flag names the flag even when the config file gives the key too
+            cfg.write_text(json.dumps({key: value}))
+            assert run(["orbit", "--kind", kind, "--config", cfg, flag, value,
+                        "--out", out]) == 2
+            assert f"{flag} is not an option of orbit --kind {kind}" in capsys.readouterr().err
+    assert not out.exists()
+    # --seed, --out, --iters and --format stay on every kind, beside its own flags
+    for kind, own in [("skew", []), ("strip", ["--s", "-1/3", "--theta", "1/7"]),
+                      ("translation", ["--substitution", "a->aab;b->a", "--start", "[1/3, 0, 0]"]),
+                      ("flow", ["--substitution", "a->ab;b->a", "--start", "[0, 0, 0]",
+                                "--step", "1/3"])]:
+        for fmt in ("csv", "jsonl"):
+            assert run(["orbit", "--kind", kind, "--seed", 5, "--iters", 3, "--format", fmt,
+                        *own, "--out", out]) == 0
+            assert len((out / f"orbit-{kind}.{fmt}").read_text().splitlines()) == 4 + (fmt == "csv")
+
+
 def test_broken_line_without_fixed_point_is_hypothesis_violation(tmp_path, capsys):
     assert run(["broken-line", "--substitution", "a->ba;b->a",
                 "--out", tmp_path]) == 3
@@ -398,6 +448,59 @@ def test_orbit_artifacts_against_an_independent_oracle(tmp_path, kind, config):
             assert float(text) == _mp_float(record[name]), (k, name)
 
 
+BIG = 10 ** 22
+
+
+def _public_orbit(kind: str, cfg: dict, n: int):
+    """The rows of an orbit kind from the public generators, with the
+    defaults of nilflow orbit."""
+    if kind in ("skew", "strip"):
+        pmap = GOLDEN_SKEW if kind == "skew" else strip_family(
+            parse_scalar(cfg.get("s", "-1"), GOLDEN), parse_scalar(cfg.get("theta", "0"), GOLDEN))
+        return pmap.orbit(golden(0), golden(0), n)
+    data = eigen_data(factor(parse_substitution(cfg.get("substitution", "a->ab;b->a"))))
+    vec = flow_of(data, "lam")
+    start = parse_group_point(cfg.get("start", "[0, 0, 0]"), data.context)
+    if kind == "translation":
+        return ((p.x, p.y, p.z) for p in translation_orbit(exp_point(vec), start, n))
+    dt = parse_scalar(cfg.get("step", "1/2"), data.context)
+    return ((p.x, p.y, p.z) for p in translation_orbit(
+        exp_point(vec.scale(dt)), flow(vec, dt - dt, start), n))
+
+
+@pytest.mark.parametrize("kind, cfg", [
+    ("skew", {}), ("strip", {}), ("strip", {"s": "-3/7", "theta": "2/7"}),
+    ("strip", {"s": f"{BIG}/{BIG + 3}-l", "theta": f"-{BIG}/7+{BIG + 1}/{BIG}*l"}),
+    ("translation", {}), ("flow", {}),
+    # a start of mixed scalar types in Q(sqrt 2), whose first z prints as 4/5+0*l
+    ("translation", {"substitution": "a->aab;b->a", "start": "[1/3+l, 2/7, -1/5]"}),
+    ("translation", {"start": f"[{BIG}/{BIG + 1}+{BIG}*l, -{BIG}/3, 1/{BIG}-l]"}),
+    ("flow", {"substitution": "a->aab;b->a", "start": "[1/3, -2/5, 7/4]", "step": "1-l"}),
+    ("flow", {"start": f"[-{BIG}/7, {BIG}+l, 2/{BIG + 9}]", "step": f"{BIG}/{BIG + 1}"}),
+    # l = (3 + sqrt 5)/2 and l = (3 + sqrt 13)/2
+    ("translation", {"substitution": "a->aab;b->ab", "start": "[1/2+l, 1/3, -l]"}),
+    ("flow", {"substitution": "a->aaab;b->a", "start": "[l, 0, 1/5]", "step": "2/3+l"}),
+])
+def test_orbit_rows_are_the_public_generators_rows(tmp_path, kind, cfg):
+    # every row that nilflow orbit writes from the kernel's numerators is
+    # float or str of the public generator's field elements
+    n = 150
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    for fmt in ("csv", "jsonl"):
+        assert run(["orbit", "--kind", kind, "--iters", n, "--format", fmt,
+                    "--config", tmp_path / "c.json", "--out", tmp_path]) == 0
+    header, *rows = (tmp_path / f"orbit-{kind}.csv").read_text().splitlines()
+    lines = (tmp_path / f"orbit-{kind}.jsonl").read_text().splitlines()
+    names = header.split(",")[1:]
+    expected = list(_public_orbit(kind, cfg, n))
+    assert len(rows) == len(lines) == len(expected) == n + 1
+    for k, (row, line, coords) in enumerate(zip(rows, lines, expected)):
+        assert row == ",".join([str(k), *(f"{float(c):.17g}" for c in coords)]), k
+        assert line == json.dumps({"k": k, "seed": 0, **{name: str(c) for name, c in
+                                                         zip(names, coords)}},
+                                  sort_keys=True), k
+
+
 def test_equidistribution_past_the_memory_budget_exits_2_at_once(tmp_path, capsys):
     import time
     out = tmp_path / "eq"
@@ -439,16 +542,22 @@ def test_a_failed_orbit_leaves_no_file_and_the_old_artifact(tmp_path, monkeypatc
     assert run(["orbit", "--kind", "skew", "--iters", 30, "--format", "jsonl",
                 "--out", tmp_path]) == 0
     old = (tmp_path / "orbit-skew.jsonl").read_bytes()
-    calls, orbit = [], PiecewiseTorusMap.orbit
+    calls, orbit_parts = [], PiecewiseTorusMap._orbit_parts
 
     def failing(self, u, v, n):
-        for point in orbit(self, u, v, n):
-            calls.append(1)
-            if len(calls) == 50:
-                raise RuntimeError("step 50 fails")
-            yield point
+        ctx, dens, parts = orbit_parts(self, u, v, n)
 
-    monkeypatch.setattr(PiecewiseTorusMap, "orbit", failing)
+        def failing_parts():
+            for point in parts:
+                calls.append(1)
+                if len(calls) == 50:
+                    raise RuntimeError("step 50 fails")
+                yield point
+
+        return ctx, dens, failing_parts()
+
+    # the numerator stream that nilflow orbit writes from
+    monkeypatch.setattr(PiecewiseTorusMap, "_orbit_parts", failing)
     for fmt in ("jsonl", "csv"):
         with pytest.raises(RuntimeError, match="step 50"):
             run(["orbit", "--kind", "skew", "--iters", 100, "--format", fmt, "--out", tmp_path])

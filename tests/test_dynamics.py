@@ -329,6 +329,49 @@ def test_sigma_table_equals_flow_geometry():
             assert section.replay(q, rec)
 
 
+@pytest.mark.parametrize("sub", ["a->ab;b->a", "a->aab;b->a", "a->AB;b->A"])
+def test_return_map_is_one_step_of_the_table(sub):
+    # return_map steps the table on integers; step_coords and the flown
+    # group point (_step) are its oracles, at s = s_a, at s = 0, near s_b and
+    # from both ends of the fiber window, with field and rational inputs
+    data = FIB_DATA if sub == "a->ab;b->a" else eigen_data(factor(parse_substitution(sub)))
+    section = SigmaSection(data)
+    table = section.table
+    eps = Fraction(1, 10 ** 22)
+    frac_lam = data.lam - data.lam.floor()
+    ss = [data.s_a, golden_like(0, data), Fraction(0), data.s_b - eps,
+          data.s_a + (data.s_b - data.s_a) * Fraction(31, 97)]
+    zs = [Fraction(-1, 2), golden_like(Fraction(-1, 2), data), Fraction(1, 2) - eps,
+          golden_like(Fraction(1, 2) - eps, data), frac_lam - Fraction(1, 2),
+          Fraction(1, 2) - frac_lam * eps, golden_like(0, data)]
+    for s in ss:
+        for z in zs:
+            rec = section.return_map(SectionPoint(s, z))
+            i, u, v, k = table.step_coords(s, z)
+            assert rec == ReturnRecord(SectionPoint(u, v), section._returns[i][0],
+                                       (*section._returns[i][1], -k))
+            assert rec == section._step(s, z)
+            for x in (rec.point.s, rec.point.zoff):  # field elements in lowest terms
+                assert type(x) is QuadraticNumber and x.ctx == data.context
+                assert QuadraticNumber(x.a, x.b, x.ctx).d == x.d
+    p = SectionPoint(ss[-1], zs[4])
+    for _ in range(300):
+        rec = section.return_map(p)
+        assert rec == section._step(p.s, p.zoff)
+        p = rec.point
+    # the errors of the window test and of step_coords
+    for s, z, match in [(data.s_b, golden_like(0, data), "no branch contains u = "),
+                        (data.s_a - eps, Fraction(0), "no branch contains u = "),
+                        (golden_like(0, data), Fraction(1, 2), "not a valid section point"),
+                        (golden_like(0, data), Fraction(-1, 2) - eps, "not a valid section point"),
+                        (data.s_b, Fraction(1, 2), "not a valid section point")]:
+        with pytest.raises(ValueError, match=match):
+            section.return_map(SectionPoint(s, z))
+        if match.startswith("no branch"):
+            with pytest.raises(ValueError, match=match):
+                table.step_coords(s, z)
+
+
 TABLE_DATA = SECTION_DATA + [eigen_data(factor(parse_substitution(sub)))
                              for sub in ("a->abb;b->ab", "a->AB;b->A")]
 

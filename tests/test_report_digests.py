@@ -59,6 +59,35 @@ DIGESTS = {
     " --start [1/3+l,2/7,-1/5] --seed -12345678901234567890": (
         "orbit-translation.jsonl",
         "323f19dbe3476e92bfc82310cddf324a70cafcd3435c476e33df778560113c46"),
+    # every kind and format at the default 10^4 iterates, where the
+    # coefficients become multi-limb integers, and a flow CSV of a->aab;b->a
+    "orbit --kind skew --format csv": (
+        "orbit-skew.csv",
+        "732b0c01dc8a622112b2ecccf012570f297b34b089e3d336b4ff850679d189d7"),
+    "orbit --kind strip --format csv": (
+        "orbit-strip.csv",
+        "a7ee02714b7a0a68c343f2330abbad0b219bf0e29e830085689cb0813d037cdd"),
+    "orbit --kind translation --format csv": (
+        "orbit-translation.csv",
+        "c4c9ed8eda3724a11200dc8ef24ff3a14dd04bb9cac99084c91e87a1e7e3e067"),
+    "orbit --kind flow --format csv": (
+        "orbit-flow.csv",
+        "e6f3c8df2f389a67d71cbedc171913bd1ffd603b84021679409aafea25415eca"),
+    "orbit --kind skew --format jsonl": (
+        "orbit-skew.jsonl",
+        "1a59e7b2d33bd7018c1ee40c3b157760d46c164c5a47014c15bcaeff89da8297"),
+    "orbit --kind strip --format jsonl": (
+        "orbit-strip.jsonl",
+        "e1d4b764a6807e97bb18613a10b9ee6ba3fe5785ff3f376dfcdd70ca83ce2d25"),
+    "orbit --kind translation --format jsonl": (
+        "orbit-translation.jsonl",
+        "762b877d83f6ca163bed365ac8bd2505333e54255f38112c8184e936d85466b3"),
+    "orbit --kind flow --format jsonl": (
+        "orbit-flow.jsonl",
+        "070319a23fc875dc5e732f7e186dc276f05d38b1ea3024f01e5bfa027bd21eb3"),
+    "orbit --kind flow --format csv --substitution a->aab;b->a": (
+        "orbit-flow.csv",
+        "f174873b7bdbb9f469b5bfaddb1e131d6b9cd0f4c76fd9dce309e6c637ab6369"),
 }
 
 

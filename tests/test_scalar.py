@@ -14,7 +14,9 @@ from nilflow.scalar import (
     ParseError,
     QuadraticContext,
     QuadraticNumber,
+    _float_parts,
     _rational,
+    _text_parts,
     floor_mod1,
     parse_scalar,
 )
@@ -179,6 +181,28 @@ def test_str_matches_fraction_coordinates(A, B, d, ctx):
     a, b = Fraction(A, d), Fraction(B, d)
     assert str(x) == (f"{a}+{b}*l" if b >= 0 else f"{a}-{-b}*l")
     assert str(x) == (f"{x.a}+{x.b}*l" if x.b >= 0 else f"{x.a}-{-x.b}*l")
+
+
+@pytest.mark.parametrize("ctx", [GOLDEN, QuadraticContext(0, -2), QuadraticContext(1, -3)])
+def test_text_and_float_parts_out_of_lowest_terms(ctx):
+    # the orbit writer's text and float of (A + B*l)/d from any multiple
+    # k*(A, B, d), against str(Fraction) coordinates and mpmath at 60 digits
+    rng, big = random.Random(27), 10 ** 22
+    triples = [(0, 0, 1), (0, 5, 3), (7, 0, 1), (-7, 0, 4), (3, -1, 1), (-5, -7, 3),
+               (big, -(big + 1), 7), (-3 * big - 1, big + 9, big + 7), (1, 1, big - 1)]
+    triples += [(rng.randint(-big, big), rng.randint(-big, big), rng.randint(1, big))
+                for _ in range(40)]
+    for A, B, d in triples:
+        x = QuadraticNumber(Fraction(A, d), Fraction(B, d), ctx)
+        a, b = Fraction(A, d), Fraction(B, d)
+        text = f"{a}+{b}*l" if b >= 0 else f"{a}-{-b}*l"
+        with mpmath.workdps(60):
+            root = (ctx.trace + mpmath.sqrt(ctx.disc)) / 2
+            value = float(mpmath.mpf(A) / d + mpmath.mpf(B) / d * root)
+        for k in (1, 2, 6, big + 9):
+            assert _text_parts(k * A, k * B, k * d) == str(x) == text, (A, B, d, k)
+            assert _float_parts(k * A, k * B, k * d, ctx) == float(x) == value, (A, B, d, k)
+    assert type(_float_parts(6, 0, 4, ctx)) is float and _float_parts(6, 0, 4, ctx) == 1.5
 
 
 def test_parse_round_trip():

@@ -15,7 +15,7 @@ from nilflow.factorization import (
     xy_of_ts,
 )
 from nilflow.dynamics import SectionPoint
-from nilflow.freegroup import FIBONACCI, fixed_point_prefix
+from nilflow.freegroup import FIBONACCI, fixed_point_prefix, parse_substitution
 from nilflow.heisenberg import AlgebraVector, GroupPoint, exp_point, log_point
 from nilflow.scalar import GOLDEN, parse_scalar
 
@@ -130,6 +130,49 @@ def test_broken_line_oracles_match_the_numpy_formulas():
     sup = max(np.abs(a_k - k / phi).max(), np.abs(b_k - k / phi ** 2).max())
     result = ver.check_broken_line(10_000, 100_000)
     assert result.passed and result.details["projection_sup"] == float(sup)
+
+
+def _projection_sup_per_letter(word):
+    """The projection sup and its first k at 2, evaluated at every letter."""
+    phi = (1 + 5 ** 0.5) / 2
+    phi2 = phi ** 2
+    a = b = 0
+    sup, first = 0.0, None
+    for k, letter in enumerate(word, 1):
+        if letter == "a":
+            a += 1
+        else:
+            b += 1
+        da, db = abs(a - k / phi), abs(b - k / phi2)
+        if da > sup or db > sup:
+            sup = max(sup, da, db)
+            if sup >= 2 and first is None:
+                first = (k, a, b)
+    return sup, first
+
+
+def test_projection_sup_at_run_ends_is_the_per_letter_sup():
+    # the deviations are evaluated at the ends of runs only; the double and
+    # the first k at 2 are those of the loop over every letter
+    for sub, n in [(FIBONACCI, 10 ** 3), (FIBONACCI, 10 ** 4), (FIBONACCI, 10 ** 5),
+                   (parse_substitution("a->aab;b->a"), 10 ** 4),
+                   (parse_substitution("a->abb;b->ab"), 10 ** 3)]:
+        word = fixed_point_prefix(sub, n)
+        for m in (n, n - 1, n - 2):
+            assert ver._projection_sup(word[:m]) == _projection_sup_per_letter(word[:m])
+    # words whose sup reaches 2: at a run's end, inside a run of a's or of
+    # b's, at the last letter, or never; and random words
+    synthetic = ["", "a", "b", "a" * 6, "a" * 40, "b" * 9, "abaababaab" + "a" * 12 + "b",
+                 "ab" * 50 + "b" * 7 + "a", "aab" * 30 + "aaaaaab", "bbbbaaaa", "aaaaab"]
+    rng = random.Random(17)
+    synthetic += ["".join(rng.choice("aab" if i % 2 else "abb") for _ in range(rng.randrange(60)))
+                  for i in range(400)]
+    hits = 0
+    for word in synthetic:
+        expected = _projection_sup_per_letter(word)
+        assert ver._projection_sup(word) == expected, word
+        hits += expected[1] is not None
+    assert hits > 100
 
 
 def test_broken_line_witness(monkeypatch):
