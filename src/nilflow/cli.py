@@ -3,19 +3,21 @@
 Commands: ``analyze``, ``orbit``, ``broken-line``, ``induce``, ``verify``
 and ``equidistribution``.  Configuration comes from an optional JSON file
 (--config) with individual flags taking precedence.  A command has the flags
-that it reads, plus ``--seed`` and ``--out`` on every command; a config key
-of another command is a parse error.  Within ``orbit``, ``--substitution``
-and ``--start`` belong to the kinds translation and flow, ``--step`` to
-flow, ``--s`` and ``--theta`` to strip; such a flag or config key given to
-another kind is a parse error too.  The verify and induce reports and the
-orbit JSONL records embed the seed; the other artifacts do not depend on
-it.  Exact values are emitted as strings, floats with 17 significant
-digits, so equal configurations produce byte-identical outputs.  Files are
-written atomically: into ``<name>.tmp``, renamed once complete.  Orbit rows
-are written straight from the integer numerators of the orbit kernels
+that it reads, plus ``--out`` on every command and ``--seed`` on
+``equidistribution`` too; a config key of another command is a parse
+error.  Within ``orbit``, ``--substitution`` and ``--start`` belong to the
+kinds translation and flow, ``--step`` to flow, ``--s`` and ``--theta`` to
+strip; such a flag or config key given to another kind is a parse error
+too.  The verify and induce reports and the orbit JSONL records embed the
+seed; the other artifacts do not depend on it.  Exact values are emitted
+as strings, one text per value whatever its type, floats with 17
+significant digits, so equal configurations produce byte-identical
+outputs.  Files are written atomically: into ``<name>.tmp``, renamed once
+complete.  Orbit rows, row 0 included, are written straight from the
+integer numerators of the orbit kernels
 (``PiecewiseTorusMap._orbit_parts``, ``heisenberg._translation_parts``) by
 ``scalar._float_parts`` and ``scalar._text_parts``, which give the float
-and the text of the field element; they are streamed into the temp file as
+and the text of the exact value; they are streamed into the temp file as
 they are computed, so the memory of ``orbit`` does not depend on
 ``--iters``.
 
@@ -58,7 +60,7 @@ from .factorization import (
     surface_quadric,
 )
 from .freegroup import fixed_point_prefix, iter_broken_line_counts, parse_substitution
-from .heisenberg import GroupPoint, _translation_parts, exp_point, flow, parse_group_point
+from .heisenberg import GroupPoint, _translation_parts, exp_point, parse_group_point
 from .scalar import GOLDEN, ParseError, _float_parts, _rational, _text_parts, parse_scalar
 
 
@@ -171,29 +173,22 @@ def cmd_analyze(cfg: dict) -> int:
     return 0
 
 
-# An orbit kind returns (names, first, ctx, dens, parts): the coordinate
-# names, row 0 as exact scalars (None if parts holds it), the field, and the
-# numerator stream of the kernel with one denominator per coordinate.
+# An orbit kind returns (names, ctx, dens, parts): the coordinate names, the
+# field, and the numerator stream of the kernel, rows 0 .. n, with one
+# denominator per coordinate.
 
 def _orbit_rows_translation(cfg: dict, sampled_flow: bool = False):
     """Right cosets of the lattice under the left translation by exp of the
-    eigenflow, or by its time-dt flow (``_translation_parts``).  Row 0 is
-    the start's representative in its own scalar types.  The flow orbit
-    starts at the time-0 flow of the start, which gives the first point the
-    scalar types of the later ones."""
+    eigenflow, or by its time-dt flow (``_translation_parts``), from the
+    start's representative."""
     data = eigen_data(factor(parse_substitution(cfg["substitution"])))
     vec = flow_of(data, "lam")
     point = (
         _exact(cfg, "start", data.context, parse_group_point)
         if cfg["start"] else GroupPoint(0, 0, 0)
     )
-    if sampled_flow:
-        dt = _exact(cfg, "step", data.context)
-        step, point = exp_point(vec.scale(dt)), flow(vec, dt - dt, point)
-    else:
-        step = exp_point(vec)
-    rep, ctx, dens, parts = _translation_parts(step, point, cfg["iters"])
-    return ("x", "y", "z"), (rep.x, rep.y, rep.z), ctx, dens, parts
+    step = exp_point(vec.scale(_exact(cfg, "step", data.context)) if sampled_flow else vec)
+    return ("x", "y", "z"), *_translation_parts(step, point, cfg["iters"])
 
 
 def _orbit_rows_flow(cfg: dict):
@@ -201,12 +196,12 @@ def _orbit_rows_flow(cfg: dict):
 
 
 def _orbit_rows_skew(cfg: dict):
-    return ("u", "v"), None, *GOLDEN_SKEW._orbit_parts(golden(0), golden(0), cfg["iters"])
+    return ("u", "v"), *GOLDEN_SKEW._orbit_parts(golden(0), golden(0), cfg["iters"])
 
 
 def _orbit_rows_strip(cfg: dict):
     pmap = strip_family(_exact(cfg, "s", GOLDEN), _exact(cfg, "theta", GOLDEN))
-    return ("u", "v"), None, *pmap._orbit_parts(golden(0), golden(0), cfg["iters"])
+    return ("u", "v"), *pmap._orbit_parts(golden(0), golden(0), cfg["iters"])
 
 
 ORBIT_KINDS = {
@@ -217,32 +212,27 @@ ORBIT_KINDS = {
 }
 
 
-def _orbit_cells(csv: bool, first, ctx, dens, parts):
+def _orbit_cells(csv: bool, ctx, dens, parts):
     """The rows of an orbit file, ``(k, float, ...)`` for CSV and ``(k,
-    (text, ...))`` for JSONL: row 0 from ``first`` by ``float`` or ``str``
-    if it is given, then each row of numerators ``parts`` over ``dens`` by
-    ``_float_parts`` or ``_text_parts``, which write what ``float`` and
-    ``str`` of the row's field elements write."""
-    k = 0
-    if first is not None:
-        yield (0, *map(float, first)) if csv else (0, tuple(map(str, first)))
-        k = 1
+    (text, ...))`` for JSONL: each row of numerators ``parts`` over ``dens``
+    by ``_float_parts`` or ``_text_parts``, which write what ``float`` and
+    ``str`` of the row's exact values write."""
     if len(dens) == 2:
         Du, Dv = dens
         if csv:
-            for k, (U1, U2, V1, V2) in enumerate(parts, k):
+            for k, (U1, U2, V1, V2) in enumerate(parts):
                 yield k, _float_parts(U1, U2, Du, ctx), _float_parts(V1, V2, Dv, ctx)
         else:
-            for k, (U1, U2, V1, V2) in enumerate(parts, k):
+            for k, (U1, U2, V1, V2) in enumerate(parts):
                 yield k, (_text_parts(U1, U2, Du), _text_parts(V1, V2, Dv))
     else:
         Dx, Dy, Dz = dens
         if csv:
-            for k, (X1, X2, Y1, Y2, Z1, Z2) in enumerate(parts, k):
+            for k, (X1, X2, Y1, Y2, Z1, Z2) in enumerate(parts):
                 yield (k, _float_parts(X1, X2, Dx, ctx), _float_parts(Y1, Y2, Dy, ctx),
                        _float_parts(Z1, Z2, Dz, ctx))
         else:
-            for k, (X1, X2, Y1, Y2, Z1, Z2) in enumerate(parts, k):
+            for k, (X1, X2, Y1, Y2, Z1, Z2) in enumerate(parts):
                 yield k, (_text_parts(X1, X2, Dx), _text_parts(Y1, Y2, Dy),
                           _text_parts(Z1, Z2, Dz))
 
@@ -389,7 +379,9 @@ _INTEGER, _SCALAR = (int,), (str, int, float)
 # flag of a _SCALAR option takes a value such as -3/7 as the next argument
 OPTIONS = {
     "out": Option(_ALL, _TEXT, ".", dict(help="output directory")),
-    "seed": Option(_ALL, _INTEGER, 0, dict(type=int, help="64-bit seed")),
+    # equidistribution reads no seed; perfbench's weyl workload passes one
+    "seed": Option(("orbit", "induce", "verify", "equidistribution"), _INTEGER, 0,
+                   dict(type=int, help="64-bit seed")),
     "samples": Option(("induce",), _INTEGER, 100, dict(type=int)),
     "iters": Option(("orbit", "equidistribution"), _INTEGER, 10_000, dict(type=int)),
     "format": Option(("orbit", "equidistribution"), _TEXT, "csv",

@@ -352,14 +352,15 @@ def psi_value(y):
     return GOLDEN_STRIP.branch_at(y).poly(y)
 
 
-def psi_identity_check(n_points: int = 100) -> dict:
+def psi_identity_check() -> dict:
     """Values, boundary jump and the coboundary identity for psi.
 
     psi is read off the branches of ``GOLDEN_STRIP``.  The identity uses
-    p(y) = -y^2/2 - y/2 and the corrected constant -1/(2 phi^3); the variant
-    with the opposite constant sign is evaluated alongside and reported,
-    not asserted.
+    p(y) = -y^2/2 - y/2 and the corrected constant -1/(2 phi^3), at the 100
+    points i/100; the variant with the opposite constant sign is evaluated
+    alongside and reported, not asserted.
     """
+    n_points = 100
     p = lambda y: -y * y / 2 - y / 2
     first, second = GOLDEN_STRIP.branches
     psi0, psi1 = first.poly(first.lo), second.poly(second.hi)

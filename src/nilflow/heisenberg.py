@@ -11,6 +11,7 @@ coordinates that are already promoted.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .scalar import (
@@ -230,9 +231,9 @@ def canonicalize(g: GroupPoint) -> NilPoint:
 
 
 def _translation_parts(step: GroupPoint, start: GroupPoint, n: int):
-    """The integer kernel of :func:`translation_orbit`: ``(rep, ctx, (Dx,
-    Dy, Dz), parts)`` with ``rep = canonicalize(start).rep``, and ``parts``
-    yielding ``(X1, X2, Y1, Y2, Z1, Z2)`` for rows 1 .. n, x ``= (X1 +
+    """The integer kernel of :func:`translation_orbit`: ``(ctx, (Dx, Dy,
+    Dz), parts)``, where ``parts`` yields ``(X1, X2, Y1, Y2, Z1, Z2)`` for
+    rows 0 .. n, row 0 being ``canonicalize(start).rep``: x ``= (X1 +
     X2*l)/Dx`` and so on, not in lowest terms.
 
     The denominators are fixed for the whole orbit: x over the lcm ``Dx`` of
@@ -258,6 +259,7 @@ def _translation_parts(step: GroupPoint, start: GroupPoint, n: int):
 
     def parts():
         (X1, X2), (Y1, Y2), (Z1, Z2) = _over(x, Dx), _over(y, Dy), _over(z, Dz)
+        yield X1, X2, Y1, Y2, Z1, Z2
         for _ in range(n):
             # g = step * rep, then canonicalize(g) with its floors n, m, p
             gx1, gx2, gy1, gy2 = X1 + a1, X2 + a2, Y1 + b1, Y2 + b2
@@ -270,7 +272,7 @@ def _translation_parts(step: GroupPoint, start: GroupPoint, n: int):
             Z1 -= _floor_parts(Z1, Z2, Dz, T, disc) * Dz
             yield X1, X2, Y1, Y2, Z1, Z2
 
-    return rep, ctx, (Dx, Dy, Dz), parts()
+    return ctx, (Dx, Dy, Dz), parts()
 
 
 def translation_orbit(step: GroupPoint, start: GroupPoint, n: int):
@@ -283,15 +285,11 @@ def translation_orbit(step: GroupPoint, start: GroupPoint, n: int):
     returned as three field elements in lowest terms, one gcd each.  Its
     checks run when this function is called, before any row.
     """
-    rep, ctx, (Dx, Dy, Dz), parts = _translation_parts(step, start, n)
-
-    def rows():
-        yield rep
-        for X1, X2, Y1, Y2, Z1, Z2 in parts:
-            yield _point(_field(X1, X2, Dx, ctx), _field(Y1, Y2, Dy, ctx),
-                         _field(Z1, Z2, Dz, ctx))
-
-    return rows()
+    ctx, (Dx, Dy, Dz), parts = _translation_parts(step, start, n)
+    next(parts)  # row 0 is returned as the start's representative
+    return itertools.chain((canonicalize(start).rep,), (
+        _point(_field(X1, X2, Dx, ctx), _field(Y1, Y2, Dy, ctx), _field(Z1, Z2, Dz, ctx))
+        for X1, X2, Y1, Y2, Z1, Z2 in parts))
 
 
 def coset_eq(a: GroupPoint, b: GroupPoint) -> bool:

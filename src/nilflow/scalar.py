@@ -287,15 +287,19 @@ def _float_parts(A: int, B: int, d: int, ctx: "QuadraticContext") -> float:
 
 
 def _text_parts(A: int, B: int, d: int) -> str:
-    """The text ``a+b*l`` or ``a-|b|*l`` of ``(A + B*l)/d`` for ``d > 0``, in
-    or out of lowest terms, with ``a`` and ``|b|`` written as
-    ``str(Fraction)`` does; ``QuadraticNumber.__str__`` and the orbit writer
+    """The text of ``(A + B*l)/d`` for ``d > 0``, in or out of lowest terms:
+    ``a`` when ``B == 0``, else ``a+b*l`` or ``a-|b|*l``, with ``a`` and
+    ``|b|`` as ``str(Fraction)`` writes them, so equal values print alike
+    whatever their type; ``QuadraticNumber.__str__`` and the orbit writer
     call it."""
+    g = _gcd(A, d)
+    a = str(A // g) if g == d else f"{A // g}/{d // g}"
+    if B == 0:
+        return a
     sign = "+"
     if B < 0:
         sign, B = "-", -B
-    g, h = _gcd(A, d), _gcd(B, d)
-    a = str(A // g) if g == d else f"{A // g}/{d // g}"
+    h = _gcd(B, d)
     b = str(B // h) if h == d else f"{B // h}/{d // h}"
     return f"{a}{sign}{b}*l"
 

@@ -302,7 +302,7 @@ def check_strip(seed: int) -> CheckResult:
         if r["failures"]:
             bad.record(False, "induced strip map = renormalized strip map",
                        s=s, s_prime=s_prime, theta=theta, failure=r["failures"][0])
-    psi = dyn.psi_identity_check(100)
+    psi = dyn.psi_identity_check()
     if psi["identity_failures"]:
         bad.record(False, "psi(y) = p(y - 1/phi^2) - p(y) - y - 1/(2 phi^3)",
                    y=psi["identity_failures"][0])
@@ -320,18 +320,18 @@ def check_strip(seed: int) -> CheckResult:
     }, bad))
 
 
-def check_sigma_section(seed: int, iterates: int = 10_000) -> CheckResult:
-    """IET structure over many iterates, replay, and the first-return audit."""
+def check_sigma_section(seed: int) -> CheckResult:
+    """IET structure over 2000 iterates, replay, and the first-return audit."""
     data = eigen_data(factor(FIBONACCI))
     section = dyn.SigmaSection(data)
-    orbit = dyn.iet_orbit_check(data, iterates)
+    orbit = dyn.iet_orbit_check(data, 2000)
     samples = dyn.section_samples(data, 40, seed=seed)
     replay_ok = all(section.replay(q, section.return_map(q)) for q in samples)
     audit_ok = all(
         section.early_crossing_audit(q)["passed"] for q in samples[:20]
     )
     return CheckResult("sigma.iet", orbit["passed"] and replay_ok and audit_ok, {
-        "iterates": iterates,
+        "iterates": orbit["iterates"],
         "orbit": {k: orbit[k] for k in
                   ("translations_ok", "times_ok", "both_branches_seen")},
         "replay_ok": replay_ok,
@@ -542,7 +542,7 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         check_eigenflow_conjugation(seed + 3),
         check_surface(seed + 4),
         check_strip(seed + 5),
-        check_sigma_section(seed + 6, iterates=2000),
+        check_sigma_section(seed + 6),
         check_self_induction(seed + 7, samples=40, autos=3),
         check_diagonal(seed + 8),
         check_chart_equivalence(seed + 9),

@@ -78,6 +78,20 @@ def test_orbit_determinism(tmp_path):
     assert (a / "orbit-strip.csv").read_bytes() == (b / "orbit-strip.csv").read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["translation", "flow"])
+def test_equal_starts_give_equal_orbit_files(tmp_path, kind):
+    # a rational start and the equal field element write the same bytes
+    a, b = tmp_path / "a", tmp_path / "b"
+    for fmt in ("csv", "jsonl"):
+        for d, start in [(a, "[4/5,0,0]"), (b, "[4/5+0*l,0,0]")]:
+            assert run(["orbit", "--kind", kind, "--iters", 20, "--format", fmt,
+                        "--start", start, "--out", d]) == 0
+        name = f"orbit-{kind}.{fmt}"
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert (a / f"orbit-{kind}.jsonl").read_text().startswith(
+        '{"k": 0, "seed": 0, "x": "4/5", "y": "0", "z": "0"}\n')
+
+
 @pytest.mark.parametrize("start, step", [(None, "1/2"), ("[1/3, -2/5, 7/4]", "3/7"),
                                          ("[1/2+1*l, -l, 2]", "1-1*l"), (None, "1+l")])
 def test_flow_orbit_matches_the_flow_from_the_start(start, step):
@@ -86,10 +100,10 @@ def test_flow_orbit_matches_the_flow_from_the_start(start, step):
     # --start and --step are read in the field of the substitution's eigenvalue
     for sub in ("a->ab;b->a", "a->aab;b->a"):
         cfg = {"substitution": sub, "start": start, "step": step, "iters": 40}
-        names, first, ctx, dens, parts = _orbit_rows_flow(cfg)
+        names, ctx, dens, parts = _orbit_rows_flow(cfg)
         assert names == ("x", "y", "z")
-        # row 0 as given, and the numerators of each later row over dens
-        rows = [first, *(tuple(map(_field, p[::2], p[1::2], dens, [ctx] * 3)) for p in parts)]
+        # the numerators of rows 0 .. 40 over dens
+        rows = [tuple(map(_field, p[::2], p[1::2], dens, [ctx] * 3)) for p in parts]
         data = eigen_data(factor(parse_substitution(sub)))
         vec = flow_of(data, "lam")
         g = parse_group_point(start, data.context) if start else GroupPoint(0, 0, 0)
@@ -220,9 +234,9 @@ def test_config_value_of_wrong_type_is_parse_error(tmp_path, capsys):
 
 # the flags that a command does not read: each was once accepted and ignored
 UNREAD = {
-    "analyze": ("samples", "iters", "format"),
+    "analyze": ("samples", "iters", "format", "seed"),
     "orbit": ("samples",),
-    "broken-line": ("samples", "iters", "format"),
+    "broken-line": ("samples", "iters", "format", "seed"),
     "induce": ("iters", "format"),
     "verify": ("samples", "iters", "format", "substitution"),
     "equidistribution": ("samples",),
@@ -230,8 +244,9 @@ UNREAD = {
 
 
 def test_a_flag_exists_only_on_the_commands_that_read_it(tmp_path, capsys):
-    value = {"samples": 5, "iters": 5, "format": "jsonl", "substitution": "a->ab;b->a"}
-    assert sum(map(len, UNREAD.values())) == 14
+    value = {"samples": 5, "iters": 5, "format": "jsonl", "substitution": "a->ab;b->a",
+             "seed": 5}
+    assert sum(map(len, UNREAD.values())) == 16
     cfg = tmp_path / "config.json"
     for command, keys in UNREAD.items():
         for key in keys:
@@ -244,11 +259,11 @@ def test_a_flag_exists_only_on_the_commands_that_read_it(tmp_path, capsys):
             err = capsys.readouterr().err
             assert f"config key {key!r} is not an option of {command}" in err
     assert list(tmp_path.iterdir()) == [cfg]
-    # --seed and --out stay on every command, and the config file of analyze
-    # still names its report
+    # --out stays on every command and --seed on equidistribution, and the
+    # config file of analyze still names its report
     assert run(["equidistribution", "--iters", 10000, "--radius", 1, "--seed", 3,
                 "--out", tmp_path / "eq"]) == 0
-    cfg.write_text(json.dumps({"analysis_out": "a.json", "seed": 1}))
+    cfg.write_text(json.dumps({"analysis_out": "a.json"}))
     assert run(["analyze", "--config", cfg, "--out", tmp_path / "an"]) == 0
     assert (tmp_path / "an" / "a.json").exists()
     with pytest.raises(SystemExit):
@@ -464,15 +479,14 @@ def _public_orbit(kind: str, cfg: dict, n: int):
     if kind == "translation":
         return ((p.x, p.y, p.z) for p in translation_orbit(exp_point(vec), start, n))
     dt = parse_scalar(cfg.get("step", "1/2"), data.context)
-    return ((p.x, p.y, p.z) for p in translation_orbit(
-        exp_point(vec.scale(dt)), flow(vec, dt - dt, start), n))
+    return ((p.x, p.y, p.z) for p in translation_orbit(exp_point(vec.scale(dt)), start, n))
 
 
 @pytest.mark.parametrize("kind, cfg", [
     ("skew", {}), ("strip", {}), ("strip", {"s": "-3/7", "theta": "2/7"}),
     ("strip", {"s": f"{BIG}/{BIG + 3}-l", "theta": f"-{BIG}/7+{BIG + 1}/{BIG}*l"}),
     ("translation", {}), ("flow", {}),
-    # a start of mixed scalar types in Q(sqrt 2), whose first z prints as 4/5+0*l
+    # a start of mixed scalar types in Q(sqrt 2), whose first z prints as 4/5
     ("translation", {"substitution": "a->aab;b->a", "start": "[1/3+l, 2/7, -1/5]"}),
     ("translation", {"start": f"[{BIG}/{BIG + 1}+{BIG}*l, -{BIG}/3, 1/{BIG}-l]"}),
     ("flow", {"substitution": "a->aab;b->a", "start": "[1/3, -2/5, 7/4]", "step": "1-l"}),

@@ -19,14 +19,14 @@ from nilflow.cli import main
 
 DIGESTS = {
     "verify --seed 0": ("verify-report.json",
-                        "dac1d3177be195b71af84adcc6e4911fc0b9f7399608c32638111a5e83db4e9d"),
+                        "d7e6d94f458596dae12a18faea9271b0824d0543dbbbe3d5b1ef1c9f3975dad2"),
     "verify --seed 1": ("verify-report.json",
-                        "e373182cd5b5b2f0908d6463b4e2c8d4f06060c7ea9169b65b75de7e6d7a5ecf"),
+                        "1f150448725e2f1e2b47ef63b8e254b23989de500242e38c899d089f9eac5965"),
     "induce": ("induce-report.json",
-               "32b1213af5b09faf91d886a24d4323937f9ec6d0e2f97117528c987d988c1064"),
+               "a93d25256a79d1b9e0b3336e21bb36e90b9237e15cede9c7cabef10317e0cb91"),
     # the report file of analyze is named in a config file only
     "analyze": ("analysis.json",
-                "c41b207b9fdb5a4e99c5255a104176cbe49dc9db037db8b368447b973c9b7429"),
+                "e41088921d623f754568038048e9111298d3079ee6cd4698beed183f098fd64b"),
     "broken-line": ("broken-line.csv",
                     "3b3c724878bbf5b5c8827f0edf066b329ba68addf6d4397f800f8d5368d2cf2d"),
     "orbit --kind skew --iters 300 --format csv": (
@@ -43,22 +43,22 @@ DIGESTS = {
         "12918a0032f090c02462d3a8c3cbeecfb2e1debda31d73a30e8cc0fd257b4cf1"),
     "orbit --kind skew --iters 300 --format jsonl": (
         "orbit-skew.jsonl",
-        "f7de4e382df0d2783330ef98276ee9a92a4ea37cdff6898ec8aeb824eaa65b33"),
+        "62c99011c8094297f8e0afc59d1082bf61d8037c81051e670fae85df11976d92"),
     "orbit --kind strip --iters 300 --format jsonl --s=-3/7 --theta=2/7": (
         "orbit-strip.jsonl",
-        "ed742c390781d4648aeb16a39ae37463aeb18368c1839d6abc3c351606136cf1"),
+        "c6b8ef6545e1231c36e14907d348651520e2662055ae66afae4439fb81a978ee"),
     "orbit --kind translation --iters 300 --format jsonl --start [1/3,2/7,-1/5]": (
         "orbit-translation.jsonl",
         "c2ba0621b54b30655a363c93bc90530ca534464fd53e515f16c0608198a2a6d7"),
     "orbit --kind flow --iters 300 --format jsonl --start [1/3,2/7,-1/5] --step 2/5": (
         "orbit-flow.jsonl",
-        "3f827d3234bf1b2d7e3671479e2ba6f11b9bc047d1f1c8084001578177b5ad37"),
-    # a start of mixed scalar types, whose first z prints as "4/5+0*l",
+        "ab1e300ee4a508a63dc078a372df7c68488151877a6497ebb6eccd1afe8fcb86"),
+    # a start of mixed scalar types, whose first z prints as "4/5",
     # and a seed past 64 bits
     "orbit --kind translation --iters 300 --format jsonl --substitution a->aab;b->a"
     " --start [1/3+l,2/7,-1/5] --seed -12345678901234567890": (
         "orbit-translation.jsonl",
-        "323f19dbe3476e92bfc82310cddf324a70cafcd3435c476e33df778560113c46"),
+        "6cd8bf2d467ec475b0c57db22bdcddb490c7572589f54909091b6193fdfc61bf"),
     # every kind and format at the default 10^4 iterates, where the
     # coefficients become multi-limb integers, and a flow CSV of a->aab;b->a
     "orbit --kind skew --format csv": (
@@ -75,16 +75,16 @@ DIGESTS = {
         "e6f3c8df2f389a67d71cbedc171913bd1ffd603b84021679409aafea25415eca"),
     "orbit --kind skew --format jsonl": (
         "orbit-skew.jsonl",
-        "1a59e7b2d33bd7018c1ee40c3b157760d46c164c5a47014c15bcaeff89da8297"),
+        "a3dc1b8f4d8f4edcd6d87eb5f09e44741933d1b6a3d22650ab7fcf6ebd9bed39"),
     "orbit --kind strip --format jsonl": (
         "orbit-strip.jsonl",
-        "e1d4b764a6807e97bb18613a10b9ee6ba3fe5785ff3f376dfcdd70ca83ce2d25"),
+        "6e051bd4f2729e34a48150fa2b6caae06a31d076a1adbd4da2b83a80e15b5728"),
     "orbit --kind translation --format jsonl": (
         "orbit-translation.jsonl",
         "762b877d83f6ca163bed365ac8bd2505333e54255f38112c8184e936d85466b3"),
     "orbit --kind flow --format jsonl": (
         "orbit-flow.jsonl",
-        "070319a23fc875dc5e732f7e186dc276f05d38b1ea3024f01e5bfa027bd21eb3"),
+        "ffb5002f7ec981aee5a4547081fe51b7ca0b8b346cac93856b72f6866f68155b"),
     "orbit --kind flow --format csv --substitution a->aab;b->a": (
         "orbit-flow.csv",
         "f174873b7bdbb9f469b5bfaddb1e131d6b9cd0f4c76fd9dce309e6c637ab6369"),

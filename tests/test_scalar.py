@@ -179,8 +179,9 @@ def test_multiplication_matches_mpmath_sign(a1, b1, a2, b2):
 def test_str_matches_fraction_coordinates(A, B, d, ctx):
     x = QuadraticNumber(Fraction(A, d), Fraction(B, d), ctx)
     a, b = Fraction(A, d), Fraction(B, d)
-    assert str(x) == (f"{a}+{b}*l" if b >= 0 else f"{a}-{-b}*l")
-    assert str(x) == (f"{x.a}+{x.b}*l" if x.b >= 0 else f"{x.a}-{-x.b}*l")
+    assert str(x) == (str(a) if b == 0 else f"{a}+{b}*l" if b > 0 else f"{a}-{-b}*l")
+    assert str(x) == (str(x.a) if x.b == 0 else f"{x.a}+{x.b}*l" if x.b > 0
+                      else f"{x.a}-{-x.b}*l")
 
 
 @pytest.mark.parametrize("ctx", [GOLDEN, QuadraticContext(0, -2), QuadraticContext(1, -3)])
@@ -195,7 +196,7 @@ def test_text_and_float_parts_out_of_lowest_terms(ctx):
     for A, B, d in triples:
         x = QuadraticNumber(Fraction(A, d), Fraction(B, d), ctx)
         a, b = Fraction(A, d), Fraction(B, d)
-        text = f"{a}+{b}*l" if b >= 0 else f"{a}-{-b}*l"
+        text = str(a) if b == 0 else f"{a}+{b}*l" if b > 0 else f"{a}-{-b}*l"
         with mpmath.workdps(60):
             root = (ctx.trace + mpmath.sqrt(ctx.disc)) / 2
             value = float(mpmath.mpf(A) / d + mpmath.mpf(B) / d * root)
@@ -203,6 +204,21 @@ def test_text_and_float_parts_out_of_lowest_terms(ctx):
             assert _text_parts(k * A, k * B, k * d) == str(x) == text, (A, B, d, k)
             assert _float_parts(k * A, k * B, k * d, ctx) == float(x) == value, (A, B, d, k)
     assert type(_float_parts(6, 0, 4, ctx)) is float and _float_parts(6, 0, 4, ctx) == 1.5
+
+
+@pytest.mark.parametrize("ctx", [GOLDEN, QuadraticContext(0, -2), QuadraticContext(1, -3)])
+def test_equal_values_print_alike_whatever_their_type(ctx):
+    # a field element with zero l-part, a Rational and a Fraction of one
+    # value have one text, and parse_scalar reads every text back
+    big = 10 ** 22
+    for A, d in [(0, 1), (4, 5), (-4, 5), (7, 1), (-7, 4), (big, 7), (-3 * big - 1, big + 7),
+                 (1, big - 1), (-big, 1)]:
+        x = QuadraticNumber(Fraction(A, d), 0, ctx)
+        text = str(Fraction(A, d))
+        for k in (1, 2, 6, big + 9):
+            assert _text_parts(k * A, 0, k * d) == str(x) == str(_rational(A, d)) == text, (A, d, k)
+        for y in (x, x + ctx.lam, x - Fraction(3, 7) * ctx.lam, x + big * ctx.lam):
+            assert parse_scalar(str(y), ctx) == y, str(y)
 
 
 def test_parse_round_trip():

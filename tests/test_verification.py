@@ -340,10 +340,10 @@ def test_strip_witness(monkeypatch):
     monkeypatch.undo()
     check = dyn.psi_identity_check
     monkeypatch.setattr(dyn, "psi_identity_check",
-                        lambda n: {**check(n), "psi0": "0", "passed": False})
+                        lambda: {**check(), "psi0": "0", "passed": False})
     witness = ver.check_strip(5).details["witness"]
     assert witness == {"law": "psi0 = psi1 = -1/phi and the jump at 1/phi^2 is -1",
-                       "psi0": "0", "psi1": "1-1*l", "jump_left_minus_right": "-1+0*l"}
+                       "psi0": "0", "psi1": "1-1*l", "jump_left_minus_right": "-1"}
 
 
 def test_table_draws_follow_the_randrange_stream():
