@@ -22,8 +22,8 @@ they are computed, so the memory of ``orbit`` does not depend on
 ``--iters``.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error (also
-an ``equidistribution --iters`` past the Weyl kernel's memory budget),
-3 hypothesis violation, 4 I/O error.
+an ``equidistribution --iters`` or ``--radius`` past the Weyl kernel's
+memory budget), 3 hypothesis violation, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -530,7 +530,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WeylSizeError as exc:
-        print(f"error: --iters: {exc}", file=sys.stderr)
+        print(f"error: {'--radius' if exc.by_radius else '--iters'}: {exc}", file=sys.stderr)
         return 2
     except (HypothesisError, EigenSignError) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)

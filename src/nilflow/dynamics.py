@@ -139,12 +139,16 @@ class PiecewiseTorusMap:
         window; v may lie outside it, as the fiber update is defined mod 1."""
         i = self._index(u)
         b = self.branches[i]
-        w = v + b.poly(u)
-        k = math.floor(w - self.fiber_lo if self.fiber_lo else w)
-        return i, u + b.du, (w - k if k else w), k
+        k, w = self.wrap(v + b.poly(u))
+        return i, u + b.du, w, k
 
     # the same function under a second name, which a tracer can wrap alone
     step_with_floors = step_coords
+
+    def wrap(self, w):
+        """(k, w - k) for the integer k that takes w into the fiber window."""
+        k = math.floor(w - self.fiber_lo if self.fiber_lo else w)
+        return k, (w - k if k else w)
 
     def _integer_rows(self, ctx, du: int = 1, dv: int = 1):
         """The branch data on integers, for u over a multiple ``Du`` of
@@ -298,7 +302,7 @@ def strip_family(s, theta) -> PiecewiseTorusMap:
 # renormalization of the strip family
 
 
-def renormalization_check(s, s_prime, theta, n_points: int = 101) -> dict:
+def renormalization_check(s, s_prime, theta) -> dict:
     """Exact conjugacy of the induced strip map with a renormalized member.
 
     The transfer is (u, v) -> (phi^2 u, a u^2 + b u + v) with a = -phi^3;
@@ -312,8 +316,7 @@ def renormalization_check(s, s_prime, theta, n_points: int = 101) -> dict:
     theta_prime = PHI2 * theta + PHI2 * (s + 1) - (s_prime + 1)
     induced, _ = strip_family(s, theta).induce(golden(0), INV_PHI2)
     target = strip_family(s_prime, theta_prime)
-    us = [_rational(i, n_points) for i in range(n_points)]
-    us.extend([INV_PHI2, INV_PHI4, INV_PHI])
+    us = [_rational(i, 101) for i in range(101)] + [INV_PHI2, INV_PHI4, INV_PHI]
     failures = []
     for i, u in enumerate(us):
         u, v = golden(u), golden(_rational(i % 3, 3))
@@ -429,21 +432,20 @@ class SigmaSection:
         self.quadric = surface_quadric(data)
         self.vec = flow_of(data, "lam")
         zero = data.zero()
+        # the branch rule, (time, translation, lattice offset (n, m)) of the
+        # return from s, indexed by s >= 0
+        self._rule = ((d.t_b, d.s_b, (0, -1)), (d.t_a, d.s_a, (-1, 0)))
         self.table = PiecewiseTorusMap(
             [_affine_branch(lo, hi, lambda s: self._flight(s, 0)[:2])
              for lo, hi in ((d.s_a, zero), (zero, d.s_b))], -HALF)
-        self._returns = ((d.t_b, (0, -1)), (d.t_a, (-1, 0)))
+        self._returns = tuple((t, nm) for t, _, nm in self._rule)
         self._rho, self._sigma, self._inv_sb = d.t_a / d.t_b, d.s_a / d.s_b, 1 / d.s_b
-        # the fiber window [-1/2, 1/2) in the field: with the offset on the
-        # left, a test is the offset's own comparison, no reflected one
-        self._zoff_lo, self._zoff_hi = zero - HALF, zero + HALF
         ctx = zero.ctx
         Du, Dv, F, rows = self.table._integer_rows(ctx)
         self._integers = (ctx, Du, Dv, F, _over(_triple(self.table.lo, ctx), Du), rows)
 
     def contains(self, p: SectionPoint) -> bool:
-        return (self.data.s_a <= p.s < self.data.s_b
-                and p.zoff >= self._zoff_lo and p.zoff < self._zoff_hi)
+        return self.data.s_a <= p.s < self.data.s_b and self.table.wrap(p.zoff)[0] == 0
 
     def point(self, s, zoff) -> SectionPoint:
         p = SectionPoint(golden_like(s, self.data), golden_like(zoff, self.data))
@@ -477,15 +479,14 @@ class SigmaSection:
     def _flight(self, s, zoff):
         """One return by flowing the group point, (u, unreduced offset, t,
         (n, m)); valid for s in [s_a, s_b] (closed right end)."""
-        d = self.data
-        if s >= 0:
-            t, u, nm = d.t_a, s + d.s_a, (-1, 0)
-        else:
-            t, u, nm = d.t_b, s + d.s_b, (0, -1)
+        t, shift, nm = self._rule[s >= 0]
+        u = s + shift
         return u, self._flow_offset(s, zoff, t, u, *nm), t, nm
 
     def _step(self, s, zoff) -> ReturnRecord:
-        return _reduced(*self._flight(s, zoff))
+        u, w, t, nm = self._flight(s, zoff)
+        k, z = self.table.wrap(w)
+        return ReturnRecord(SectionPoint(u, z), t, (*nm, -k))
 
     def return_map(self, p: SectionPoint) -> ReturnRecord:
         """One step of ``table``, whose certificate keeps the image in the
@@ -561,19 +562,18 @@ class SigmaSection:
         t_b / Delta = alpha_p and s_b / Delta = alpha.
         """
         d = self.data
-        if s >= 0:
-            t_br, shift, offset = d.t_a, d.s_a, (1, 0)
-        else:
-            t_br, shift, offset = d.t_b, d.s_b, (0, 1)
-        # (n, m) is the plane offset: position at the crossing = u*(a_p, b_p) + (n, m)
-        best = (t_br, s + shift, offset)
+        t_br, shift, (n, m) = self._rule[s >= 0]
+        # best holds the plane offset, the lattice offset negated: the
+        # position at the crossing is u*(a_p, b_p) + (plane offset)
+        best = (t_br, s + shift, (-n, -m))
         ns = range((d.alpha_p * (s - d.s_b)).floor() + 1,
                    -(d.alpha_p * (d.s_a - s) - d.alpha * t_br).floor())
         for n, ms in self._crossing_rows(s, ns):
             if ms and (t := n * d.t_a + ms[0] * d.t_b) < best[0]:
                 best = (t, s + n * d.s_a + ms[0] * d.s_b, (n, ms[0]))
         t, u, (n, m) = best
-        return _reduced(u, self._flow_offset(s, zoff, t, u, -n, -m), t, (-n, -m))
+        k, z = self.table.wrap(self._flow_offset(s, zoff, t, u, -n, -m))
+        return ReturnRecord(SectionPoint(u, z), t, (-n, -m, -k))
 
     def early_crossing_audit(self, p: SectionPoint) -> dict:
         """Certify the step time is the first crossing of the section line.
@@ -583,7 +583,7 @@ class SigmaSection:
         smaller positive time and parameter inside [s_a, s_b).
         """
         d = self.data
-        t_branch = d.t_a if p.s >= 0 else d.t_b
+        t_branch = self._rule[p.s >= 0][0]
         early = []
         found_return = False
         for n, ms in self._crossing_rows(p.s, range(-4, 5)):
@@ -598,13 +598,6 @@ class SigmaSection:
             "return_seen_in_window": found_return,
             "passed": not early and found_return,
         }
-
-
-def _reduced(u, w, t, nm) -> ReturnRecord:
-    """The return at time t to the point over u, with w reduced into
-    [-1/2, 1/2) by pc and lattice element (n, m, pc)."""
-    pc = -(w + HALF).floor()
-    return ReturnRecord(SectionPoint(u, w + pc), t, (*nm, pc))
 
 
 def golden_like(x, data: EigenData) -> QuadraticNumber:
@@ -681,14 +674,14 @@ def self_induction_check(
             rhs = SectionPoint(*inverse.step_coords(q.s, q.zoff)[1:3])
             due = lam * section.return_map(rhs).time
         s_cur = d.lam_prime * q.s
-        w_cur = floor_mod1(det * q.zoff + HALF)[1] - HALF
+        w_cur = section.table.wrap(det * q.zoff)[1]
         elapsed, hit = 0, None
         while hit is None and elapsed < due and d.s_a <= s_cur <= d.s_b:
             hop = section._crossing_step(s_cur, w_cur)
             s_cur, w_cur, elapsed = hop.point.s, hop.point.zoff, elapsed + hop.time
             back = s_cur / d.lam_prime
             if d.s_a <= back < d.s_b:
-                hit = (back, floor_mod1(det * w_cur + HALF)[1] - HALF)
+                hit = (back, section.table.wrap(det * w_cur)[1])
         witness = {"witness": str(q.s), "zoff": str(q.zoff)}
         if hit is None:
             failures.append({**witness, "reason": "no return found"})
@@ -830,7 +823,7 @@ GOLDEN_SKEW = PiecewiseTorusMap([
 ])
 
 
-def fibonacci_chart_equivalence(n_verify: int = 100, seed: int = 41) -> dict:
+def fibonacci_chart_equivalence(seed: int = 41) -> dict:
     """Exact conjugacy of the diagonal chart map with the golden skew product.
 
     The conjugacy h(x, z) = (eps x, b2 z + w2 x^2 + w1 x) mod 1 is affine in
@@ -841,8 +834,9 @@ def fibonacci_chart_equivalence(n_verify: int = 100, seed: int = 41) -> dict:
     b2 q_i + w2 a_i^2 + w1 a_i + 1/(2 phi^3) is an integer.  The last
     condition fixes w1 uniquely, since a_0 - a_1 = 1 and a_1 is irrational.
     a_i, p_i, q_i are the branches of ``DiagonalSection.table``.  The
-    solution is then verified on n_verify random exact points.
+    solution is then verified on 100 random exact points.
     """
+    n_verify = 100
     data = eigen_data(factor(FIBONACCI))
     diag = DiagonalSection(data, 0, 0)
     zero = golden(0)
@@ -943,8 +937,9 @@ def r2_prime(x, y):
     return x + INV_PHI2 - 1, y + PHI2 * x - HALF_INV_PHI3
 
 
-def affine_identity_check(n_points: int = 100, seed: int = 3) -> dict:
+def affine_identity_check(seed: int = 3) -> dict:
     """psi_bar . R'_1^n . R'_2 . psi_bar^{-1} = T_phi + (n-2, 0), exactly."""
+    n_points = 100
     rng = random.Random(seed)
     failures = []
     for _ in range(n_points):
@@ -963,14 +958,14 @@ def affine_identity_check(n_points: int = 100, seed: int = 3) -> dict:
     return {"checked": 4 * n_points, "failures": failures, "passed": not failures}
 
 
-def region_invariance_audit(coeffs: RegionCoeffs | None = None) -> dict:
+def region_invariance_audit() -> dict:
     """Does R = T_phi (minus (1,0) on D_2) map D into D?  Reported, not asserted.
 
     The points are the origin and, over x = k/21 for |k| <= 10, the heights
     p(x) + j/9 for j = 1 .. 8.  With the default coefficients spot checks
     are expected to fail; the audit records the counts and a witness.
     """
-    c = coeffs if coeffs is not None else RegionCoeffs.default_coeffs()
+    c = RegionCoeffs.default_coeffs()
     inside = 0
     stayed = 0
     witnesses = []
@@ -1004,13 +999,13 @@ def region_invariance_audit(coeffs: RegionCoeffs | None = None) -> dict:
     }
 
 
-def rprime_return_audit(coeffs: RegionCoeffs | None = None, seed: int = 13) -> dict:
+def rprime_return_audit(seed: int = 13) -> dict:
     """First return of R' to D_2': count the R'_1 powers, expect {0, 1, 2, 3}.
 
     D_1' and D_2' are D_1 and D_2 with p = 0; 60 samples of D_2' are
     followed for at most 12 powers.
     """
-    c = coeffs if coeffs is not None else RegionCoeffs.default_coeffs()
+    c = RegionCoeffs.default_coeffs()
     flat = replace(c, p2=0, p1=0, p0=0)
     rng = random.Random(seed)
     counts: dict[int, int] = {}
@@ -1048,13 +1043,12 @@ def rprime_return_audit(coeffs: RegionCoeffs | None = None, seed: int = 13) -> d
     }
 
 
-def counterexample_suite(coeffs: RegionCoeffs | None = None,
-                         n_points: int = 100, seed: int = 3) -> dict:
-    c = coeffs if coeffs is not None else RegionCoeffs.default_coeffs()
+def counterexample_suite(seed: int = 3) -> dict:
+    c = RegionCoeffs.default_coeffs()
     return {
-        "affine_identity": affine_identity_check(n_points=n_points, seed=seed),
-        "region_invariance": region_invariance_audit(c),
-        "return_counts": rprime_return_audit(c, seed=seed),
+        "affine_identity": affine_identity_check(seed),
+        "region_invariance": region_invariance_audit(),
+        "return_counts": rprime_return_audit(seed),
         "origin_in_D2": in_d2(c, golden(0), golden(0)),
         "p0": str(c.p(golden(0))),
         "r0": str(c.r(golden(0))),
@@ -1080,8 +1074,9 @@ def gamma_zero(data: EigenData) -> QuadraticNumber:
     )
 
 
-def nonresonance_report(data: EigenData, x0, grid: int = 10) -> dict:
+def nonresonance_report(data: EigenData, x0) -> dict:
     """Exact check that gamma_zero + beta*x0 avoids the shifted-gamma grid."""
+    grid = 10
     gamma = gamma_zero(data)
     x0 = golden_like(x0, data)
     value = gamma + data.beta * x0
@@ -1101,11 +1096,10 @@ def nonresonance_report(data: EigenData, x0, grid: int = 10) -> dict:
     }
 
 
-def conjugation_suite(data: EigenData, x0, samples: int = 100, seed: int = 9,
-                      grid: int = 10) -> dict:
+def conjugation_suite(data: EigenData, x0, seed: int = 9) -> dict:
     rng = random.Random(seed)
     failures = []
-    for _ in range(samples):
+    for _ in range(100):
         def rnd():
             return _rational(rng.randrange(-2000, 2001), 1009)
         g = GroupPoint(rnd(), rnd(), rnd())
@@ -1116,7 +1110,7 @@ def conjugation_suite(data: EigenData, x0, samples: int = 100, seed: int = 9,
     return {
         "conjugation_failures": failures,
         "gamma0": str(gamma_zero(data)),
-        "nonresonance": nonresonance_report(data, x0, grid=grid),
+        "nonresonance": nonresonance_report(data, x0),
         "passed": not failures,
     }
 
@@ -1130,24 +1124,55 @@ def character_grid(radius: int = 3) -> list[tuple[int, int]]:
             for q in range(-radius, radius + 1) if (p, q) != (0, 0)]
 
 
-# the most memory the Weyl block kernel may hold at once, in bytes: the
-# CLI's --iters is capped at about 1.1e12 for radius 3
+# the most memory the Weyl block kernel may hold at once, in bytes: N is
+# capped at about 1.1e12 for radius 3, and the radius at 722 even at N = 1
 WEYL_MEMORY_BUDGET = 2 << 30
 
 
 class WeylSizeError(ValueError):
-    """A Weyl-sum size whose block kernel would pass ``WEYL_MEMORY_BUDGET``."""
+    """A Weyl-sum size whose block kernel would pass ``WEYL_MEMORY_BUDGET``:
+    N, or the radius if ``by_radius`` (no N is accepted at it)."""
+
+    def __init__(self, message: str, by_radius: bool):
+        super().__init__(message)
+        self.by_radius = by_radius
 
 
 def _block_bytes(n: int, r: int) -> int:
     """An upper bound on the bytes :func:`_block_moduli` holds at radius r
     with C and m at most n: five power tables of r + 1 rows, per q up to
     2r + 1 rows of b, a and t and three FFT rows of length at most
-    2^(bits of 2n - 2), the kernel's FFT, the float phase rows, and 4 MiB
-    for what does not grow with n."""
+    2^(bits of 2n - 2), the kernel's FFT, the float phase rows, 1 KiB for
+    each of the (2r + 1)^2 characters in the grid and the tables and report
+    keyed by them, and 4 MiB for what grows with neither."""
     size = 1 << (2 * n - 2).bit_length()
     return (16 * (5 * (r + 1) * n + (2 * r + 1) * (4 * n + 3 * size) + size)
-            + 64 * n + (4 << 20))
+            + 64 * n + 1024 * (2 * r + 1) ** 2 + (4 << 20))
+
+
+def _blocks(n_iter: int, chunk: int | None, r: int) -> tuple[int, int]:
+    """(C, m) of :func:`_block_moduli` at radius r; WeylSizeError past the budget."""
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be positive, got {n_iter}")
+    if chunk is None:
+        chunk = math.isqrt(n_iter - 1) + 1
+    elif chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
+    c = min(chunk, n_iter)
+    m = -(-n_iter // c)
+    if _block_bytes(max(c, m), r) > WEYL_MEMORY_BUDGET:
+        # default blocks: N fits iff C = ceil(sqrt N) does, so the largest is
+        # C^2; C = 0 when the characters alone pass the budget
+        lo, hi = 0, max(c, m)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _block_bytes(mid, r) <= WEYL_MEMORY_BUDGET else (lo, mid)
+        raise WeylSizeError(
+            f"N = {n_iter} needs about {_block_bytes(max(c, m), r) / 2 ** 30:.1f} GiB "
+            f"in the Weyl block kernel, over its budget of {WEYL_MEMORY_BUDGET >> 30} GiB; "
+            + (f"the largest accepted N at radius {r} is {lo * lo}" if lo
+               else f"no N is accepted at radius {r}"), by_radius=not lo)
+    return c, m
 
 
 def _mod1(x):
@@ -1213,26 +1238,9 @@ def _block_moduli(chars, n_iter: int, chunk: int | None, rows) -> dict:
     are taken with q >= 0 and grouped by q.
     """
     import numpy as np
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be positive, got {n_iter}")
-    if chunk is None:
-        chunk = math.isqrt(n_iter - 1) + 1
-    elif chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
-    c = min(chunk, n_iter)
-    m = -(-n_iter // c)
-    tail = n_iter - (m - 1) * c  # points of the last block
     r = max([1] + [max(abs(p), abs(q)) for p, q in chars])
-    if _block_bytes(max(c, m), r) > WEYL_MEMORY_BUDGET:
-        # default blocks: N fits iff C = ceil(sqrt N) does, so the largest is C^2
-        lo, hi = 1, max(c, m)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if _block_bytes(mid, r) <= WEYL_MEMORY_BUDGET else (lo, mid)
-        raise WeylSizeError(
-            f"N = {n_iter} needs about {_block_bytes(max(c, m), r) / 2 ** 30:.1f} GiB "
-            f"in the Weyl block kernel, over its budget of {WEYL_MEMORY_BUDGET >> 30} GiB;"
-            f" the largest accepted N at radius {r} is {lo * lo}")
+    c, m = _blocks(n_iter, chunk, r)
+    tail = n_iter - (m - 1) * c  # points of the last block
 
     def powers(phase):  # e(k t) for k = 0 .. r
         out = np.empty((r + 1, len(phase)), dtype=np.complex128)
@@ -1365,11 +1373,11 @@ def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
 
 def equidistribution_report(kind: str, n_iter: int, radius: int = 3,
                             threshold: float = 0.05,
-                            data: EigenData | None = None,
-                            escalation: int = 10) -> dict:
-    """Weyl-sum table with automatic escalation before declaring failure."""
+                            data: EigenData | None = None) -> dict:
+    """Weyl-sum table, rerun at 10 N before a failure is declared."""
     if radius < 1:
         raise ValueError(f"radius must be positive, got {radius}")
+    _blocks(n_iter, None, radius)  # sizes checked before the grid is built
     chars = character_grid(radius)
 
     def run(n):
@@ -1381,13 +1389,14 @@ def equidistribution_report(kind: str, n_iter: int, radius: int = 3,
         raise ValueError(f"unknown orbit kind {kind!r}")
 
     table = run(n_iter)
-    escalated = escalation > 1 and bool(max(table.values()) >= threshold)
+    escalated = bool(max(table.values()) >= threshold)
     if escalated:
-        table = run(n_iter * escalation)
+        n_iter *= 10
+        table = run(n_iter)
     worst = max(table.values())
     return {
         "kind": kind,
-        "n_iter": n_iter * (escalation if escalated else 1),
+        "n_iter": n_iter,
         "escalated": escalated,
         "threshold": threshold,
         "worst_modulus": float(worst),

@@ -527,6 +527,19 @@ def test_equidistribution_past_the_memory_budget_exits_2_at_once(tmp_path, capsy
     assert not out.exists()
 
 
+def test_equidistribution_past_the_memory_budget_by_radius_names_the_radius(tmp_path, capsys):
+    # (2r + 1)^2 - 1 characters at r = 10^5 are refused before the grid is built
+    import time
+    out = tmp_path / "eq"
+    start = time.perf_counter()
+    assert run(["equidistribution", "--radius", 10**5, "--iters", 100, "--out", out]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: --radius: N = 100 needs about")
+    assert err.rstrip().endswith("no N is accepted at radius 100000")
+    assert not out.exists()
+
+
 def test_jsonl_lines_are_what_json_writes():
     encode = json.JSONEncoder(sort_keys=True).encode
     texts = ["", "plain", "ä ß €", "\U0001f600", 'say "hi"', "back\\slash", "a/b",

@@ -209,7 +209,7 @@ def test_renormalization_random_triples():
         s = Fraction(rng.randrange(-20, 20), 9)
         sp = Fraction(rng.randrange(-20, 20), 11)
         th = Fraction(rng.randrange(-20, 20), 13)
-        assert renormalization_check(s, sp, th, n_points=41)["passed"]
+        assert renormalization_check(s, sp, th)["passed"]
 
 
 def test_renormalization_failures_carry_exact_witnesses(monkeypatch):
@@ -719,15 +719,15 @@ def test_skew_block_starts_are_quadratic_in_the_block_index():
 
 
 def test_chart_equivalence():
-    rep = fibonacci_chart_equivalence(n_verify=100)
-    assert rep["passed"] and rep["found"]
+    rep = fibonacci_chart_equivalence()
+    assert rep["passed"] and rep["found"] and rep["verified_points"] == 100
     assert rep["eps"] == -1 and rep["b2"] == 1
     assert rep["w2"] == "1/2" and rep["w1"] == "-1/2"
 
 
 def test_chart_conjugacy_at_the_branch_points(monkeypatch):
     # the random check never draws the branch points x = 0 and x = 1 - alpha
-    rep = fibonacci_chart_equivalence(n_verify=10)
+    rep = fibonacci_chart_equivalence()
     eps, b2 = rep["eps"], rep["b2"]
     w2, w1 = (parse_scalar(rep[k], GOLDEN) for k in ("w2", "w1"))
 
@@ -744,7 +744,7 @@ def test_chart_conjugacy_at_the_branch_points(monkeypatch):
         x1, z1 = step(self, x, z)
         return x1, floor_mod1(z1 + Fraction(1, 7))[1]
     monkeypatch.setattr(DiagonalSection, "step", shifted)
-    rep = fibonacci_chart_equivalence(n_verify=100)
+    rep = fibonacci_chart_equivalence()
     assert not rep["found"] and not rep["passed"]
 
 
@@ -766,7 +766,8 @@ def test_affine_identity_spot_values():
 
 
 def test_affine_identity_random():
-    assert affine_identity_check(100, seed=10)["passed"]
+    rep = affine_identity_check(seed=10)
+    assert rep["passed"] and rep["checked"] == 400
 
 
 def test_origin_in_d2():
@@ -787,21 +788,10 @@ def test_region_invariance_documented():
 
 
 def test_counterexample_suite_shape():
-    rep = counterexample_suite(n_points=20, seed=11)
-    assert rep["affine_identity"]["passed"]
+    rep = counterexample_suite(seed=11)
+    assert rep["affine_identity"]["passed"] and rep["affine_identity"]["checked"] == 400
     assert rep["origin_in_D2"]
     assert "histogram" in rep["return_counts"]
-
-
-def test_counterexample_suite_coefficients_are_data():
-    # the affine identity is region-independent, so overriding the region
-    # coefficients only changes the audits
-    base = RegionCoeffs.default_coeffs()
-    alt = RegionCoeffs(base.p2, base.p1, base.p0, base.q1, base.q0,
-                       base.r1, base.r0 + Fraction(1, 10))
-    rep = counterexample_suite(alt, n_points=10, seed=12)
-    assert rep["affine_identity"]["passed"]
-    assert rep["r0"] != "1/2"
 
 
 def test_cx_conjugation_example():
@@ -814,9 +804,9 @@ def test_cx_conjugation_example():
 
 def test_gamma_zero_and_nonresonance():
     assert gamma_zero(FIB_DATA) == Fraction(3, 2) - PHI
-    rep = nonresonance_report(FIB_DATA, Fraction(1, 3), grid=8)
-    assert rep["nonresonant"]
-    rep0 = nonresonance_report(FIB_DATA, 0, grid=2)
+    rep = nonresonance_report(FIB_DATA, Fraction(1, 3))
+    assert rep["nonresonant"] and rep["grid"] == 10
+    rep0 = nonresonance_report(FIB_DATA, 0)
     assert rep0["resonances"] == [(0, 0)]
 
 
@@ -824,12 +814,10 @@ def test_gamma_zero_and_nonresonance():
 
 
 def test_equidistribution_small():
-    rep = equidistribution_report("skew", 50_000, radius=2, threshold=0.1,
-                                  escalation=1)
-    assert rep["passed"]
-    rep2 = equidistribution_report("nilflow", 50_000, radius=2, threshold=0.1,
-                                   escalation=1)
-    assert rep2["passed"]
+    rep = equidistribution_report("skew", 50_000, radius=2, threshold=0.1)
+    assert rep["passed"] and rep["escalated"] is False
+    rep2 = equidistribution_report("nilflow", 50_000, radius=2, threshold=0.1)
+    assert rep2["passed"] and rep2["escalated"] is False
 
 
 def test_nilflow_step_lies_outside_the_field():
@@ -839,8 +827,8 @@ def test_nilflow_step_lies_outside_the_field():
     assert off_field_step(18) == 3 ** 0.5 and off_field_step(12) == 2 ** 0.5
     data = eigen_data(factor(parse_substitution("a->aab;b->a")))
     assert data.context.disc == 8
-    rep = equidistribution_report("nilflow", 10**5, data=data, escalation=1)
-    assert rep["passed"], rep["worst_modulus"]
+    rep = equidistribution_report("nilflow", 10**5, data=data)
+    assert rep["passed"] and rep["escalated"] is False, rep["worst_modulus"]
 
 
 def test_zero_character_is_one():
@@ -1090,6 +1078,7 @@ def test_weyl_memory_bound_holds_and_caps_the_size():
     chars = character_grid(3)
     with pytest.raises(WeylSizeError, match=r"^N = 10000000000000 needs about") as got:
         _block_moduli(chars, 10**13, None, rows)
+    assert not got.value.by_radius
     limit = int(re.search(r"largest accepted N at radius 3 is (\d+)$", str(got.value))[1])
     c = math.isqrt(limit)
     assert c * c == limit
@@ -1098,6 +1087,34 @@ def test_weyl_memory_bound_holds_and_caps_the_size():
         _block_moduli(chars, limit + 1, None, rows)
     with pytest.raises(AssertionError, match="rows computed"):
         _block_moduli(chars, limit, None, rows)  # accepted: goes on to the rows
+
+
+def test_weyl_memory_bound_counts_the_characters(monkeypatch):
+    import tracemalloc
+
+    import nilflow.dynamics as dyn
+    from nilflow.dynamics import WeylSizeError, _block_bytes, equidistribution_report
+    # at radius 120 the grid and the tables keyed by it outgrow the kernel's
+    # arrays (whose bound both kinds meet above); the estimate bounds what the
+    # whole report holds.  Threshold 1: no escalation, so blocks of 100 points
+    equidistribution_report("skew", 100, radius=2)  # imports numpy outside the trace
+    tracemalloc.start()
+    try:
+        rep = equidistribution_report("skew", 10**4, radius=120, threshold=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep["escalated"] and peak <= _block_bytes(100, 120), peak
+
+    # a radius whose characters alone pass the budget: refused by name,
+    # before the grid is built
+    def no_grid(radius):
+        raise AssertionError("grid built")
+    monkeypatch.setattr(dyn, "WEYL_MEMORY_BUDGET", 16 << 20)
+    monkeypatch.setattr(dyn, "character_grid", no_grid)
+    with pytest.raises(WeylSizeError, match="no N is accepted at radius 120$") as got:
+        equidistribution_report("skew", 10**4, radius=120)
+    assert got.value.by_radius
 
 
 def test_turns_names_n_past_the_doubles_integers():

@@ -22,8 +22,15 @@ DIGESTS = {
                         "d7e6d94f458596dae12a18faea9271b0824d0543dbbbe3d5b1ef1c9f3975dad2"),
     "verify --seed 1": ("verify-report.json",
                         "1f150448725e2f1e2b47ef63b8e254b23989de500242e38c899d089f9eac5965"),
+    "verify --seed 2": ("verify-report.json",
+                        "da5114779a158c7aab36e3b2ebe8cefa6783180513887dc76d54d2cde9472fcc"),
     "induce": ("induce-report.json",
                "a93d25256a79d1b9e0b3336e21bb36e90b9237e15cede9c7cabef10317e0cb91"),
+    # a negative-trace substitution, checked against the inverse return map;
+    # the report holds no value of its field, so its bytes are the default's
+    "induce --substitution a->AB;b->A": (
+        "induce-report.json",
+        "a93d25256a79d1b9e0b3336e21bb36e90b9237e15cede9c7cabef10317e0cb91"),
     # the report file of analyze is named in a config file only
     "analyze": ("analysis.json",
                 "e41088921d623f754568038048e9111298d3079ee6cd4698beed183f098fd64b"),

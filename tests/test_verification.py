@@ -21,18 +21,18 @@ from nilflow.scalar import GOLDEN, parse_scalar
 
 
 def test_passing_checks_carry_no_witness():
-    assert ver.check_group_suite(0, cases=5).details == {"cases": 5, "failures": 0}
-    assert ver.check_flow_exchange(1, cases=5).details == {"cases": 5, "failures": 0}
-    assert ver.check_surface(4, cases=5).details == {
-        "cases": 5, "failures": 0, "action_failures": 0}
-    assert ver.check_decompose(11, cases=5).details == {"cases": 5, "failures": 0}
+    assert ver.check_group_suite(0).details == {"cases": 1000, "failures": 0}
+    assert ver.check_flow_exchange(1).details == {"cases": 100, "failures": 0}
+    assert ver.check_surface(4).details == {
+        "cases": 1000, "failures": 0, "action_failures": 0}
+    assert ver.check_decompose(11).details == {"cases": 25, "failures": 0}
 
 
 def test_group_suite_witness(monkeypatch):
     monkeypatch.setattr(ver, "log_point", lambda g: AlgebraVector(0, 0, 0))
-    result = ver.check_group_suite(0, cases=5)
+    result = ver.check_group_suite(0)
     witness = result.details["witness"]
-    assert not result.passed and result.details["failures"] == 5
+    assert not result.passed and result.details["failures"] == 1000
     assert witness["law"] == "exp/log round trip"
     u = AlgebraVector(*(Fraction(x) for x in witness["u"].strip("()").split(", ")))
     assert u != AlgebraVector(0, 0, 0) and log_point(exp_point(u)) == u
@@ -40,8 +40,8 @@ def test_group_suite_witness(monkeypatch):
 
 def test_flow_exchange_witness(monkeypatch):
     monkeypatch.setattr(ver, "flow_exchange_holds", lambda *args: False)
-    result = ver.check_flow_exchange(1, cases=4)
-    assert not result.passed and result.details["failures"] == 4
+    result = ver.check_flow_exchange(1)
+    assert not result.passed and result.details["failures"] == 100
     witness = result.details["witness"]
     assert witness["law"] == "flow exchange"
     assert set(witness) == {"law", "u", "v", "t", "s", "g"}
@@ -51,9 +51,9 @@ def test_flow_exchange_witness(monkeypatch):
 def test_surface_witness(monkeypatch):
     z_of_ts = ver.z_of_ts
     monkeypatch.setattr(ver, "z_of_ts", lambda data, t, s: z_of_ts(data, t, s) + 1)
-    result = ver.check_surface(4, cases=3)
+    result = ver.check_surface(4)
     assert not result.passed
-    assert (result.details["failures"], result.details["action_failures"]) == (3, 0)
+    assert (result.details["failures"], result.details["action_failures"]) == (1000, 0)
     witness = result.details["witness"]
     assert witness["law"] == "surface identity"
     # the witness is exact: it reproduces the failure
@@ -68,21 +68,21 @@ def test_decompose_witness(monkeypatch):
     def broken(endo):
         raise ValueError("no factorization")
     monkeypatch.setattr(ver, "decompose", broken)
-    result = ver.check_decompose(11, cases=3)
-    assert not result.passed and result.details["failures"] == 3
+    result = ver.check_decompose(11)
+    assert not result.passed and result.details["failures"] == 25
     witness = result.details["witness"]
     assert witness["law"] == "decompose raised"
     assert witness["error"] == "ValueError: no factorization"
     recompose([tuple(step) for step in witness["word"]])  # a valid generator word
 
     monkeypatch.setattr(ver, "decompose", lambda endo: [])
-    witness = ver.check_decompose(11, cases=3).details["witness"]
+    witness = ver.check_decompose(11).details["witness"]
     assert witness["law"] == "recompose(decompose(endo)) == endo"
 
 
 def test_self_induction_witness(monkeypatch):
     check = ver.dyn.self_induction_check
-    assert "witness" not in ver.check_self_induction(7, samples=6, autos=1).details
+    assert "witness" not in ver.check_self_induction(7).details
     # a crossing solve that never lands in lam' * Sigma: a genuine failure
     real = ver.dyn.SigmaSection._crossing_step
 
@@ -93,7 +93,7 @@ def test_self_induction_witness(monkeypatch):
         return replace(hop, point=SectionPoint(off, hop.point.zoff))
     with monkeypatch.context() as patch:
         patch.setattr(ver.dyn.SigmaSection, "_crossing_step", never_lands)
-        result = ver.check_self_induction(7, samples=6, autos=1)
+        result = ver.check_self_induction(7)
     assert not result.passed and result.details["fibonacci"] is False
     witness = result.details["witness"]
     assert witness["law"] == "T = Lambda^-1 . (T induced on lam' Sigma) . Lambda"
@@ -214,7 +214,7 @@ def test_broken_line_witness(monkeypatch):
 
 def test_diagonal_witness(monkeypatch):
     dyn = ver.dyn
-    assert "witness" not in ver.check_diagonal(8, samples=4).details
+    assert "witness" not in ver.check_diagonal(8).details
     data = eigen_data(factor(FIBONACCI))
     diag = dyn.DiagonalSection(data)
     audit = dyn.DiagonalSection.return_time_audit
@@ -222,7 +222,7 @@ def test_diagonal_witness(monkeypatch):
     def right_half_fails(self, x, z):
         return x < Fraction(1, 2) and audit(self, x, z)
     monkeypatch.setattr(dyn.DiagonalSection, "return_time_audit", right_half_fails)
-    result = ver.check_diagonal(8, samples=4)
+    result = ver.check_diagonal(8)
     assert not result.passed and not result.details["return_time_one"]
     witness = result.details["witness"]
     assert witness["law"] == "return time one"
@@ -236,7 +236,7 @@ def test_diagonal_witness(monkeypatch):
     def upper_half_stays(self, p):  # no return at all where zoff >= 0
         return dyn.ReturnRecord(p, 0, (0, 0, 0)) if p.zoff >= 0 else return_map(self, p)
     monkeypatch.setattr(dyn.SigmaSection, "return_map", upper_half_stays)
-    result = ver.check_diagonal(8, samples=4)
+    result = ver.check_diagonal(8)
     assert not result.passed and result.details["return_time_one"]
     witness = result.details["witness"]
     assert witness["law"] == "psi . T_Sigma = T_chart . psi"
@@ -254,14 +254,14 @@ def _group_point(text):
 
 def test_plane_suite_witness(monkeypatch):
     dyn = ver.dyn
-    assert "witness" not in ver.check_plane_suite(10, samples=5).details
+    assert "witness" not in ver.check_plane_suite(10).details
     t_phi = dyn.t_phi_affine
 
     def upper_half_off(x, y):
         tx, ty = t_phi(x, y)
         return tx, ty + (y > 0)
     monkeypatch.setattr(dyn, "t_phi_affine", upper_half_off)
-    result = ver.check_plane_suite(10, samples=5)
+    result = ver.check_plane_suite(10)
     assert not result.passed and not result.details["affine_identity"]
     witness = result.details["witness"]
     assert witness["law"] == "psi_bar . R'_1^n . R'_2 . psi_bar^{-1} = T_phi + (n-2, 0)"
@@ -281,7 +281,7 @@ def test_plane_suite_witness(monkeypatch):
     def upper_half_fails(x, g, y):  # depends on y, which the witness must carry
         return y.z <= 0 and holds(x, g, y)
     monkeypatch.setattr(dyn, "central_shift_conjugation_holds", upper_half_fails)
-    result = ver.check_plane_suite(10, samples=5)
+    result = ver.check_plane_suite(10)
     assert not result.passed and not result.details["cx_conjugation"]
     witness = result.details["witness"]
     assert witness["law"] == "C_x . T_g = T_g(x) . C_x"
@@ -318,7 +318,7 @@ def test_strip_witness(monkeypatch):
     witness = result.details["witness"]
     assert witness["law"] == "induced strip map = renormalized strip map"
     triple = (witness["s"], witness["s_prime"], witness["theta"])
-    report = dyn.renormalization_check(*(Fraction(x) for x in triple), n_points=101)
+    report = dyn.renormalization_check(*(Fraction(x) for x in triple))
     first = report["failures"][0]
     assert witness["failure"] == {k: list(v) for k, v in first.items()}
     monkeypatch.undo()
