@@ -16,14 +16,19 @@ outputs.  Files are written atomically: into ``<name>.tmp``, renamed once
 complete.  Orbit rows, row 0 included, are written straight from the
 integer numerators of the orbit kernels
 (``PiecewiseTorusMap._orbit_parts``, ``heisenberg._translation_parts``) by
-``scalar._float_parts`` and ``scalar._text_parts``, which give the float
-and the text of the exact value; they are streamed into the temp file as
-they are computed, so the memory of ``orbit`` does not depend on
-``--iters``.
+``scalar._float_parts`` for CSV and ``scalar._text_parts`` for JSONL, which
+give the float and the text of the exact value; the formats differ only in
+that converter, the header and the ``%`` format of a row.  A text uses only
+``0-9 / + - * l``, so a JSONL line needs no escaping to be what
+``json.dumps(record, sort_keys=True)`` writes.  Rows are streamed into the
+temp file as they are computed, so the memory of ``orbit`` does not depend
+on ``--iters``.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error (also
 an ``equidistribution --iters`` or ``--radius`` past the Weyl kernel's
-memory budget), 3 hypothesis violation, 4 I/O error.
+memory budget, or an ``--iters`` whose 10x rerun is; that refusal comes
+after the table at N, which decides whether the rerun is needed),
+3 hypothesis violation, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -87,43 +92,26 @@ def atomic_write(path: Path, lines) -> None:
         raise
 
 
+def _emit_rows(path: Path, head: str, row_format: str, rows) -> None:
+    """``head``, then the line ``row_format % row`` of each row."""
+    line = row_format + "\n"
+    atomic_write(path, itertools.chain((head,), (line % row for row in rows)))
+
+
 def emit_csv(path: Path, header: list[str], row_format: str, rows) -> None:
     """The header line, then the line ``row_format % row`` of each row:
     ``%.17g`` writes a float as ``_fmt_float`` does."""
-    line = row_format + "\n"
-    atomic_write(path, itertools.chain(
-        (",".join(header) + "\n",), (line % row for row in rows)))
-
-
-_json_str = json.encoder.encode_basestring_ascii
-
-
-def _json_int(v) -> str:
-    if type(v) is not int:  # json.dumps writes a bool as true or false
-        raise TypeError(f"a JSONL integer must be an int, not {type(v).__name__}")
-    return int.__repr__(v)
-
-
-def jsonl_lines(seed: int, names, rows):
-    """The orbit records ``{"k": k, "seed": seed, name: text, ...}`` of the
-    rows ``(k, texts)``, one line each with its newline, byte for byte as
-    ``json.JSONEncoder(sort_keys=True).encode`` writes them.  The key list
-    ``["k", "seed", *names]`` must be sorted, so that one f-string per row
-    writes the keys in place.  ``k`` and ``seed`` are ints and the texts
-    strs; any other type is a TypeError."""
-    keys = ["k", "seed", *names]
-    if sorted(set(keys)) != keys:
-        raise ValueError(f"JSONL keys {keys} are not distinct and sorted")
-    seed_text = _json_int(seed)
-    fields = "".join(", " + _json_str(n).replace("%", "%%") + ": %s" for n in names)
-    for k, texts in rows:
-        yield (f'{{"k": {_json_int(k)}, "seed": {seed_text}'
-               f'{fields % tuple(map(_json_str, texts))}}}\n')
+    _emit_rows(path, ",".join(header) + "\n", row_format, rows)
 
 
 def emit_jsonl(path: Path, seed: int, names, rows) -> None:
-    """Orbit records, one JSON object per line (see ``jsonl_lines``)."""
-    atomic_write(path, jsonl_lines(seed, names, rows))
+    """The orbit records ``{"k": k, "seed": seed, name: text, ...}`` of the
+    rows ``(k, text, ...)``, one JSON object per line, byte for byte as
+    ``json.dumps(record, sort_keys=True)`` writes them when ``names`` are
+    sorted and after "seed" and each text needs no escaping, as every
+    ``_text_parts`` text (``0-9 / + - * l``) does."""
+    fields = "".join(", " + json.dumps(n).replace("%", "%%") + ': "%s"' for n in names)
+    _emit_rows(path, "", '{"k": %d, "seed": ' + json.dumps(seed) + fields + "}", rows)
 
 
 def emit_report(path: Path, obj) -> None:
@@ -212,29 +200,19 @@ ORBIT_KINDS = {
 }
 
 
-def _orbit_cells(csv: bool, ctx, dens, parts):
-    """The rows of an orbit file, ``(k, float, ...)`` for CSV and ``(k,
-    (text, ...))`` for JSONL: each row of numerators ``parts`` over ``dens``
-    by ``_float_parts`` or ``_text_parts``, which write what ``float`` and
-    ``str`` of the row's exact values write."""
+def _orbit_cells(conv, ctx, dens, parts):
+    """The rows ``(k, cell, ...)`` of an orbit file: each row of numerators
+    ``parts`` over ``dens`` by ``conv``, ``_float_parts`` for CSV or
+    ``_text_parts`` for JSONL, which write what ``float`` and ``str`` of the
+    row's exact values write."""
     if len(dens) == 2:
         Du, Dv = dens
-        if csv:
-            for k, (U1, U2, V1, V2) in enumerate(parts):
-                yield k, _float_parts(U1, U2, Du, ctx), _float_parts(V1, V2, Dv, ctx)
-        else:
-            for k, (U1, U2, V1, V2) in enumerate(parts):
-                yield k, (_text_parts(U1, U2, Du), _text_parts(V1, V2, Dv))
+        for k, (U1, U2, V1, V2) in enumerate(parts):
+            yield k, conv(U1, U2, Du, ctx), conv(V1, V2, Dv, ctx)
     else:
         Dx, Dy, Dz = dens
-        if csv:
-            for k, (X1, X2, Y1, Y2, Z1, Z2) in enumerate(parts):
-                yield (k, _float_parts(X1, X2, Dx, ctx), _float_parts(Y1, Y2, Dy, ctx),
-                       _float_parts(Z1, Z2, Dz, ctx))
-        else:
-            for k, (X1, X2, Y1, Y2, Z1, Z2) in enumerate(parts):
-                yield k, (_text_parts(X1, X2, Dx), _text_parts(Y1, Y2, Dy),
-                          _text_parts(Z1, Z2, Dz))
+        for k, (X1, X2, Y1, Y2, Z1, Z2) in enumerate(parts):
+            yield k, conv(X1, X2, Dx, ctx), conv(Y1, Y2, Dy, ctx), conv(Z1, Z2, Dz, ctx)
 
 
 def cmd_orbit(cfg: dict) -> int:
@@ -242,12 +220,12 @@ def cmd_orbit(cfg: dict) -> int:
     # the kind reads the exact options and checks the kernel's inputs, so a
     # bad one writes no file
     names, *orbit = ORBIT_KINDS[kind](cfg)
-    rows = _orbit_cells(fmt == "csv", *orbit)
     path = Path(cfg["out"]) / f"orbit-{kind}.{fmt}"
     if fmt == "csv":
-        emit_csv(path, ["k", *names], "%d" + ",%.17g" * len(names), rows)
+        emit_csv(path, ["k", *names], "%d" + ",%.17g" * len(names),
+                 _orbit_cells(_float_parts, *orbit))
     else:
-        emit_jsonl(path, cfg["seed"], names, rows)
+        emit_jsonl(path, cfg["seed"], names, _orbit_cells(_text_parts, *orbit))
     return 0
 
 

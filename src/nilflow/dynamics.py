@@ -1150,6 +1150,19 @@ def _block_bytes(n: int, r: int) -> int:
             + 64 * n + 1024 * (2 * r + 1) ** 2 + (4 << 20))
 
 
+def _largest_n(r: int) -> int:
+    """The largest N whose default blocks fit the budget at radius r: N fits
+    iff C = ceil(sqrt N) does, so it is C^2 for the largest such C, and 0
+    when the characters alone pass the budget."""
+    lo, hi = 0, 1
+    while _block_bytes(hi, r) <= WEYL_MEMORY_BUDGET:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _block_bytes(mid, r) <= WEYL_MEMORY_BUDGET else (lo, mid)
+    return lo * lo
+
+
 def _blocks(n_iter: int, chunk: int | None, r: int) -> tuple[int, int]:
     """(C, m) of :func:`_block_moduli` at radius r; WeylSizeError past the budget."""
     if n_iter < 1:
@@ -1161,17 +1174,12 @@ def _blocks(n_iter: int, chunk: int | None, r: int) -> tuple[int, int]:
     c = min(chunk, n_iter)
     m = -(-n_iter // c)
     if _block_bytes(max(c, m), r) > WEYL_MEMORY_BUDGET:
-        # default blocks: N fits iff C = ceil(sqrt N) does, so the largest is
-        # C^2; C = 0 when the characters alone pass the budget
-        lo, hi = 0, max(c, m)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if _block_bytes(mid, r) <= WEYL_MEMORY_BUDGET else (lo, mid)
+        largest = _largest_n(r)
         raise WeylSizeError(
             f"N = {n_iter} needs about {_block_bytes(max(c, m), r) / 2 ** 30:.1f} GiB "
             f"in the Weyl block kernel, over its budget of {WEYL_MEMORY_BUDGET >> 30} GiB; "
-            + (f"the largest accepted N at radius {r} is {lo * lo}" if lo
-               else f"no N is accepted at radius {r}"), by_radius=not lo)
+            + (f"the largest accepted N at radius {r} is {largest}" if largest
+               else f"no N is accepted at radius {r}"), by_radius=not largest)
     return c, m
 
 
@@ -1374,7 +1382,9 @@ def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
 def equidistribution_report(kind: str, n_iter: int, radius: int = 3,
                             threshold: float = 0.05,
                             data: EigenData | None = None) -> dict:
-    """Weyl-sum table, rerun at 10 N before a failure is declared."""
+    """Weyl-sum table, rerun at 10 N before a failure is declared: N is
+    checked against the memory budget before any sum, 10 N once the table
+    at N asks for the rerun."""
     if radius < 1:
         raise ValueError(f"radius must be positive, got {radius}")
     _blocks(n_iter, None, radius)  # sizes checked before the grid is built
@@ -1391,6 +1401,14 @@ def equidistribution_report(kind: str, n_iter: int, radius: int = 3,
     table = run(n_iter)
     escalated = bool(max(table.values()) >= threshold)
     if escalated:
+        try:
+            _blocks(10 * n_iter, None, radius)
+        except WeylSizeError:
+            raise WeylSizeError(
+                f"the x10 rerun of N = {n_iter}, which a modulus at or over the threshold "
+                f"{threshold} asks for, is over the Weyl block kernel's memory budget of "
+                f"{WEYL_MEMORY_BUDGET >> 30} GiB; the largest N whose rerun fits at radius "
+                f"{radius} is {_largest_n(radius) // 10}", by_radius=False) from None
         n_iter *= 10
         table = run(n_iter)
     worst = max(table.values())

@@ -286,12 +286,13 @@ def _float_parts(A: int, B: int, d: int, ctx: "QuadraticContext") -> float:
         m *= 2
 
 
-def _text_parts(A: int, B: int, d: int) -> str:
+def _text_parts(A: int, B: int, d: int, ctx: "QuadraticContext | None" = None) -> str:
     """The text of ``(A + B*l)/d`` for ``d > 0``, in or out of lowest terms:
     ``a`` when ``B == 0``, else ``a+b*l`` or ``a-|b|*l``, with ``a`` and
     ``|b|`` as ``str(Fraction)`` writes them, so equal values print alike
     whatever their type; ``QuadraticNumber.__str__`` and the orbit writer
-    call it."""
+    call it.  The text uses only ``0-9 / + - * l``; ``ctx`` is not read, so
+    the orbit writer calls this and ``_float_parts`` alike."""
     g = _gcd(A, d)
     a = str(A // g) if g == d else f"{A // g}/{d // g}"
     if B == 0:

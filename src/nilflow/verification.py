@@ -395,8 +395,8 @@ def check_chart_equivalence(seed: int) -> CheckResult:
 def check_plane_suite(seed: int) -> CheckResult:
     """Affine identity, conjugation by central shears, and the region audit.
 
-    The region audit counts as produced-and-documented; the default
-    coefficients failing invariance is the expected outcome.
+    The region invariance and return-count audits are reported, not judged:
+    the default coefficients failing invariance is the expected outcome.
     """
     suite = dyn.counterexample_suite(seed)
     identity, invariance, returns = (
@@ -404,9 +404,8 @@ def check_plane_suite(seed: int) -> CheckResult:
     data = eigen_data(factor(FIBONACCI))
     conj = dyn.conjugation_suite(data, _rational(1, 3), seed)
     gamma0_ok = dyn.gamma_zero(data) == _rational(3, 2) - data.lam
-    documented = "invariance_failures" in invariance and "escapes" in returns
     passed = (identity["passed"] and conj["passed"] and gamma0_ok
-              and conj["nonresonance"]["nonresonant"] and documented)
+              and conj["nonresonance"]["nonresonant"])
     bad = _Failures()
     for case in identity["failures"]:
         bad.record(False, "psi_bar . R'_1^n . R'_2 . psi_bar^{-1} = T_phi + (n-2, 0)",

@@ -4,19 +4,20 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from nilflow.cli import _orbit_rows_flow, jsonl_lines, main
+from nilflow.cli import _orbit_cells, _orbit_rows_flow, emit_jsonl, main
 from nilflow.dynamics import GOLDEN_SKEW, INV_PHI4, PiecewiseTorusMap, golden, strip_family
 from nilflow.factorization import eigen_data, factor, flow_of
 from nilflow.freegroup import parse_substitution
 from nilflow.heisenberg import (
     GroupPoint,
+    _translation_parts,
     canonicalize,
     exp_point,
     flow,
     parse_group_point,
     translation_orbit,
 )
-from nilflow.scalar import GOLDEN, QuadraticNumber, _field, parse_scalar
+from nilflow.scalar import GOLDEN, QuadraticNumber, _field, _text_parts, parse_scalar
 
 
 def run(args):
@@ -540,29 +541,40 @@ def test_equidistribution_past_the_memory_budget_by_radius_names_the_radius(tmp_
     assert not out.exists()
 
 
-def test_jsonl_lines_are_what_json_writes():
-    encode = json.JSONEncoder(sort_keys=True).encode
-    texts = ["", "plain", "ä ß €", "\U0001f600", 'say "hi"', "back\\slash", "a/b",
-             "\x00\x01\t\n\r\x1f\x7f", "%s %d %%", "{0} {"]
-    ints = [0, 1, -1, 10**100 - 1, -(10**99) - 7, 2**63]
-    # keys after "seed" in sorted order, with quotes, escapes and '%'
-    for names in [("u", "v"), ("x", "y", "z"), ("t%s", 'u"q', "v\\", "w\n", "ä"), ()]:
-        rows = [(ints[i % len(ints)], [texts[(i + j) % len(texts)] for j in range(len(names))])
-                for i in range(12)]
+def test_equidistribution_rerun_past_the_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
+    import nilflow.dynamics as dyn
+    # the table at N is computed, then its x10 rerun is refused with no file
+    monkeypatch.setattr(dyn, "WEYL_MEMORY_BUDGET", dyn._block_bytes(100, 3))
+    assert run(["equidistribution", "--iters", 10**4, "--threshold", 1e-9,
+                "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --iters: the x10 rerun of N = 10000, ")
+    assert err.rstrip().endswith("the largest N whose rerun fits at radius 3 is 1000")
+    assert not list(tmp_path.glob("weyl-sums.*"))
+
+
+def test_emit_jsonl_lines_are_what_json_writes(tmp_path):
+    # every line of an orbit file, from a start off the default and for any
+    # seed, is what json.dumps writes for the record of the same row
+    n, data = 120, eigen_data(factor(parse_substitution("a->ab;b->a")))
+    vec = flow_of(data, "lam")
+    start = parse_group_point("[1/2+1*l, -l, 2]", data.context)
+    kernels = {
+        "skew": (("u", "v"), GOLDEN_SKEW._orbit_parts(golden(Fraction(1, 3)), INV_PHI4, n)),
+        "strip": (("u", "v"), strip_family(parse_scalar("-3/7", GOLDEN), parse_scalar(
+            "2/7", GOLDEN))._orbit_parts(golden(Fraction(2, 9)), -INV_PHI4, n)),
+        "translation": (("x", "y", "z"), _translation_parts(exp_point(vec), start, n)),
+        "flow": (("x", "y", "z"), _translation_parts(
+            exp_point(vec.scale(parse_scalar("3/7", data.context))), start, n)),
+    }
+    for kind, (names, kernel) in kernels.items():
+        rows = list(_orbit_cells(_text_parts, *kernel))
+        assert len(rows) == n + 1
         for seed in (0, -5, 10**100):
-            lines = list(jsonl_lines(seed, names, rows))
-            assert lines == [encode({"k": k, "seed": seed, **dict(zip(names, t))}) + "\n"
-                             for k, t in rows]
-    for bad in (1.5, float("nan"), True, False, None, Fraction(1, 2)):
-        with pytest.raises(TypeError):
-            list(jsonl_lines(0, ["u"], [(1, ["a"]), (bad, ["b"])]))
-        with pytest.raises(TypeError):
-            list(jsonl_lines(0, ["u"], [(1, ["a"]), (2, [bad])]))
-        with pytest.raises(TypeError):
-            list(jsonl_lines(bad, ["u"], [(1, ["a"])]))
-    for names in [("a",), ("v", "u"), ("u", "u")]:  # keys out of order or repeated
-        with pytest.raises(ValueError):
-            list(jsonl_lines(0, names, []))
+            emit_jsonl(tmp_path / "o.jsonl", seed, names, rows)
+            lines = (tmp_path / "o.jsonl").read_text().splitlines(keepends=True)
+            assert lines == [json.dumps({"k": k, "seed": seed, **dict(zip(names, cells))},
+                                        sort_keys=True) + "\n" for k, *cells in rows], (kind, seed)
 
 
 def test_a_failed_orbit_leaves_no_file_and_the_old_artifact(tmp_path, monkeypatch):

@@ -1117,6 +1117,20 @@ def test_weyl_memory_bound_counts_the_characters(monkeypatch):
     assert got.value.by_radius
 
 
+def test_weyl_rerun_past_the_budget_names_the_rerun(monkeypatch):
+    import nilflow.dynamics as dyn
+    from nilflow.dynamics import WeylSizeError, _block_bytes, equidistribution_report
+    # N = 10^4 fits in blocks of 100 points, its x10 rerun does not; the
+    # table at N reaches the threshold, so the rerun is refused by name
+    monkeypatch.setattr(dyn, "WEYL_MEMORY_BUDGET", _block_bytes(100, 3))
+    with pytest.raises(WeylSizeError, match=r"^the x10 rerun of N = 10000, .* the largest "
+                                            r"N whose rerun fits at radius 3 is 1000$") as got:
+        equidistribution_report("skew", 10**4, radius=3, threshold=1e-9)
+    assert not got.value.by_radius
+    rep = equidistribution_report("skew", 10**3, radius=3, threshold=1e-9)
+    assert rep["escalated"] and rep["n_iter"] == 10**4
+
+
 def test_turns_names_n_past_the_doubles_integers():
     import numpy as np
 

@@ -1,6 +1,8 @@
 
+import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -204,6 +206,20 @@ def test_text_and_float_parts_out_of_lowest_terms(ctx):
             assert _text_parts(k * A, k * B, k * d) == str(x) == text, (A, B, d, k)
             assert _float_parts(k * A, k * B, k * d, ctx) == float(x) == value, (A, B, d, k)
     assert type(_float_parts(6, 0, 4, ctx)) is float and _float_parts(6, 0, 4, ctx) == 1.5
+
+
+_INTS = st.integers(min_value=-(1 << 80), max_value=1 << 80)
+
+
+@settings(max_examples=500, deadline=None)
+@given(A=_INTS, B=_INTS, d=st.integers(min_value=1, max_value=1 << 80))
+@example(A=0, B=0, d=1)
+@example(A=-(1 << 70), B=6, d=4)
+def test_texts_need_no_json_escaping(A, B, d):
+    # the JSONL orbit writer puts each text between quotes unescaped
+    text = _text_parts(A, B, d)
+    assert re.fullmatch(r"-?\d+(/\d+)?([+-]\d+(/\d+)?\*l)?", text), text
+    assert json.dumps(text) == '"' + text + '"'
 
 
 @pytest.mark.parametrize("ctx", [GOLDEN, QuadraticContext(0, -2), QuadraticContext(1, -3)])
