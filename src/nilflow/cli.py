@@ -232,7 +232,9 @@ def cmd_orbit(cfg: dict) -> int:
 def cmd_broken_line(cfg: dict) -> int:
     """The counts of the fixed point's broken line and their projections,
     streamed into broken-line.csv; the sup norm of the projections is
-    taken in the same pass and printed once the file is written."""
+    taken in the same pass and printed once the file is written.  A
+    substitution that fails (H) has no projection: its columns and its sup
+    norm are nan."""
     sub = parse_substitution(cfg["substitution"])
     n = cfg["length"]
     try:
@@ -258,7 +260,8 @@ def cmd_broken_line(cfg: dict) -> int:
 
     emit_csv(Path(cfg["out"]) / "broken-line.csv",
              ["k", "a", "b", "c", "proj_u", "proj_v"], "%d,%d,%d,%d,%.17g,%.17g", rows())
-    print(f"emitted {emitted} rows, projection sup norm {sup:.6f}")
+    norm = f"{sup:.6f}" if report.passed else "nan (no projection: (H) fails)"
+    print(f"emitted {emitted} rows, projection sup norm {norm}")
     return 0
 
 

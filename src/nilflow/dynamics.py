@@ -1119,9 +1119,11 @@ def conjugation_suite(data: EigenData, x0, seed: int = 9) -> dict:
 # Weyl sums
 
 
-def character_grid(radius: int = 3) -> list[tuple[int, int]]:
-    return [(p, q) for p in range(-radius, radius + 1)
-            for q in range(-radius, radius + 1) if (p, q) != (0, 0)]
+def half_grid(radius: int) -> list[tuple[int, int]]:
+    """One character of each pair +-(p, q) with 0 < max(|p|, |q|) <= radius:
+    q > 0, or q = 0 < p.  |S(-p, -q)| = |S(p, q)|, so a pair has one modulus."""
+    return [(p, q) for q in range(radius + 1)
+            for p in range(-radius if q else 1, radius + 1)]
 
 
 # the most memory the Weyl block kernel may hold at once, in bytes: N is
@@ -1163,20 +1165,17 @@ def _largest_n(r: int) -> int:
     return lo * lo
 
 
-def _blocks(n_iter: int, chunk: int | None, r: int) -> tuple[int, int]:
-    """(C, m) of :func:`_block_moduli` at radius r; WeylSizeError past the budget."""
+def _blocks(n_iter: int, r: int) -> tuple[int, int]:
+    """(C, m) of :func:`_block_moduli` at radius r, C = ceil(sqrt N) and
+    m = ceil(N/C) <= C; WeylSizeError past the budget."""
     if n_iter < 1:
         raise ValueError(f"n_iter must be positive, got {n_iter}")
-    if chunk is None:
-        chunk = math.isqrt(n_iter - 1) + 1
-    elif chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
-    c = min(chunk, n_iter)
+    c = math.isqrt(n_iter - 1) + 1
     m = -(-n_iter // c)
-    if _block_bytes(max(c, m), r) > WEYL_MEMORY_BUDGET:
+    if _block_bytes(c, r) > WEYL_MEMORY_BUDGET:
         largest = _largest_n(r)
         raise WeylSizeError(
-            f"N = {n_iter} needs about {_block_bytes(max(c, m), r) / 2 ** 30:.1f} GiB "
+            f"N = {n_iter} needs about {_block_bytes(c, r) / 2 ** 30:.1f} GiB "
             f"in the Weyl block kernel, over its budget of {WEYL_MEMORY_BUDGET >> 30} GiB; "
             + (f"the largest accepted N at radius {r} is {largest}" if largest
                else f"no N is accepted at radius {r}"), by_radius=not largest)
@@ -1186,15 +1185,15 @@ def _blocks(n_iter: int, chunk: int | None, r: int) -> tuple[int, int]:
 def _mod1(x):
     """x - floor(x), in place on a float array: the same doubles as
     ``np.remainder(x, 1.0)`` (both are the exact x - floor(x), rounded once),
-    at a fraction of its cost.  A scalar gives a new one."""
+    at a fraction of its cost."""
     import numpy as np
-    return np.subtract(x, np.floor(x), out=x if isinstance(x, np.ndarray) else None)
+    return np.subtract(x, np.floor(x), out=x)
 
 
 def _turns(*terms):
     """The sum of n gamma mod 1 over the terms (gamma, n), gamma exact and n
-    an integer or an array of integers held as doubles, 0 <= n < 2^53, each
-    to about an ulp whatever n.
+    an array of integers held as doubles, 0 <= n < 2^53, each to about an
+    ulp whatever n.
 
     gamma is reduced mod 1 exactly and cut into pieces of t = max(1, 53 - b)
     bits, b the bits of max n: the j-th piece is a multiple of 2^-jt below
@@ -1225,13 +1224,13 @@ def _turns(*terms):
     return _mod1(total)
 
 
-def _block_moduli(chars, n_iter: int, chunk: int | None, rows) -> dict:
+def _block_moduli(chars, n_iter: int, rows) -> dict:
     """|S_N|/N of each character over orbit points k = iC + j < N, in blocks.
 
-    The block length C is ``min(chunk, N)``, ceil(sqrt N) by default, and
-    there are m = ceil(N/C) blocks.  ``rows(C, m)`` gives, mod 1, the phases
-    x_j, y_j of the first block's points (j < C), the shifts X_i, Y_i of
-    block i < m, and the chirp h n^2 (n < max(C, m)) or None for h = 0:
+    The block length is C = ceil(sqrt N), and there are m = ceil(N/C) <= C
+    blocks.  ``rows(C, m)`` gives, mod 1, the phases x_j, y_j of the first
+    block's points (j < C), the shifts X_i, Y_i of block i < m, and the
+    chirp h n^2 (n < C) or None for h = 0:
     point iC + j is (x_j + X_i, y_j + Y_i + 2 h i j).  So
     S(p, q) = sum_i A_i T_i with A_i = e(p X_i + q Y_i),
     T_i = sum_j B_j e(2 q h i j) and B_j = e(p x_j + q y_j).  By
@@ -1247,7 +1246,7 @@ def _block_moduli(chars, n_iter: int, chunk: int | None, rows) -> dict:
     """
     import numpy as np
     r = max([1] + [max(abs(p), abs(q)) for p, q in chars])
-    c, m = _blocks(n_iter, chunk, r)
+    c, m = _blocks(n_iter, r)
     tail = n_iter - (m - 1) * c  # points of the last block
 
     def powers(phase):  # e(k t) for k = 0 .. r
@@ -1308,43 +1307,40 @@ def weyl_sums_skew_exact(chars, n_iter: int) -> dict:
             for p, q in chars}
 
 
-def _skew_shifts(u0, k0: int):
+def _skew_shifts(k0: int):
     """(E, D) in [0, 1)^2, exact in Q(sqrt 5), with u_{k0+j} = u_j + E and
-    v_{k0+j} = v_j + D + j E mod 1 on every golden skew product orbit with
-    base start u0.
+    v_{k0+j} = v_j + D + j E mod 1 on the golden skew product orbit from
+    (0, 0).
 
-    From the closed forms u_k = u0 + k/phi^2 and
-    v_k = v0 + k u0 + k(k-1)/(2 phi^2) - k/(2 phi^3): E = u_k0 - u_0 and
-    D = v_k0 - v_0, and the cross term j k0/phi^2 of v_{k0+j} is j E.
+    From the closed forms u_k = k/phi^2 and
+    v_k = k(k-1)/(2 phi^2) - k/(2 phi^3): E = u_k0 and D = v_k0, and the
+    cross term j k0/phi^2 of v_{k0+j} is j E.
     """
     return (floor_mod1(k0 * INV_PHI2)[1],
-            floor_mod1(k0 * u0 + k0 * (k0 - 1) // 2 * INV_PHI2
-                       - k0 * HALF_INV_PHI3)[1])
+            floor_mod1(k0 * (k0 - 1) // 2 * INV_PHI2 - k0 * HALF_INV_PHI3)[1])
 
 
-def weyl_sums_skew_product(chars, n_iter: int, u0: float = 0.0, v0: float = 0.0,
-                           chunk: int | None = None) -> dict:
-    """Birkhoff averages of characters along the golden skew product orbit.
+def weyl_sums_skew_product(chars, n_iter: int) -> dict:
+    """Birkhoff averages of characters along the golden skew product orbit
+    from (0, 0).
 
-    The start (u0, v0) is reduced mod 1 exactly in Q(sqrt 5).  With blocks
-    of C points and (E, D) = :func:`_skew_shifts` (u0, C), block i starts
-    at E_i = i E and D_i = i D + C (i choose 2) E, and its point j is
+    With blocks of C points and (E, D) = :func:`_skew_shifts` (C), block i
+    starts at E_i = i E and D_i = i D + C (i choose 2) E, and its point j is
     (u_j + E_i, v_j + D_i + i j E): a chirp h = E/2 for
     :func:`_block_moduli`.  Every phase row is a sum of n gamma mod 1 with
     gamma exact (:func:`_turns`), so each errs by about 2^-52 turns.
     """
     import numpy as np
-    u0, v0 = floor_mod1(golden(u0))[1], floor_mod1(golden(v0))[1]
 
     def rows(c, m):
-        e, d = _skew_shifts(u0, c)
-        j, i, n = (np.arange(k, dtype=np.float64) for k in (c, m, max(c, m)))
-        return (_turns((u0, 1), (INV_PHI2, j)),
-                _turns((v0, 1), (u0 - HALF_INV_PHI3, j), (INV_PHI2, j * (j - 1) / 2)),
+        e, d = _skew_shifts(c)
+        j, i = np.arange(c, dtype=np.float64), np.arange(m, dtype=np.float64)
+        return (_turns((INV_PHI2, j)),
+                _turns((-HALF_INV_PHI3, j), (INV_PHI2, j * (j - 1) / 2)),
                 _turns((e, i)),
                 _turns((d, i), (c * e, i * (i - 1) / 2)),
-                _turns((e / 2, n * n)))
-    return _block_moduli(chars, n_iter, chunk, rows)
+                _turns((e / 2, j * j)))
+    return _block_moduli(chars, n_iter, rows)
 
 
 def off_field_step(disc: int) -> float:
@@ -1357,8 +1353,7 @@ def off_field_step(disc: int) -> float:
     return math.sqrt(3 if disc % 2 == 0 and math.isqrt(half) ** 2 == half else 2)
 
 
-def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
-                      chunk: int | None = None) -> dict:
+def weyl_sums_nilflow(data: EigenData, chars, n_iter: int) -> dict:
     """Birkhoff averages of base characters along a sampled nilflow orbit.
 
     The sampling step is always :func:`off_field_step` of the field (sqrt(2)
@@ -1376,7 +1371,7 @@ def weyl_sums_nilflow(data: EigenData, chars, n_iter: int,
     def rows(c, m):
         j, i = np.arange(c, dtype=np.float64), np.arange(m, dtype=np.float64)
         return _turns((gx, j)), _turns((gy, j)), _turns((c * gx, i)), _turns((c * gy, i)), None
-    return _block_moduli(chars, n_iter, chunk, rows)
+    return _block_moduli(chars, n_iter, rows)
 
 
 def equidistribution_report(kind: str, n_iter: int, radius: int = 3,
@@ -1384,11 +1379,12 @@ def equidistribution_report(kind: str, n_iter: int, radius: int = 3,
                             data: EigenData | None = None) -> dict:
     """Weyl-sum table, rerun at 10 N before a failure is declared: N is
     checked against the memory budget before any sum, 10 N once the table
-    at N asks for the rerun."""
+    at N asks for the rerun.  The kernel sums one character of each pair
+    (:func:`half_grid`), whose modulus is written under "p,q" and "-p,-q"."""
     if radius < 1:
         raise ValueError(f"radius must be positive, got {radius}")
-    _blocks(n_iter, None, radius)  # sizes checked before the grid is built
-    chars = character_grid(radius)
+    _blocks(n_iter, radius)  # sizes checked before the grid is built
+    chars = half_grid(radius)
 
     def run(n):
         if kind == "skew":
@@ -1402,7 +1398,7 @@ def equidistribution_report(kind: str, n_iter: int, radius: int = 3,
     escalated = bool(max(table.values()) >= threshold)
     if escalated:
         try:
-            _blocks(10 * n_iter, None, radius)
+            _blocks(10 * n_iter, radius)
         except WeylSizeError:
             raise WeylSizeError(
                 f"the x10 rerun of N = {n_iter}, which a modulus at or over the threshold "
@@ -1418,6 +1414,6 @@ def equidistribution_report(kind: str, n_iter: int, radius: int = 3,
         "escalated": escalated,
         "threshold": threshold,
         "worst_modulus": float(worst),
-        "moduli": {f"{p},{q}": float(m) for (p, q), m in table.items()},
+        "moduli": {f"{s * p},{s * q}": m for (p, q), m in table.items() for s in (1, -1)},
         "passed": bool(worst < threshold),
     }

@@ -126,6 +126,20 @@ def test_broken_line(tmp_path, capsys):
     assert len(lines) == 52
 
 
+def test_broken_line_without_hypothesis_h_prints_a_nan_norm(tmp_path, capsys):
+    # a->ab;b->b fails (H): its projection columns are nan, and so is the
+    # sup norm printed, which a max() starting from 0.0 would keep at 0
+    assert run(["broken-line", "--substitution", "a->ab;b->b", "--length", 5,
+                "--out", tmp_path]) == 0
+    lines = (tmp_path / "broken-line.csv").read_text().splitlines()
+    assert lines[1:] == ["0,0,0,0,nan,nan", "1,1,0,0,nan,nan", "2,1,1,1,nan,nan",
+                         "3,1,2,2,nan,nan", "4,1,3,3,nan,nan", "5,1,4,4,nan,nan"]
+    out = capsys.readouterr().out
+    assert out == "emitted 6 rows, projection sup norm nan (no projection: (H) fails)\n"
+    assert run(["broken-line", "--length", 5, "--out", tmp_path]) == 0
+    assert "projection sup norm 0." in capsys.readouterr().out
+
+
 def test_induce(tmp_path, capsys):
     assert run(["induce", "--samples", 10, "--out", tmp_path]) == 0
     report = json.loads((tmp_path / "induce-report.json").read_text())
@@ -185,15 +199,15 @@ def test_equidistribution_artifact(tmp_path, capsys):
 
 
 def test_equidistribution_uses_the_substitution(tmp_path, capsys):
-    from nilflow.dynamics import character_grid, weyl_sums_nilflow
+    from nilflow.dynamics import weyl_sums_nilflow
     args = ["equidistribution", "--iters", 20000, "--radius", 2, "--format", "jsonl"]
     sub = "a->aab;b->a"
     assert run([*args, "--out", tmp_path / "default"]) == 0
     assert run([*args, "--substitution", sub, "--out", tmp_path / "aab"]) == 0
     default, aab = (json.loads((tmp_path / d / "weyl-sums.json").read_text())
                     for d in ("default", "aab"))
-    table = weyl_sums_nilflow(eigen_data(factor(parse_substitution(sub))),
-                              character_grid(2), 20000)
+    grid = [(p, q) for p in range(-2, 3) for q in range(-2, 3) if (p, q) != (0, 0)]
+    table = weyl_sums_nilflow(eigen_data(factor(parse_substitution(sub))), grid, 20000)
     assert aab["nilflow"]["n_iter"] == 20000
     assert aab["nilflow"]["moduli"] == {f"{p},{q}": m for (p, q), m in table.items()}
     assert aab["nilflow"]["moduli"] != default["nilflow"]["moduli"]

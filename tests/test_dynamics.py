@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
@@ -674,48 +674,42 @@ def test_skew_chunks_are_the_first_chunk_turned_and_chirped():
     def integral(x):
         return floor_mod1(x)[1] == 0
 
-    for start in ((0, 0), (Fraction(1, 4), Fraction(1, 2)),
-                  (Fraction(1, 8), Fraction(3, 4))):
-        u0, v0 = golden(start[0]), golden(start[1])
-        walk = [(u0, v0)]  # small indices by stepping
-        while len(walk) < 2000:
-            walk.append(golden_skew_step(*walk[-1]))
+    walk = [(golden(0), golden(0))]  # small indices by stepping from (0, 0)
+    while len(walk) < 2000:
+        walk.append(golden_skew_step(*walk[-1]))
 
-        def point(k):  # large ones by the closed forms
-            if k < len(walk):
-                return walk[k]
-            return (floor_mod1(u0 + k * INV_PHI2)[1],
-                    floor_mod1(v0 + k * u0 + k * (k - 1) // 2 * INV_PHI2
-                               - k * HALF_INV_PHI3)[1])
+    def point(k):  # large ones by the closed forms
+        if k < len(walk):
+            return walk[k]
+        return (floor_mod1(k * INV_PHI2)[1],
+                floor_mod1(k * (k - 1) // 2 * INV_PHI2 - k * HALF_INV_PHI3)[1])
 
-        for k0 in (1, 1000, 1 << 14, 61 << 14):
-            e, d = _skew_shifts(u0, k0)
-            uk, vk = point(k0)
-            assert integral(e - (uk - u0)) and integral(d - (vk - v0)), k0
-            for j in (0, 1, 577, (1 << 14) - 1):
-                u, v = point(k0 + j)
-                uj, vj = point(j)
-                assert integral(u - uj - (uk - u0)), (start, k0, j)
-                assert integral(v - vj - (vk - v0) - j * (uk - u0)), (start, k0, j)
-                assert integral(v - vj - d - j * e), (start, k0, j)
+    for k0 in (1, 1000, 1 << 14, 61 << 14):
+        e, d = _skew_shifts(k0)
+        uk, vk = point(k0)
+        assert integral(e - uk) and integral(d - vk), k0
+        for j in (0, 1, 577, (1 << 14) - 1):
+            u, v = point(k0 + j)
+            uj, vj = point(j)
+            assert integral(u - uj - uk), (k0, j)
+            assert integral(v - vj - vk - j * uk), (k0, j)
+            assert integral(v - vj - d - j * e), (k0, j)
 
 
 def test_skew_block_starts_are_quadratic_in_the_block_index():
     # with blocks of c points, block i starts at E_i = i E and
-    # D_i = i D + c (i choose 2) E mod 1, (E, D) = _skew_shifts(u0, c)
+    # D_i = i D + c (i choose 2) E mod 1, (E, D) = _skew_shifts(c)
     from nilflow.dynamics import _skew_shifts
 
     def integral(x):
         return floor_mod1(x)[1] == 0
 
     for c in (1000, 1009, 1 << 14):
-        for start in (0, Fraction(1, 4)):
-            u0 = golden(start)
-            e, d = _skew_shifts(u0, c)
-            for i in range(1000):
-                ei, di = _skew_shifts(u0, i * c)
-                assert integral(ei - i * e), (c, start, i)
-                assert integral(di - i * d - c * (i * (i - 1) // 2) * e), (c, start, i)
+        e, d = _skew_shifts(c)
+        for i in range(1000):
+            ei, di = _skew_shifts(i * c)
+            assert integral(ei - i * e), (c, i)
+            assert integral(di - i * d - c * (i * (i - 1) // 2) * e), (c, i)
 
 
 def test_chart_equivalence():
@@ -849,6 +843,21 @@ def test_exact_orbit_agrees_with_closed_form():
 
 NON_GRID = [(0, 0), (3, -1), (-2, 0), (1, 3)]
 
+# in blocks of ceil(sqrt N) points: one block at N = 1 and 2; 40 blocks at
+# N = 1599 (the last of 39 points) and 1600 (an exact square); 41 at 1601
+# (the last of 2)
+SQUARE_SIZES = (1, 2, 1599, 1600, 1601)
+# 55 blocks at 3000 (the last of 30), 59 of 60 at 3500 (the last of 20)
+# and 183 of 183 at 2^15 + 577 (the last of 39), over which the chirp-z
+# transforms run
+MANY_BLOCK_SIZES = (3000, 3500, (1 << 15) + 577)
+
+
+def character_grid(radius):
+    """Every character with 0 < max(|p|, |q|) <= radius, both of each pair."""
+    return [(p, q) for p in range(-radius, radius + 1)
+            for q in range(-radius, radius + 1) if (p, q) != (0, 0)]
+
 
 def _direct_moduli(chars, x, y):
     """|S_N|/N by one complex exponential per character over all samples."""
@@ -857,51 +866,50 @@ def _direct_moduli(chars, x, y):
             for p, q in chars}
 
 
-def _exact_skew_orbit(u0, v0, n):
+@cache
+def _orbits():
+    """The golden skew product orbit from (0, 0), iterated exactly and
+    rounded to floats, and the sampled Fibonacci nilflow, each as rows of x
+    and y over the largest of MANY_BLOCK_SIZES; a shorter orbit is a
+    prefix."""
     import numpy as np
-    u, v, pts = golden(Fraction(u0)), golden(Fraction(v0)), []
+    from nilflow.dynamics import off_field_step
+    n = MANY_BLOCK_SIZES[-1]
+    u, v, pts = golden(0), golden(0), []
     for _ in range(n):
         pts.append((float(u), float(v)))
         u, v = golden_skew_step(u, v)
-    return np.array(pts).T
+    t = np.arange(n) * off_field_step(5)
+    return {"skew": np.array(pts).T,
+            "nilflow": ((t * float(FIB_DATA.alpha)) % 1.0, (t * float(FIB_DATA.beta)) % 1.0)}
+
+
+def _check_against_direct_sums(chars, sizes):
+    """Both block kernels against direct sums at each size N."""
+    from nilflow.dynamics import weyl_sums_nilflow, weyl_sums_skew_product
+    orbits = _orbits()
+    for n in sizes:
+        for kind, got in (("skew", weyl_sums_skew_product(chars, n)),
+                          ("nilflow", weyl_sums_nilflow(FIB_DATA, chars, n))):
+            want = _direct_moduli(chars, *(row[:n] for row in orbits[kind]))
+            assert set(got) == set(chars)
+            for pq in chars:
+                assert abs(got[pq] - want[pq]) < 1e-12, (kind, n, pq)
 
 
 def test_weyl_kernel_matches_direct_exponential_sums():
-    from nilflow.dynamics import character_grid
     # every sign pattern of the grid, (0, 0), and a set off the grid
     for chars in (NON_GRID, character_grid(3) + [(0, 0)]):
         _check_weyl_kernel_against_direct_sums(chars)
 
 
 def _check_weyl_kernel_against_direct_sums(chars):
-    import numpy as np
-    from nilflow.dynamics import (
-        off_field_step, weyl_sums_nilflow, weyl_sums_skew_exact,
-        weyl_sums_skew_product,
-    )
+    from nilflow.dynamics import weyl_sums_nilflow, weyl_sums_skew_exact, weyl_sums_skew_product
 
-    alpha, beta = float(FIB_DATA.alpha), float(FIB_DATA.beta)
-    # one block of 3000; blocks of 1000 with a last one of 500, and of 1009
-    # with a last one of 473
-    for n, chunk in ((3000, 1 << 14), (3500, 1000), (3500, 1009)):
-        t = np.arange(n) * off_field_step(5)
-        want = _direct_moduli(chars, (t * alpha) % 1.0, (t * beta) % 1.0)
-        got = weyl_sums_nilflow(FIB_DATA, chars, n, chunk=chunk)
-        assert set(got) == set(chars)
-        for pq in chars:
-            assert abs(got[pq] - want[pq]) < 1e-12, (n, pq)
-    # blocks of 1000 or 1009, whose chirp-z transforms run over 3 or 4
-    # blocks; blocks of 2^14 at 2^15 + 577 end in a last block of 577
-    for n, chunk in ((3000, 1000), (3500, 1000), (3500, 1009),
-                     (2 * (1 << 14) + 577, 1 << 14)):
-        for u0, v0 in ((0.0, 0.0), (0.25, 0.5)):
-            want = _direct_moduli(chars, *_exact_skew_orbit(u0, v0, n))
-            fast = weyl_sums_skew_product(chars, n, u0=u0, v0=v0, chunk=chunk)
-            for pq in chars:
-                assert abs(fast[pq] - want[pq]) < 1e-9, (n, chunk, u0, v0, pq)
+    _check_against_direct_sums(chars, MANY_BLOCK_SIZES)
     # the oracle sums its points directly, beyond 2^14 too
     for n in (3000, (1 << 14) + 577):
-        want = _direct_moduli(chars, *_exact_skew_orbit(0, 0, n))
+        want = _direct_moduli(chars, *(row[:n] for row in _orbits()["skew"]))
         exact = weyl_sums_skew_exact(chars, n)
         for pq in chars:
             assert abs(exact[pq] - want[pq]) < 1e-12, (n, pq)
@@ -909,54 +917,26 @@ def _check_weyl_kernel_against_direct_sums(chars):
     for run in (weyl_sums_skew_product, nilflow, weyl_sums_skew_exact):
         with pytest.raises(ValueError, match="n_iter must be positive"):
             run(chars, 0)
-    for run in (weyl_sums_skew_product, nilflow):
-        with pytest.raises(ValueError, match="chunk must be positive"):
-            run(chars, 3000, chunk=0)
     with pytest.raises(ValueError, match="radius must be positive"):
         equidistribution_report("skew", 3000, radius=0)
 
 
 def test_weyl_blocks_match_direct_sums_around_a_square():
-    # the default block length is ceil(sqrt N): one block at N = 1 and 2, 40
-    # at N = 1599 (a last block of 39 points) and 1600 (a full one), 41 at
-    # 1601 (a last block of 2); blocks of 700 at 1601 leave one of 201
-    import numpy as np
-    from nilflow.dynamics import (
-        character_grid, off_field_step, weyl_sums_nilflow, weyl_sums_skew_product,
-    )
-    chars = character_grid(3) + [(0, 0)]
-    alpha, beta = float(FIB_DATA.alpha), float(FIB_DATA.beta)
-    sizes = ((1, None), (2, None), (1599, None), (1600, None), (1601, None), (1601, 700))
-    for u0, v0 in ((0.0, 0.0), (0.25, 0.5)):
-        x, y = _exact_skew_orbit(u0, v0, 1601)
-        for n, chunk in sizes:
-            want = _direct_moduli(chars, x[:n], y[:n])
-            got = weyl_sums_skew_product(chars, n, u0=u0, v0=v0, chunk=chunk)
-            for pq in chars:
-                assert abs(got[pq] - want[pq]) < 1e-12, (n, chunk, u0, v0, pq)
-    for n, chunk in sizes:
-        t = np.arange(n) * off_field_step(5)
-        want = _direct_moduli(chars, (t * alpha) % 1.0, (t * beta) % 1.0)
-        got = weyl_sums_nilflow(FIB_DATA, chars, n, chunk=chunk)
-        for pq in chars:
-            assert abs(got[pq] - want[pq]) < 1e-12, (n, chunk, pq)
+    _check_against_direct_sums(character_grid(3) + [(0, 0)], SQUARE_SIZES)
 
 
 def test_skew_weyl_sums_err_by_about_an_ulp_per_phase():
-    from nilflow.dynamics import character_grid, weyl_sums_skew_product
+    from nilflow.dynamics import weyl_sums_skew_product
     chars, n = character_grid(3), 20_000
-    for u0, v0 in ((0.0, 0.0), (0.25, 0.5)):
-        want = _direct_moduli(chars, *_exact_skew_orbit(u0, v0, n))
-        got = weyl_sums_skew_product(chars, n, u0=u0, v0=v0)
-        for pq in chars:
-            assert abs(got[pq] - want[pq]) < 1e-13, (u0, v0, pq)
+    want = _direct_moduli(chars, *(row[:n] for row in _orbits()["skew"]))
+    got = weyl_sums_skew_product(chars, n)
+    for pq in chars:
+        assert abs(got[pq] - want[pq]) < 1e-13, pq
 
 
 def test_weyl_kernel_exponentiates_only_its_block_rows(monkeypatch):
     import numpy as np
-    from nilflow.dynamics import (
-        character_grid, weyl_sums_nilflow, weyl_sums_skew_product,
-    )
+    from nilflow.dynamics import weyl_sums_nilflow, weyl_sums_skew_product
     counted = [0]
 
     def counting(ufunc):
@@ -967,7 +947,7 @@ def test_weyl_kernel_exponentiates_only_its_block_rows(monkeypatch):
     for name in ("cos", "sin", "exp"):
         monkeypatch.setattr(np, name, counting(getattr(np, name)))
     # one complex exponential per point of the block rows: 2 of C and 2 of
-    # m = ceil(N/C) points, and on the skew product a chirp of max(C, m),
+    # m = ceil(N/C) <= C points, and on the skew product a chirp of C,
     # with C = m = 1000 at N = 10^6; the orbit itself would be 10^6 points
     for run in (weyl_sums_skew_product, partial(weyl_sums_nilflow, FIB_DATA)):
         counted[0] = 0
@@ -991,26 +971,9 @@ def test_mod1_is_np_remainder_bit_for_bit():
     assert _mod1(x) is x
 
 
-def test_weyl_sums_do_not_depend_on_the_chunk():
-    from nilflow.dynamics import (
-        character_grid, weyl_sums_nilflow, weyl_sums_skew_product,
-    )
-    chars, n = character_grid(3), 100_003
-    pairs = [
-        (weyl_sums_skew_product(chars, n, chunk=1 << 10),
-         weyl_sums_skew_product(chars, n)),
-        (weyl_sums_skew_product(chars, n, u0=0.125, v0=0.75, chunk=1 << 10),
-         weyl_sums_skew_product(chars, n, u0=0.125, v0=0.75)),
-        (weyl_sums_nilflow(FIB_DATA, chars, n, chunk=1 << 10),
-         weyl_sums_nilflow(FIB_DATA, chars, n)),
-    ]
-    for small, default in pairs:
-        assert max(abs(small[pq] - default[pq]) for pq in chars) < 1e-10
-
-
 def test_nilflow_weyl_sums_match_the_geometric_series():
     mpmath = pytest.importorskip("mpmath")
-    from nilflow.dynamics import character_grid, weyl_sums_nilflow
+    from nilflow.dynamics import weyl_sums_nilflow
     # Fibonacci in Q(sqrt 5) with step sqrt 2, and a->aab;b->a in Q(sqrt 2)
     # with step sqrt 3, in the default blocks of 317 and 1000 points
     aab = eigen_data(factor(parse_substitution("a->aab;b->a")))
@@ -1034,9 +997,7 @@ def test_nilflow_weyl_sums_match_the_geometric_series():
 
 def test_skew_weyl_sums_stay_small_in_memory():
     import tracemalloc
-    from nilflow.dynamics import (
-        character_grid, weyl_sums_nilflow, weyl_sums_skew_product,
-    )
+    from nilflow.dynamics import weyl_sums_nilflow, weyl_sums_skew_product
     chars = character_grid(3)
     for run in (lambda: weyl_sums_skew_product(chars, 10**6),
                 lambda: weyl_sums_nilflow(FIB_DATA, chars, 10**6)):
@@ -1055,7 +1016,7 @@ def test_weyl_memory_bound_holds_and_caps_the_size():
     import tracemalloc
 
     from nilflow.dynamics import (
-        WEYL_MEMORY_BUDGET, WeylSizeError, _block_bytes, _block_moduli, character_grid,
+        WEYL_MEMORY_BUDGET, WeylSizeError, _block_bytes, _block_moduli,
         weyl_sums_nilflow, weyl_sums_skew_product,
     )
     # the estimate bounds what the kernel really holds, at both radii and kinds
@@ -1077,16 +1038,16 @@ def test_weyl_memory_bound_holds_and_caps_the_size():
         raise AssertionError("rows computed")
     chars = character_grid(3)
     with pytest.raises(WeylSizeError, match=r"^N = 10000000000000 needs about") as got:
-        _block_moduli(chars, 10**13, None, rows)
+        _block_moduli(chars, 10**13, rows)
     assert not got.value.by_radius
     limit = int(re.search(r"largest accepted N at radius 3 is (\d+)$", str(got.value))[1])
     c = math.isqrt(limit)
     assert c * c == limit
     assert _block_bytes(c, 3) <= WEYL_MEMORY_BUDGET < _block_bytes(c + 1, 3)
     with pytest.raises(WeylSizeError):
-        _block_moduli(chars, limit + 1, None, rows)
+        _block_moduli(chars, limit + 1, rows)
     with pytest.raises(AssertionError, match="rows computed"):
-        _block_moduli(chars, limit, None, rows)  # accepted: goes on to the rows
+        _block_moduli(chars, limit, rows)  # accepted: goes on to the rows
 
 
 def test_weyl_memory_bound_counts_the_characters(monkeypatch):
@@ -1096,7 +1057,10 @@ def test_weyl_memory_bound_counts_the_characters(monkeypatch):
     from nilflow.dynamics import WeylSizeError, _block_bytes, equidistribution_report
     # at radius 120 the grid and the tables keyed by it outgrow the kernel's
     # arrays (whose bound both kinds meet above); the estimate bounds what the
-    # whole report holds.  Threshold 1: no escalation, so blocks of 100 points
+    # whole report holds.  Threshold 1: no escalation, so blocks of 100 points.
+    # |S(-p, -q)| = |S(p, q)|, and the kernel is asked for one character of
+    # each pair, so the peak also stays under 13 MiB (summing both of each
+    # pair peaks at 14.1 MiB)
     equidistribution_report("skew", 100, radius=2)  # imports numpy outside the trace
     tracemalloc.start()
     try:
@@ -1105,16 +1069,38 @@ def test_weyl_memory_bound_counts_the_characters(monkeypatch):
     finally:
         tracemalloc.stop()
     assert not rep["escalated"] and peak <= _block_bytes(100, 120), peak
+    assert peak < 13 * 2**20, peak
 
     # a radius whose characters alone pass the budget: refused by name,
     # before the grid is built
     def no_grid(radius):
         raise AssertionError("grid built")
     monkeypatch.setattr(dyn, "WEYL_MEMORY_BUDGET", 16 << 20)
-    monkeypatch.setattr(dyn, "character_grid", no_grid)
+    monkeypatch.setattr(dyn, "half_grid", no_grid)
     with pytest.raises(WeylSizeError, match="no N is accepted at radius 120$") as got:
         equidistribution_report("skew", 10**4, radius=120)
     assert got.value.by_radius
+
+
+def test_weyl_report_sums_each_pair_once(monkeypatch):
+    import nilflow.dynamics as dyn
+    chars = dyn.half_grid(3)
+    assert len(chars) == 24 and {(-p, -q) for p, q in chars}.isdisjoint(chars)
+    assert sorted(chars + [(-p, -q) for p, q in chars]) == sorted(character_grid(3))
+    # the kernel is asked for one character of each pair +-(p, q), and the
+    # report writes its modulus under the keys of both
+    asked = []
+    for name in ("weyl_sums_skew_product", "weyl_sums_nilflow"):
+        def counted(*args, _kernel=getattr(dyn, name)):
+            asked.append(len(args[-2]))  # (..., chars, n_iter)
+            return _kernel(*args)
+        monkeypatch.setattr(dyn, name, counted)
+    for kind in ("skew", "nilflow"):
+        moduli = dyn.equidistribution_report(kind, 10**4, radius=3, threshold=1.0)["moduli"]
+        assert sorted(moduli) == sorted(f"{p},{q}" for p, q in character_grid(3))
+        for p, q in character_grid(3):
+            assert moduli[f"{p},{q}"] == moduli[f"{-p},{-q}"], (kind, p, q)
+    assert asked == [24, 24]
 
 
 def test_weyl_rerun_past_the_budget_names_the_rerun(monkeypatch):
@@ -1162,15 +1148,6 @@ def test_turns_holds_to_an_ulp_for_every_n_below_2_53():
             assert got.shape == (20,)
             for n, x in zip(ns, got):
                 assert -eps <= _turns_error(n, gamma, x) <= eps, (bits, n)
-
-
-def test_turns_takes_a_scalar_n():
-    from nilflow.dynamics import _turns
-    eps = Fraction(1, 2 ** 51)
-    for gamma in (INV_PHI2, HALF_INV_PHI3):
-        for n in (0, 1, 3 << 28, 2 ** 41 + 1, 2 ** 53 - 1):
-            x = _turns((gamma, n))
-            assert 0 <= x < 1 and -eps <= _turns_error(n, gamma, x) <= eps, n
 
 
 # -- the piecewise orbit kernel -------------------------------------------------

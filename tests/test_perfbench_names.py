@@ -1,4 +1,5 @@
-"""Every name that perfbench's tracer wraps exists in nilflow.
+"""Every name that perfbench's tracer wraps exists in nilflow and takes the
+arguments that the tracer's hooks read.
 
 ``perfbench/tracing.py`` is read as text, not imported, so the test needs
 neither numpy nor perfbench on the path.  A class attribute must be found in
@@ -9,6 +10,7 @@ the floors and floats that the builtins ``math.floor`` and ``float`` take.
 
 import ast
 import importlib
+import inspect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +46,27 @@ def test_traced_names_resolve():
     verification = vars(importlib.import_module("nilflow.verification"))
     for fn_name in _literal("VERIFY_FUNCTIONS"):
         assert callable(verification.get(fn_name)), fn_name
+
+
+def test_hooked_functions_take_what_the_hooks_read():
+    # the "dynamics.weyl" hook binds a call to the signature and reads chars
+    # and n_iter by name; the "cli.emit" hook stats its first positional
+    # argument, the path written
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    seen = set()
+    for span, modname, _, attrs in _literal("TARGETS"):
+        if span not in ("dynamics.weyl", "cli.emit"):
+            continue
+        seen.add(span)
+        module = vars(importlib.import_module(f"nilflow.{modname}"))
+        for attr in attrs:
+            params = inspect.signature(module[attr]).parameters
+            if span == "dynamics.weyl":
+                assert {"chars", "n_iter"} <= set(params), (span, attr, list(params))
+            else:
+                first = next(iter(params.values()))
+                assert first.name == "path" and first.kind in positional, (span, attr)
+    assert seen == {"dynamics.weyl", "cli.emit"}
 
 
 def test_floors_and_floats_pass_through_replaced_methods(monkeypatch):
