@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .factorization import (
     EigenData,
@@ -55,7 +55,6 @@ from .scalar import (
 )
 
 HALF = _rational(1, 2)
-_new = object.__new__
 
 # Golden-field constants: PHI is the distinguished root, so PHI = phi.
 PHI = GOLDEN.lam
@@ -87,8 +86,7 @@ def golden(x):
 # piecewise torus maps
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """On u in [lo, hi): u += du and v += a1 u + a0, v mod 1."""
 
     lo: object
@@ -266,7 +264,7 @@ class PiecewiseTorusMap:
                                   (b, piece.hi, pending)):
                     x, y = max(piece.lo, x), min(piece.hi, y)
                     if x < y:
-                        out.append(replace(piece, lo=x, hi=y))
+                        out.append(piece._replace(lo=x, hi=y))
             done += [(p, n) for p in landed]
         done.sort(key=lambda item: item[0].lo)
         return (PiecewiseTorusMap([b for b, _ in done], self.fiber_lo),
@@ -396,8 +394,7 @@ def psi_identity_check() -> dict:
 # the section along the contracting eigendirection
 
 
-@dataclass(frozen=True)
-class SectionPoint:
+class SectionPoint(NamedTuple):
     """Section chart: parameter s along the contracting line, central offset
     zoff from the invariant surface, zoff in [-1/2, 1/2)."""
 
@@ -405,8 +402,7 @@ class SectionPoint:
     zoff: QuadraticNumber
 
 
-@dataclass(frozen=True)
-class ReturnRecord:
+class ReturnRecord(NamedTuple):
     """A return to the section: the start flowed for ``time``, times the
     lattice element ``lattice`` = (n, m, p), is the group point of ``point``."""
 
@@ -523,15 +519,9 @@ class SigmaSection:
         D = Dv * ds * dz
         k = _floor_parts(W1, W2, D, T, disc)
         t, (n, m) = self._returns[i]
-        # frozen dataclasses, filled in without their per-field __setattr__
-        point = _new(SectionPoint)
-        f = point.__dict__
-        f["s"] = _field(U1 + e1 * ds, U2 + e2 * ds, Du * ds, ctx)
-        f["zoff"] = _field(W1 - k * D + F1 * ds * dz, W2 + F2 * ds * dz, D, ctx)
-        record = _new(ReturnRecord)
-        f = record.__dict__
-        f["point"], f["time"], f["lattice"] = point, t, (n, m, -k)
-        return record
+        u = _field(U1 + e1 * ds, U2 + e2 * ds, Du * ds, ctx)
+        z = _field(W1 - k * D + F1 * ds * dz, W2 + F2 * ds * dz, D, ctx)
+        return ReturnRecord(SectionPoint(u, z), t, (n, m, -k))
 
     def replay(self, start: SectionPoint, record: ReturnRecord) -> bool:
         g = flow(self.vec, record.time, self.to_group(start))
@@ -884,8 +874,7 @@ def fibonacci_chart_equivalence(seed: int = 41) -> dict:
 # plane counterexample suite
 
 
-@dataclass(frozen=True)
-class RegionCoeffs:
+class RegionCoeffs(NamedTuple):
     """Quadratic region boundaries p, q = p + q1 x + q0, r = p + r1 x + r0."""
 
     p2: QuadraticNumber
@@ -1006,7 +995,7 @@ def rprime_return_audit(seed: int = 13) -> dict:
     followed for at most 12 powers.
     """
     c = RegionCoeffs.default_coeffs()
-    flat = replace(c, p2=0, p1=0, p0=0)
+    flat = c._replace(p2=0, p1=0, p0=0)
     rng = random.Random(seed)
     counts: dict[int, int] = {}
     escapes = 0

@@ -15,8 +15,8 @@ the first-return maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .freegroup import GENERATOR_SUBSTITUTIONS, Endomorphism, broken_line
 from .heisenberg import AlgebraVector, GroupPoint, flow
@@ -243,8 +243,7 @@ def decompose(endo: HeisenbergEndo) -> list[tuple[str, int]]:
 # hypothesis and eigen data
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     passed: bool
     failures: tuple[str, ...]
     det: int
@@ -322,8 +321,7 @@ def gamma_from_integers(
     return (alpha * (n - ac) + beta * (m - bd)) / denom
 
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(NamedTuple):
     """Exact eigen geometry of a hyperbolic unimodular lattice automorphism.
 
     (alpha, beta) is the expanding eigenvector normalized by alpha+beta = 1;
@@ -349,14 +347,6 @@ class EigenData:
     t_b: QuadraticNumber
     s_a: QuadraticNumber
     s_b: QuadraticNumber
-
-    def __post_init__(self):
-        # the constant coefficients of z_of_ts, taken once; not fields, so
-        # eq, hash and repr stay those of the fields
-        for name, value in (("_half_apbp", self.alpha_p * self.beta_p / 2),
-                            ("_abp", self.alpha * self.beta_p),
-                            ("_half_ab", self.alpha * self.beta / 2)):
-            object.__setattr__(self, name, value)
 
     def zero(self) -> QuadraticNumber:
         return QuadraticNumber(0, 0, self.context)
@@ -458,8 +448,7 @@ def conjugation_identity_holds(
 # invariant surface and tile
 
 
-@dataclass(frozen=True)
-class SurfaceQuadric:
+class SurfaceQuadric(NamedTuple):
     """z = Q(x, y) carving the flow-generated surface out of the group."""
 
     qxx: QuadraticNumber
@@ -482,8 +471,9 @@ def xy_of_ts(data: EigenData, t, s):
 def z_of_ts(data: EigenData, t, s):
     """Central coordinate of Phi_lam^t . Phi_lam'^s applied to the identity:
     gamma' s + alpha' beta' s^2/2 + alpha beta' s t + gamma t + alpha beta t^2/2."""
-    return ((data.gamma_p + data._half_apbp * s + data._abp * t) * s
-            + (data.gamma + data._half_ab * t) * t)
+    a, b, ap, bp = data.alpha, data.beta, data.alpha_p, data.beta_p
+    return ((data.gamma_p + ap * bp / 2 * s + a * bp * t) * s
+            + (data.gamma + a * b / 2 * t) * t)
 
 
 def ts_of_xy(data: EigenData, x, y):
@@ -498,7 +488,9 @@ def surface_quadric(data: EigenData) -> SurfaceQuadric:
     p2 = -data.alpha_p / data.delta
     q1 = -data.beta / data.delta
     q2 = data.alpha / data.delta
-    apbp2, abp, ab2 = data._half_apbp, data._abp, data._half_ab
+    apbp2 = data.alpha_p * data.beta_p / 2
+    abp = data.alpha * data.beta_p
+    ab2 = data.alpha * data.beta / 2
     quadric = SurfaceQuadric(
         qxx=apbp2 * q1 * q1 + abp * q1 * p1 + ab2 * p1 * p1,
         qxy=data.alpha_p * data.beta_p * q1 * q2 + abp * (q1 * p2 + q2 * p1)

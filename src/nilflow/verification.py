@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import dynamics as dyn
 from .factorization import (
@@ -54,11 +54,10 @@ from .heisenberg import (
 from .scalar import GOLDEN, QuadraticNumber, Rational, _rational
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 @functools.cache

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial
 
@@ -565,7 +564,7 @@ def _never_landing(data, calls):
         hop = real(self, s, zoff)
         back = hop.point.s / data.lam_prime
         if data.s_a <= back < data.s_b:
-            hop = replace(hop, point=SectionPoint(outside, hop.point.zoff))
+            hop = hop._replace(point=SectionPoint(outside, hop.point.zoff))
         return hop
     return never_lands
 
@@ -1232,7 +1231,7 @@ def test_orbit_kernel_needs_field_constants():
         rational.orbit(0, 0, 5)
     m = strip_family(-1, 0)
     other = QuadraticContext(3, 1).lam
-    mixed = PiecewiseTorusMap([replace(m.branches[0], a0=other - other), m.branches[1]])
+    mixed = PiecewiseTorusMap([m.branches[0]._replace(a0=other - other), m.branches[1]])
     with pytest.raises(TypeError):
         mixed.orbit(golden(0), golden(0), 5)
     for u, v in ((0.25, golden(0)), (golden(0), 0.5), (golden(0), other)):

@@ -1,13 +1,22 @@
-"""numpy belongs to the Weyl-sum layer only.
+"""What the package imports.
 
-Every other command runs in an interpreter where importing numpy raises,
-and writes the same bytes as in a normal one.
+numpy belongs to the Weyl-sum layer only: every other command runs in an
+interpreter where importing numpy raises, and writes the same bytes as in a
+normal one.  The records are ``NamedTuple``s, so importing the package loads
+neither ``dataclasses`` nor the ``inspect`` it pulls in.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from nilflow import dynamics as dyn
+from nilflow import factorization as fac
+from nilflow import verification as ver
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -60,3 +69,43 @@ def test_weyl_sums_still_import_numpy(tmp_path):
     _, err = proc.communicate()
     assert proc.returncode == 0, err
     assert (tmp_path / "weyl-sums.csv").read_text().startswith("kind,p,q,modulus\n")
+
+
+def test_package_imports_neither_dataclasses_nor_inspect(tmp_path):
+    # the module sets are compared in the child, so what site loads does not count
+    code = ("import json, sys\nbefore = set(sys.modules)\n"
+            "import nilflow, nilflow.cli, nilflow.verification\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = _start("normal", tmp_path, code)
+    out, err = proc.communicate()
+    assert proc.returncode == 0, err
+    added = set(json.loads(out))
+    assert {"nilflow.cli", "nilflow.verification"} <= added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+RECORDS = [
+    (dyn.Branch, ("lo", "hi", "du", "a1", "a0")),
+    (dyn.SectionPoint, ("s", "zoff")),
+    (dyn.ReturnRecord, ("point", "time", "lattice")),
+    (dyn.RegionCoeffs, ("p2", "p1", "p0", "q1", "q0", "r1", "r0")),
+    (fac.HypothesisReport, ("passed", "failures", "det", "context", "lam", "lam_prime")),
+    (fac.EigenData, ("endo", "context", "lam", "lam_prime", "alpha", "beta",
+                     "alpha_p", "beta_p", "gamma", "gamma_p", "delta", "t_a", "t_b",
+                     "s_a", "s_b")),
+    (fac.SurfaceQuadric, ("qxx", "qxy", "qyy", "qx", "qy", "q0")),
+    (ver.CheckResult, ("name", "passed", "details")),
+]
+
+
+@pytest.mark.parametrize("cls, names", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+def test_record_fields_repr_and_immutability(cls, names):
+    record = cls(*range(len(names)))
+    assert [getattr(record, name) for name in names] == list(range(len(names)))
+    with pytest.raises(TypeError):
+        cls(*range(len(names) + 1))
+    fields = ", ".join(f"{name}={i}" for i, name in enumerate(names))
+    assert repr(record) == f"{cls.__name__}({fields})"
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, -1)

@@ -3,7 +3,6 @@ fails, absent (so the report bytes are unchanged) when every case passes."""
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from nilflow import verification as ver
@@ -90,7 +89,7 @@ def test_self_induction_witness(monkeypatch):
         hop = real(self, s, zoff)
         d = self.data
         off = d.s_b + (d.s_b - d.s_a)   # outside the segment, and off lam' * Sigma
-        return replace(hop, point=SectionPoint(off, hop.point.zoff))
+        return hop._replace(point=SectionPoint(off, hop.point.zoff))
     with monkeypatch.context() as patch:
         patch.setattr(ver.dyn.SigmaSection, "_crossing_step", never_lands)
         result = ver.check_self_induction(7)
