@@ -165,11 +165,18 @@ def cmd_analyze(cfg: dict) -> int:
 # field, and the numerator stream of the kernel, rows 0 .. n, with one
 # denominator per coordinate.
 
+@functools.lru_cache(maxsize=8)
+def _orbit_eigen_data(text: str):
+    """The eigen data of a substitution text, kept for the next orbit ops of
+    the process; a text that fails raises again each time, as nothing is kept."""
+    return eigen_data(factor(parse_substitution(text)))
+
+
 def _orbit_rows_translation(cfg: dict, sampled_flow: bool = False):
     """Right cosets of the lattice under the left translation by exp of the
     eigenflow, or by its time-dt flow (``_translation_parts``), from the
     start's representative."""
-    data = eigen_data(factor(parse_substitution(cfg["substitution"])))
+    data = _orbit_eigen_data(cfg["substitution"])
     vec = flow_of(data, "lam")
     point = (
         _exact(cfg, "start", data.context, parse_group_point)

@@ -55,6 +55,7 @@ from .scalar import (
 )
 
 HALF = _rational(1, 2)
+_tuple_new = tuple.__new__
 
 # Golden-field constants: PHI is the distinguished root, so PHI = phi.
 PHI = GOLDEN.lam
@@ -521,7 +522,8 @@ class SigmaSection:
         t, (n, m) = self._returns[i]
         u = _field(U1 + e1 * ds, U2 + e2 * ds, Du * ds, ctx)
         z = _field(W1 - k * D + F1 * ds * dz, W2 + F2 * ds * dz, D, ctx)
-        return ReturnRecord(SectionPoint(u, z), t, (n, m, -k))
+        # tuple.__new__ skips the records' Python-level __new__
+        return _tuple_new(ReturnRecord, (_tuple_new(SectionPoint, (u, z)), t, (n, m, -k)))
 
     def replay(self, start: SectionPoint, record: ReturnRecord) -> bool:
         g = flow(self.vec, record.time, self.to_group(start))
@@ -875,7 +877,8 @@ def fibonacci_chart_equivalence(seed: int = 41) -> dict:
 
 
 class RegionCoeffs(NamedTuple):
-    """Quadratic region boundaries p, q = p + q1 x + q0, r = p + r1 x + r0."""
+    """Quadratic region boundaries p, q = p + q1 x + q0, r = p + r1 x + r0;
+    ``q`` and ``r`` take p(x) as ``px`` from a caller that has it."""
 
     p2: QuadraticNumber
     p1: QuadraticNumber
@@ -896,11 +899,11 @@ class RegionCoeffs(NamedTuple):
     def p(self, x):
         return self.p2 * x * x + self.p1 * x + self.p0
 
-    def q(self, x):
-        return self.p(x) + self.q1 * x + self.q0
+    def q(self, x, px=None):
+        return (self.p(x) if px is None else px) + self.q1 * x + self.q0
 
-    def r(self, x):
-        return self.p(x) + self.r1 * x + self.r0
+    def r(self, x, px=None):
+        return (self.p(x) if px is None else px) + self.r1 * x + self.r0
 
 
 def t_phi_affine(x, y):
@@ -910,12 +913,15 @@ def t_phi_affine(x, y):
 
 def in_d1(c: RegionCoeffs, x, y) -> bool:
     px = c.p(x)
-    return px < y <= px + 1 and y <= c.q(x) and y <= c.r(x) - 1
+    return px < y <= px + 1 and y <= c.q(x, px) and y <= c.r(x, px) - 1
 
 
 def in_d2(c: RegionCoeffs, x, y) -> bool:
     px = c.p(x)
-    return px < y <= px + 1 and c.r(x) - 1 < y <= c.r(x)
+    if not px < y <= px + 1:
+        return False
+    rx = c.r(x, px)
+    return rx - 1 < y <= rx
 
 
 def r1_prime(x, y):

@@ -54,7 +54,8 @@ class GroupPoint:
         if not isinstance(other, GroupPoint):
             return NotImplemented
         x, ox = self.x, other.x
-        if isinstance(x, float) is not isinstance(ox, float):
+        # equal types cannot mix float and exact; test only unequal ones
+        if type(x) is not type(ox) and isinstance(x, float) is not isinstance(ox, float):
             raise TypeError("cannot mix float and exact scalars")
         return _point(x + ox, self.y + other.y, self.z + other.z + x * other.y)
 

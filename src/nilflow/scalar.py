@@ -392,10 +392,12 @@ class QuadraticNumber:
         if type(a) is int and type(b) is int:
             self.A, self.B, self.d = a, b, 1
         elif isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-            q, s = a.denominator, b.denominator
-            d = q * s // math.gcd(q, s)
+            # an int is its own numerator; a Fraction holds its lowest terms in slots
+            p, q = (a, 1) if isinstance(a, int) else (a._numerator, a._denominator)
+            r, s = (b, 1) if isinstance(b, int) else (b._numerator, b._denominator)
+            d = q * s // _gcd(q, s)
             # lowest-terms coordinates give gcd(A, B, d) = 1 over their lcm
-            self.A, self.B, self.d = a.numerator * (d // q), b.numerator * (d // s), d
+            self.A, self.B, self.d = p * (d // q), r * (d // s), d
         else:
             raise TypeError("expected rationals, got "
                             f"{type(a).__name__}, {type(b).__name__}")

@@ -95,11 +95,15 @@ class _Failures:
         self.count = 0
         self.witness = None
 
-    def record(self, holds: bool, law: str, **case) -> None:
-        if not holds:
-            self.count += 1
-            if self.witness is None:
-                self.witness = {"law": law, **{k: _exact(v) for k, v in case.items()}}
+    def record(self, law: str, **case) -> None:
+        """Count one failing case of ``law``; the first one is the witness.
+
+        Callers test a case first and call this only when it fails, so a
+        passing case costs no call and no keyword dict.
+        """
+        self.count += 1
+        if self.witness is None:
+            self.witness = {"law": law, **{k: _exact(v) for k, v in case.items()}}
 
 
 def _exact(v):
@@ -129,21 +133,26 @@ def check_group_suite(seed: int) -> CheckResult:
     for _ in range(cases):
         a, b, c = _rand_point(rng), _rand_point(rng), _rand_point(rng)
         inv, n4 = a.inverse(), norm4(a)
-        bad.record((a * b) * c == a * (b * c), "associativity", a=a, b=b, c=c)
-        bad.record(a * inv == identity, "inverse", a=a)
-        bad.record(n4 == norm4(inv), "norm symmetry", a=a)
+        if (a * b) * c != a * (b * c):
+            bad.record("associativity", a=a, b=b, c=c)
+        if a * inv != identity:
+            bad.record("inverse", a=a)
+        if n4 != norm4(inv):
+            bad.record("norm symmetry", a=a)
         w = rng.choice(shifts)
-        bad.record(canonicalize(a).rep == canonicalize(a * w).rep,
-                   "lattice coset representative", a=a, w=w)
+        if canonicalize(a).rep != canonicalize(a * w).rep:
+            bad.record("lattice coset representative", a=a, w=w)
         t = _rand_fraction(rng)
         at = dilate(t, a)
-        bad.record(at.x == a.x * t and norm4(at) == t ** 4 * n4, "dilation", a=a, t=t)
+        if not (at.x == a.x * t and norm4(at) == t ** 4 * n4):
+            bad.record("dilation", a=a, t=t)
     for _ in range(cases):
         u, v = _rand_vector(rng), _rand_vector(rng)
         eu = exp_point(u)
-        bad.record(exp_point(u + v) * exp_point(bracket(u, v)) == eu * exp_point(v),
-                   "BCH", u=u, v=v)
-        bad.record(log_point(eu) == u, "exp/log round trip", u=u)
+        if exp_point(u + v) * exp_point(bracket(u, v)) != eu * exp_point(v):
+            bad.record("BCH", u=u, v=v)
+        if log_point(eu) != u:
+            bad.record("exp/log round trip", u=u)
     return CheckResult("group.suite", bad.count == 0,
                        _with_witness({"cases": cases, "failures": bad.count}, bad))
 
@@ -156,10 +165,10 @@ def check_flow_exchange(seed: int) -> CheckResult:
     for _ in range(cases):
         u, v, g = _rand_vector(rng), _rand_vector(rng), _rand_point(rng)
         t, s = _rand_fraction(rng), _rand_fraction(rng)
-        bad.record(flow_exchange_holds(u, v, t, s, g), "flow exchange",
-                   u=u, v=v, t=t, s=s, g=g)
-        bad.record(central_flow(s, flow(u, t, g)) == flow(u, t, central_flow(s, g)),
-                   "central flow commutes", u=u, t=t, s=s, g=g)
+        if not flow_exchange_holds(u, v, t, s, g):
+            bad.record("flow exchange", u=u, v=v, t=t, s=s, g=g)
+        if central_flow(s, flow(u, t, g)) != flow(u, t, central_flow(s, g)):
+            bad.record("central flow commutes", u=u, t=t, s=s, g=g)
     return CheckResult("flows.exchange", bad.count == 0,
                        _with_witness({"cases": cases, "failures": bad.count}, bad))
 
@@ -263,15 +272,15 @@ def check_surface(seed: int) -> CheckResult:
     for _ in range(cases):
         t, s = _rand_in_context(rng, GOLDEN), _rand_in_context(rng, GOLDEN)
         x, y = xy_of_ts(data, t, s)
-        bad.record(quadric.evaluate(x, y) == z_of_ts(data, t, s), "surface identity",
-                   t=t, s=s)
+        if quadric.evaluate(x, y) != z_of_ts(data, t, s):
+            bad.record("surface identity", t=t, s=s)
     for _ in range(100):
         t, s = _rand_in_context(rng, GOLDEN), _rand_in_context(rng, GOLDEN)
         x, y = xy_of_ts(data, t, s)
         g = GroupPoint(x, y, quadric.evaluate(x, y))
         x2, y2 = xy_of_ts(data, data.lam * t, data.lam_prime * s)
-        action_bad.record(data.endo.apply(g) == GroupPoint(x2, y2, quadric.evaluate(x2, y2)),
-                          "automorphism acts by (lam t, lam' s)", t=t, s=s)
+        if data.endo.apply(g) != GroupPoint(x2, y2, quadric.evaluate(x2, y2)):
+            action_bad.record("automorphism acts by (lam t, lam' s)", t=t, s=s)
     return CheckResult(
         "surface.identity", bad.count == 0 and action_bad.count == 0,
         _with_witness({"cases": cases, "failures": bad.count,
@@ -291,7 +300,8 @@ def check_strip(seed: int) -> CheckResult:
     ]
     for u, expect in cases:
         n = dyn.strip_return_count(u)
-        bad.record(n == expect, "return count", u=u, n=n, expected=expect)
+        if n != expect:
+            bad.record("return count", u=u, n=n, expected=expect)
     counts_ok = bad.count == 0
     triples = [
         (-1, -1, 0),
@@ -303,14 +313,14 @@ def check_strip(seed: int) -> CheckResult:
     renorm = [dyn.renormalization_check(*tr) for tr in triples]
     for (s, s_prime, theta), r in zip(triples, renorm):
         if r["failures"]:
-            bad.record(False, "induced strip map = renormalized strip map",
+            bad.record("induced strip map = renormalized strip map",
                        s=s, s_prime=s_prime, theta=theta, failure=r["failures"][0])
     psi = dyn.psi_identity_check()
     if psi["identity_failures"]:
-        bad.record(False, "psi(y) = p(y - 1/phi^2) - p(y) - y - 1/(2 phi^3)",
+        bad.record("psi(y) = p(y - 1/phi^2) - p(y) - y - 1/(2 phi^3)",
                    y=psi["identity_failures"][0])
     elif not psi["passed"]:
-        bad.record(False, "psi0 = psi1 = -1/phi and the jump at 1/phi^2 is -1",
+        bad.record("psi0 = psi1 = -1/phi and the jump at 1/phi^2 is -1",
                    **{k: psi[k] for k in ("psi0", "psi1", "jump_left_minus_right")})
     passed = counts_ok and all(r["passed"] for r in renorm) and psi["passed"]
     return CheckResult("strip.induction", passed, _with_witness({
@@ -350,10 +360,10 @@ def check_self_induction(seed: int) -> CheckResult:
                 for data in random_hyperbolic_data(rng, 3, max_len=5)]
     bad = _Failures()
     for data, rep in reports:
-        bad.record(rep["containment"], "image section inside the section",
-                   automorphism=repr(data.endo))
+        if not rep["containment"]:
+            bad.record("image section inside the section", automorphism=repr(data.endo))
         if rep["failures"]:
-            bad.record(False, "T = Lambda^-1 . (T induced on lam' Sigma) . Lambda",
+            bad.record("T = Lambda^-1 . (T induced on lam' Sigma) . Lambda",
                        automorphism=repr(data.endo), failure=rep["failures"][0])
     return CheckResult(
         "sigma.self_induction",
@@ -372,11 +382,12 @@ def check_diagonal(seed: int) -> CheckResult:
     for _ in range(20):
         x = dyn.golden(_rational(rng.randrange(0, 997), 997))
         z = dyn.golden(_rational(rng.randrange(0, 997), 997))
-        bad.record(diag.return_time_audit(x, z), "return time one", x=x, z=z)
+        if not diag.return_time_audit(x, z):
+            bad.record("return time one", x=x, z=z)
     time_ok = bad.count == 0
     conj = dyn.sigma_diagonal_conjugacy_check(data, samples=50, seed=seed)
     for case in conj["failures"]:
-        bad.record(False, "psi . T_Sigma = T_chart . psi", **case)
+        bad.record("psi . T_Sigma = T_chart . psi", **case)
     audit = dyn.DiagonalSection(data, 0, 0).inequality_audit()
     return CheckResult(
         "diag.section", time_ok and conj["passed"] and audit["passed"],
@@ -407,10 +418,10 @@ def check_plane_suite(seed: int) -> CheckResult:
               and conj["nonresonance"]["nonresonant"])
     bad = _Failures()
     for case in identity["failures"]:
-        bad.record(False, "psi_bar . R'_1^n . R'_2 . psi_bar^{-1} = T_phi + (n-2, 0)",
+        bad.record("psi_bar . R'_1^n . R'_2 . psi_bar^{-1} = T_phi + (n-2, 0)",
                    **case)
     for case in conj["conjugation_failures"]:
-        bad.record(False, "C_x . T_g = T_g(x) . C_x", **case)
+        bad.record("C_x . T_g = T_g(x) . C_x", **case)
     return CheckResult("plane.suite", passed, _with_witness({
         "affine_identity": identity["passed"],
         "cx_conjugation": conj["passed"],
@@ -484,25 +495,25 @@ def check_broken_line(k_counts: int = 10_000, k_proj: int = 100_000) -> CheckRes
     k = next((k for k in range(k_counts + 1) if counts[k][2] != oracle[k]), None)
     counts_ok = k is None
     if not counts_ok:
-        bad.record(False, "c_k equals the inversion count", k=k,
+        bad.record("c_k equals the inversion count", k=k,
                    c_k=counts[k][2], oracle=oracle[k])
     # quadratic-time pair counts, structurally independent of any recurrence
     spot_ok = True
     for k in (min(257, k_counts), min(1000, k_counts), min(1024, k_counts)):
         pairs = pair_count_oracle(word[:k])
-        bad.record(pairs == counts[k][2], "c_k equals the pair count", k=k,
-                   c_k=counts[k][2], pairs=pairs)
-        spot_ok = spot_ok and pairs == counts[k][2]
+        if pairs != counts[k][2]:
+            bad.record("c_k equals the pair count", k=k, c_k=counts[k][2], pairs=pairs)
+            spot_ok = False
     points = broken_line(word[:64])
     lifted = [GroupPoint(a, b, c) for a, b, c in broken_line_counts(word[:64])]
     group_ok = points == lifted
     if not group_ok:
         k = next(k for k, (p, q) in enumerate(zip(points, lifted)) if p != q)
-        bad.record(False, "group law equals the lifted counts", k=k,
+        bad.record("group law equals the lifted counts", k=k,
                    point=points[k], counts=lifted[k])
     sup, first = _projection_sup(word[:k_proj])
     if first is not None:
-        bad.record(False, "projection within 2 of the line", k=first[0],
+        bad.record("projection within 2 of the line", k=first[0],
                    a_k=first[1], b_k=first[2])
     return CheckResult(
         "line.broken", bool(counts_ok and spot_ok and group_ok and sup < 2.0),
@@ -527,11 +538,11 @@ def check_decompose(seed: int) -> CheckResult:
         try:
             again = decompose(endo)
         except Exception as exc:
-            bad.record(False, "decompose raised", word=word,
+            bad.record("decompose raised", word=word,
                        error=f"{type(exc).__name__}: {exc}")
             continue
-        bad.record((recompose(again) if again else HeisenbergEndo.identity()) == endo,
-                   "recompose(decompose(endo)) == endo", word=word)
+        if (recompose(again) if again else HeisenbergEndo.identity()) != endo:
+            bad.record("recompose(decompose(endo)) == endo", word=word)
     return CheckResult("decompose.roundtrip", bad.count == 0,
                        _with_witness({"cases": cases, "failures": bad.count}, bad))
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from nilflow import cli
 from nilflow.cli import _orbit_cells, _orbit_rows_flow, emit_jsonl, main
 from nilflow.dynamics import GOLDEN_SKEW, INV_PHI4, PiecewiseTorusMap, golden, strip_family
 from nilflow.factorization import eigen_data, factor, flow_of
@@ -636,3 +637,27 @@ def test_orbit_memory_does_not_grow_with_iters(tmp_path):
     small, large = peak(2000), peak(20000)
     assert large - small < 256 * 1024, (small, large)
     assert len((tmp_path / "orbit-translation.jsonl").read_text().splitlines()) == 20001
+
+
+@pytest.mark.parametrize("kind", ["translation", "flow"])
+def test_orbit_ops_reuse_the_eigen_data_of_a_substitution(tmp_path, monkeypatch, capsys, kind):
+    calls = []
+
+    def counted(endo):
+        calls.append(endo)
+        return eigen_data(endo)
+
+    monkeypatch.setattr(cli, "eigen_data", counted)
+    cli._orbit_eigen_data.cache_clear()
+    texts = []
+    for out in ("first", "second"):
+        assert run(["orbit", "--kind", kind, "--substitution", "a->aab;b->a",
+                    "--iters", 50, "--out", tmp_path / out]) == 0
+        texts.append((tmp_path / out / f"orbit-{kind}.csv").read_bytes())
+    assert len(calls) == 1 and texts[0] == texts[1]
+    # a failing text is not kept: each op tries again and exits 3
+    for _ in range(2):
+        assert run(["orbit", "--kind", kind, "--substitution", "a->b;b->aB",
+                    "--out", tmp_path / "bad"]) == 3
+    assert len(calls) == 3
+    assert "hypothesis violation" in capsys.readouterr().err

@@ -3,6 +3,8 @@ from fractions import Fraction
 from functools import cache, partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilflow.dynamics import (
     GOLDEN_SKEW,
@@ -28,6 +30,7 @@ from nilflow.dynamics import (
     golden,
     golden_like,
     iet_orbit_check,
+    in_d1,
     in_d2,
     nonresonance_report,
     golden_skew_step,
@@ -1242,3 +1245,49 @@ def test_orbit_kernel_needs_field_constants():
     # rational starts are taken into the field
     assert_same_points(m.orbit(Fraction(1, 3), 0, 10),
                        table_oracle(m, golden(Fraction(1, 3)), golden(0), 10))
+
+
+def _regions_by_definition(c, x, y):
+    """D_1 and D_2 membership with q(x) and r(x) each evaluated from scratch."""
+    band = c.p(x) < y <= c.p(x) + 1
+    return (band and y <= c.q(x) and y <= c.r(x) - 1,
+            band and c.r(x) - 1 < y <= c.r(x))
+
+
+_DEFAULT = RegionCoeffs.default_coeffs()
+_REGION_COEFFS = {
+    "default": _DEFAULT,
+    "replaced": _DEFAULT._replace(p1=PHI, q0=golden(Fraction(-1, 3)), r1=-PHI, r0=golden(2)),
+    # rprime_return_audit's D_1' and D_2'
+    "flat": _DEFAULT._replace(p2=0, p1=0, p0=0),
+}
+
+
+@settings(max_examples=300)
+@given(which=st.sampled_from(sorted(_REGION_COEFFS)),
+       x=st.tuples(st.integers(-17, 17), st.integers(-10, 10)),
+       edge=st.sampled_from(["p", "p+1", "q", "r", "r-1", None]),
+       offset=st.fractions(min_value=-1, max_value=2, max_denominator=97))
+def test_regions_take_q_and_r_from_one_p(which, x, edge, offset):
+    c = _REGION_COEFFS[which]
+    x = QuadraticNumber(Fraction(x[0], 17), Fraction(x[1], 23), GOLDEN)
+    y = {"p": c.p(x), "p+1": c.p(x) + 1, "q": c.q(x), "r": c.r(x), "r-1": c.r(x) - 1,
+         None: c.p(x) + offset}[edge]
+    assert c.q(x, c.p(x)) == c.q(x) and c.r(x, c.p(x)) == c.r(x)
+    assert (in_d1(c, x, y), in_d2(c, x, y)) == _regions_by_definition(c, x, y)
+
+
+def test_return_map_records_keep_their_types():
+    section = SigmaSection(FIB_DATA)
+    samples = section_samples(FIB_DATA, 40, seed=17)
+    times = set()
+    for q in samples:
+        rec = section.return_map(q)
+        times.add(rec.time)
+        assert type(rec) is ReturnRecord and type(rec.point) is SectionPoint
+        assert rec == section._step(q.s, q.zoff) and section.replay(q, rec)
+        assert rec._fields == ("point", "time", "lattice")
+        assert rec.point._fields == ("s", "zoff")
+        assert rec._replace(time=rec.time) == rec and hash(rec) == hash(tuple(rec))
+        assert repr(rec).startswith("ReturnRecord(point=SectionPoint(s=")
+    assert times == {FIB_DATA.t_a, FIB_DATA.t_b}  # both branches

@@ -28,7 +28,7 @@ from nilflow.factorization import (
 )
 from nilflow.freegroup import FIBONACCI, GENERATOR_SUBSTITUTIONS, parse_substitution
 from nilflow.heisenberg import AlgebraVector, GroupPoint
-from nilflow.scalar import GOLDEN, QuadraticNumber
+from nilflow.scalar import GOLDEN, QuadraticNumber, _rational
 
 LAM = GOLDEN.lam
 FIB_ENDO = factor(FIBONACCI)
@@ -428,3 +428,49 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _central_poly_expanded(endo, x, y):
+    """P(x, y) summed term by term, as the module docstring writes it."""
+    return (Fraction(endo.a * endo.c, 2) * x * (x - 1)
+            + Fraction(endo.b * endo.d, 2) * y * (y - 1)
+            + endo.b * endo.c * x * y + endo.e * x + endo.f * y)
+
+
+_COEFF = st.integers(-60, 60)
+_RATIONAL = st.fractions(max_denominator=10 ** 9)
+
+
+@settings(max_examples=300)
+@given(coeffs=st.tuples(*[_COEFF] * 6), kind=st.sampled_from(["int", "Rational", "golden"]),
+       parts=st.tuples(*[_RATIONAL] * 4))
+def test_horner_central_poly_equals_the_expanded_sum(coeffs, kind, parts):
+    endo = HeisenbergEndo(*coeffs)
+    x1, x2, y1, y2 = parts
+    if kind == "int":
+        x, y = x1.numerator, y1.numerator
+    elif kind == "Rational":
+        x, y = _rational(x1.numerator, x1.denominator), _rational(y1.numerator, y1.denominator)
+    else:
+        x, y = QuadraticNumber(x1, x2, GOLDEN), QuadraticNumber(y1, y2, GOLDEN)
+    assert endo.central_poly(x, y) == _central_poly_expanded(endo, x, y)
+
+
+def _z_definition(data, t, s):
+    a, b, ap, bp = data.alpha, data.beta, data.alpha_p, data.beta_p
+    return (data.gamma_p * s + ap * bp * s * s / 2 + a * bp * s * t
+            + data.gamma * t + a * b * t * t / 2)
+
+
+@settings(max_examples=60)
+@given(ts=st.lists(st.tuples(_RATIONAL, _RATIONAL), min_size=1, max_size=6))
+def test_z_of_ts_follows_the_data_object_it_is_given(ts):
+    # z_of_ts keeps the products of the last data object; calls that alternate
+    # between objects, or pass a _replace'd copy, must not read stale ones
+    fib = eigen_data(factor(FIBONACCI))
+    other = eigen_data(factor(parse_substitution("a->aab;b->a")))
+    moved = fib._replace(alpha=fib.alpha + 1, beta_p=fib.beta_p * 3)
+    datas = [fib, other, fib, moved, fib, moved, other]
+    for t, s in ts:
+        for data in datas:
+            assert z_of_ts(data, t, s) == _z_definition(data, t, s)

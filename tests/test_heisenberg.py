@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nilflow.factorization import eigen_data, factor, flow_of
 from nilflow.freegroup import FIBONACCI, parse_substitution
@@ -179,6 +182,21 @@ def test_scalar_kind_mixing_rejected():
             a * b
         assert str(got.value) == "cannot mix float and exact scalars"
     assert GroupPoint(0.5, 0, 0) * GroupPoint(0.25, 1.0, 0) == GroupPoint(0.75, 1.0, 0.5)
+
+
+@given(value=st.floats(-1e6, 1e6), as_numpy=st.booleans(), float_first=st.booleans(),
+       exact=st.sampled_from([3, Fraction(-2, 7), Rational(5, 9), LAM, LAM - LAM]))
+def test_float_and_exact_x_never_mix_in_either_order(value, as_numpy, float_first, exact):
+    # the guard looks only at x-coordinates of unequal types
+    inexact = GroupPoint(numpy.float64(value) if as_numpy else value, 0.5, 0.25)
+    a, b = inexact, GroupPoint(exact, 1, 0)
+    if not float_first:
+        a, b = b, a
+    with pytest.raises(TypeError, match="cannot mix float and exact scalars"):
+        a * b
+    # floats of two types do mix, both ways
+    other = GroupPoint(0.5 if as_numpy else numpy.float64(0.5), 1.0, 0.0)
+    assert (inexact * other).x == value + 0.5 == (other * inexact).x
 
 
 def test_law_results_from_int_inputs_hold_rationals():

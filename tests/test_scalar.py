@@ -16,6 +16,7 @@ from nilflow.scalar import (
     ParseError,
     QuadraticContext,
     QuadraticNumber,
+    Rational,
     _float_parts,
     _rational,
     _text_parts,
@@ -644,3 +645,30 @@ def test_operator_errors_across_fields_and_with_floats():
             f()
     assert (x == z) is False and (z == x) is False and x != z
     assert x.__eq__(1.5) is NotImplemented and (x == 1.5) is False
+
+
+class _FractionSubclass(Fraction):
+    __slots__ = ()
+
+
+_FRACTIONS = st.fractions(max_denominator=10 ** 30)
+_COORDINATES = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.booleans(),
+    _FRACTIONS,
+    _FRACTIONS.map(lambda f: _rational(f.numerator, f.denominator)),
+    _FRACTIONS.map(lambda f: _FractionSubclass(f.numerator, f.denominator)),
+)
+
+
+@settings(max_examples=400)
+@given(a=_COORDINATES, b=_COORDINATES, ctx=st.sampled_from(CONTEXTS))
+def test_constructor_reads_coordinates_into_the_lowest_terms_triple(a, b, ctx):
+    # the constructor reads an int, bool, Rational, Fraction or Fraction
+    # subclass from its slots; the field's own + and * are the generic route
+    x = QuadraticNumber(a, b, ctx)
+    y = ctx.lam * Fraction(b) + Fraction(a)
+    assert (x.A, x.B, x.d) == (y.A, y.B, y.d)
+    assert all(type(v) is int for v in (x.A, x.B, x.d))
+    assert x.d > 0 and math.gcd(x.A, x.B, x.d) == 1
+    assert x.ctx is ctx and x.a == a and x.b == b and type(x.a) is Rational

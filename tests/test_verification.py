@@ -63,6 +63,27 @@ def test_surface_witness(monkeypatch):
     assert surface_quadric(data).evaluate(x, y) != ver.z_of_ts(data, t, s)
 
 
+def test_group_suite_counts_every_failing_case(monkeypatch):
+    # norm4 off by x breaks norm symmetry and most dilations; the count and
+    # the first witness are those of recording every case
+    norm4 = ver.norm4
+    monkeypatch.setattr(ver, "norm4", lambda g: norm4(g) + g.x)
+    result = ver.check_group_suite(0)
+    assert not result.passed
+    assert result.details == {"cases": 1000, "failures": 1993, "witness": {
+        "law": "norm symmetry", "a": "[-6/97, 376/97, 30/97]"}}
+
+
+def test_flow_exchange_counts_every_failing_case(monkeypatch):
+    monkeypatch.setattr(ver, "central_flow",
+                        lambda s, g: GroupPoint(g.x, g.y, g.z + s * g.x))
+    result = ver.check_flow_exchange(1)
+    assert not result.passed
+    assert result.details == {"cases": 100, "failures": 100, "witness": {
+        "law": "central flow commutes", "u": "(-263/97, 182/97, 382/97)",
+        "t": "83/97", "s": "267/97", "g": "[107/97, 379/97, 60/97]"}}
+
+
 def test_decompose_witness(monkeypatch):
     def broken(endo):
         raise ValueError("no factorization")
