@@ -165,10 +165,11 @@ def cmd_analyze(cfg: dict) -> int:
 # field, and the numerator stream of the kernel, rows 0 .. n, with one
 # denominator per coordinate.
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _orbit_eigen_data(text: str):
-    """The eigen data of a substitution text, kept for the next orbit ops of
-    the process; a text that fails raises again each time, as nothing is kept."""
+    """The eigen data of a substitution text, kept for a next orbit op of the
+    process on the same text; a text that fails raises again each time, as
+    nothing is kept."""
     return eigen_data(factor(parse_substitution(text)))
 
 

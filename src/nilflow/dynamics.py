@@ -55,7 +55,6 @@ from .scalar import (
 )
 
 HALF = _rational(1, 2)
-_tuple_new = tuple.__new__
 
 # Golden-field constants: PHI is the distinguished root, so PHI = phi.
 PHI = GOLDEN.lam
@@ -522,8 +521,7 @@ class SigmaSection:
         t, (n, m) = self._returns[i]
         u = _field(U1 + e1 * ds, U2 + e2 * ds, Du * ds, ctx)
         z = _field(W1 - k * D + F1 * ds * dz, W2 + F2 * ds * dz, D, ctx)
-        # tuple.__new__ skips the records' Python-level __new__
-        return _tuple_new(ReturnRecord, (_tuple_new(SectionPoint, (u, z)), t, (n, m, -k)))
+        return ReturnRecord(SectionPoint(u, z), t, (n, m, -k))
 
     def replay(self, start: SectionPoint, record: ReturnRecord) -> bool:
         g = flow(self.vec, record.time, self.to_group(start))
@@ -878,7 +876,7 @@ def fibonacci_chart_equivalence(seed: int = 41) -> dict:
 
 class RegionCoeffs(NamedTuple):
     """Quadratic region boundaries p, q = p + q1 x + q0, r = p + r1 x + r0;
-    ``q`` and ``r`` take p(x) as ``px`` from a caller that has it."""
+    ``q`` and ``r`` take the value px = p(x)."""
 
     p2: QuadraticNumber
     p1: QuadraticNumber
@@ -899,11 +897,11 @@ class RegionCoeffs(NamedTuple):
     def p(self, x):
         return self.p2 * x * x + self.p1 * x + self.p0
 
-    def q(self, x, px=None):
-        return (self.p(x) if px is None else px) + self.q1 * x + self.q0
+    def q(self, x, px):
+        return px + self.q1 * x + self.q0
 
-    def r(self, x, px=None):
-        return (self.p(x) if px is None else px) + self.r1 * x + self.r0
+    def r(self, x, px):
+        return px + self.r1 * x + self.r0
 
 
 def t_phi_affine(x, y):
@@ -1040,13 +1038,14 @@ def rprime_return_audit(seed: int = 13) -> dict:
 
 def counterexample_suite(seed: int = 3) -> dict:
     c = RegionCoeffs.default_coeffs()
+    p0 = c.p(golden(0))
     return {
         "affine_identity": affine_identity_check(seed),
         "region_invariance": region_invariance_audit(),
         "return_counts": rprime_return_audit(seed),
         "origin_in_D2": in_d2(c, golden(0), golden(0)),
-        "p0": str(c.p(golden(0))),
-        "r0": str(c.r(golden(0))),
+        "p0": str(p0),
+        "r0": str(c.r(golden(0), p0)),
     }
 
 

@@ -770,7 +770,7 @@ def test_origin_in_d2():
     c = RegionCoeffs.default_coeffs()
     assert in_d2(c, golden(0), golden(0))
     assert c.p(golden(0)) == 1 - PHI          # -1/phi
-    assert c.r(golden(0)) == Fraction(1, 2)
+    assert c.r(golden(0), c.p(golden(0))) == Fraction(1, 2)
 
 
 def test_region_invariance_documented():
@@ -1248,10 +1248,10 @@ def test_orbit_kernel_needs_field_constants():
 
 
 def _regions_by_definition(c, x, y):
-    """D_1 and D_2 membership with q(x) and r(x) each evaluated from scratch."""
+    """D_1 and D_2 membership with p(x) evaluated afresh for every bound."""
     band = c.p(x) < y <= c.p(x) + 1
-    return (band and y <= c.q(x) and y <= c.r(x) - 1,
-            band and c.r(x) - 1 < y <= c.r(x))
+    return (band and y <= c.q(x, c.p(x)) and y <= c.r(x, c.p(x)) - 1,
+            band and c.r(x, c.p(x)) - 1 < y <= c.r(x, c.p(x)))
 
 
 _DEFAULT = RegionCoeffs.default_coeffs()
@@ -1271,9 +1271,9 @@ _REGION_COEFFS = {
 def test_regions_take_q_and_r_from_one_p(which, x, edge, offset):
     c = _REGION_COEFFS[which]
     x = QuadraticNumber(Fraction(x[0], 17), Fraction(x[1], 23), GOLDEN)
-    y = {"p": c.p(x), "p+1": c.p(x) + 1, "q": c.q(x), "r": c.r(x), "r-1": c.r(x) - 1,
-         None: c.p(x) + offset}[edge]
-    assert c.q(x, c.p(x)) == c.q(x) and c.r(x, c.p(x)) == c.r(x)
+    px = c.p(x)
+    y = {"p": px, "p+1": px + 1, "q": c.q(x, px), "r": c.r(x, px), "r-1": c.r(x, px) - 1,
+         None: px + offset}[edge]
     assert (in_d1(c, x, y), in_d2(c, x, y)) == _regions_by_definition(c, x, y)
 
 
