@@ -44,6 +44,7 @@ from .freegroup import (
     broken_line,
     broken_line_counts,
     concat,
+    fixed_point_pieces,
     fixed_point_prefix,
     invert_word,
     iter_broken_line_counts,

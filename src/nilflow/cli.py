@@ -64,7 +64,7 @@ from .factorization import (
     flow_of,
     surface_quadric,
 )
-from .freegroup import fixed_point_prefix, iter_broken_line_counts, parse_substitution
+from .freegroup import fixed_point_pieces, iter_broken_line_counts, parse_substitution
 from .heisenberg import GroupPoint, _translation_parts, exp_point, parse_group_point
 from .scalar import GOLDEN, ParseError, _float_parts, _rational, _text_parts, parse_scalar
 
@@ -239,14 +239,15 @@ def cmd_orbit(cfg: dict) -> int:
 
 def cmd_broken_line(cfg: dict) -> int:
     """The counts of the fixed point's broken line and their projections,
-    streamed into broken-line.csv; the sup norm of the projections is
-    taken in the same pass and printed once the file is written.  A
-    substitution that fails (H) has no projection: its columns and its sup
-    norm are nan."""
+    streamed into broken-line.csv from the fixed point's letters, which are
+    generated in pieces and never held whole; the sup norm of the
+    projections is taken in the same pass and printed once the file is
+    written.  A substitution that fails (H) has no projection: its columns
+    and its sup norm are nan."""
     sub = parse_substitution(cfg["substitution"])
     n = cfg["length"]
     try:
-        word = fixed_point_prefix(sub, n)
+        pieces = fixed_point_pieces(sub, n)
     except ValueError as exc:  # not positive, or not prolongable from 'a'
         raise HypothesisError(str(exc)) from exc
     endo = factor(sub)
@@ -260,7 +261,7 @@ def cmd_broken_line(cfg: dict) -> int:
 
     def rows():
         nonlocal emitted, sup
-        for k, (a, b, c) in enumerate(iter_broken_line_counts(word)):
+        for k, (a, b, c) in enumerate(iter_broken_line_counts(pieces)):
             pu, pv = a - k * af, b - k * bf
             sup = max(sup, abs(pu), abs(pv))
             emitted = k + 1

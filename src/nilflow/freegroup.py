@@ -127,16 +127,65 @@ def parse_substitution(text: str) -> Endomorphism:
     return Endomorphism(images["a"], images["b"], name=text)
 
 
-def fixed_point_prefix(endo: Endomorphism, n: int) -> str:
-    """Length-n prefix of the fixed infinite word of a prolongable substitution."""
+def _check_prolongable(endo: Endomorphism) -> None:
     if not endo.is_positive():
         raise ValueError("fixed point requires a positive substitution")
     if not endo.image_a.startswith("a") or len(endo.image_a) < 2:
         raise ValueError("substitution is not prolongable from 'a'")
+
+
+def fixed_point_prefix(endo: Endomorphism, n: int) -> str:
+    """Length-n prefix of the fixed infinite word of a prolongable substitution."""
+    _check_prolongable(endo)
     word = "a"
     while len(word) < n:
         word = endo.apply(word)
     return word[:n]
+
+
+# images sigma^k(c) up to this many letters are written out whole
+_PIECE = 1 << 12
+
+
+def fixed_point_pieces(endo: Endomorphism, n: int):
+    """The prefix of :func:`fixed_point_prefix` as an iterator of nonempty
+    pieces, generated depth first without the whole word.
+
+    sigma^k(a) is a prefix of sigma^(k+1)(a), so the first n letters are
+    those of sigma^(L+m)(a), with m the fewest levels that give n letters.
+    The images sigma^L(c) are written out whole, L as deep as keeps them at
+    most 4096 letters; the letters of sigma^m(a) are walked with a stack of
+    one position per level (a string iterator), and each yields its image.
+    A letter that sigma fixes is its own image at every level, so it is not
+    walked down.  The errors of :func:`fixed_point_prefix` are raised when
+    the function is called.
+    """
+    _check_prolongable(endo)
+
+    def pieces():
+        images = {"a": endo.image_a, "b": endo.image_b}
+        (aa, ab), (ba, bb) = ((w.count("a"), w.count("b")) for w in images.values())
+        blocks = {"a": "a", "b": "b"}  # sigma^L(c)
+        # the length of sigma(w) is read off the letter counts of w
+        while max(w.count("a") * (aa + ab) + w.count("b") * (ba + bb)
+                  for w in blocks.values()) <= _PIECE:
+            blocks = {c: endo.apply(w) for c, w in blocks.items()}
+        la, lb, m = len(blocks["a"]), len(blocks["b"]), 0
+        while la < n:  # la, lb: the lengths of sigma^(L+m)(a), sigma^(L+m)(b)
+            la, lb, m = aa * la + ab * lb, ba * la + bb * lb, m + 1
+        left, stack = n, [iter("a")]
+        while left > 0:
+            c = next(stack[-1], None)
+            if c is None:
+                stack.pop()
+            elif len(stack) <= m and images[c] != c:  # a fixed letter is not walked
+                stack.append(iter(images[c]))
+            else:
+                piece = blocks[c][:left]
+                left -= len(piece)
+                yield piece
+
+    return pieces()
 
 
 def broken_line(word: str) -> list[GroupPoint]:
@@ -150,27 +199,34 @@ def broken_line(word: str) -> list[GroupPoint]:
     return points
 
 
-def iter_broken_line_counts(word: str):
+def iter_broken_line_counts(word):
     """(a_k, b_k, c_k) for k = 0 .. len(word) of a positive word, one at a
     time: letter counts and a-before-b pairs.
 
     Integer fast path of :func:`broken_line`; for positive words the group
-    coordinates of x_k are exactly these counts.  A signed word is a
-    ValueError, raised when the function is called.
+    coordinates of x_k are exactly these counts.  ``word`` is a string, or
+    an iterator of nonempty pieces of one (:func:`fixed_point_pieces`).  A
+    signed word is a ValueError, raised when the function is called; a
+    signed piece, when it is reached.
     """
-    if not word.islower():
-        raise ValueError("counts interpretation requires a positive word")
+    if isinstance(word, str):
+        if not word.islower():
+            raise ValueError("counts interpretation requires a positive word")
+        word = (word,)
 
     def counts():
         a = b = c = 0
         yield a, b, c
-        for ch in word:
-            if ch == "a":
-                a += 1
-            else:
-                b += 1
-                c += a
-            yield a, b, c
+        for piece in word:
+            if not piece.islower():
+                raise ValueError("counts interpretation requires a positive word")
+            for ch in piece:
+                if ch == "a":
+                    a += 1
+                else:
+                    b += 1
+                    c += a
+                yield a, b, c
 
     return counts()
 

@@ -557,9 +557,9 @@ def test_equidistribution_past_the_memory_budget_by_radius_names_the_radius(tmp_
 
 
 def test_equidistribution_rerun_past_the_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
-    import nilflow.dynamics as dyn
+    import nilflow.weyl as weyl
     # the table at N is computed, then its x10 rerun is refused with no file
-    monkeypatch.setattr(dyn, "WEYL_MEMORY_BUDGET", dyn._block_bytes(100, 3))
+    monkeypatch.setattr(weyl, "WEYL_MEMORY_BUDGET", weyl._block_bytes(100, 3))
     assert run(["equidistribution", "--iters", 10**4, "--threshold", 1e-9,
                 "--out", tmp_path]) == 2
     err = capsys.readouterr().err

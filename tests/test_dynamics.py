@@ -1055,7 +1055,7 @@ def test_weyl_memory_bound_holds_and_caps_the_size():
 def test_weyl_memory_bound_counts_the_characters(monkeypatch):
     import tracemalloc
 
-    import nilflow.dynamics as dyn
+    import nilflow.weyl as weyl
     from nilflow.dynamics import WeylSizeError, _block_bytes, equidistribution_report
     # at radius 120 the grid and the tables keyed by it outgrow the kernel's
     # arrays (whose bound both kinds meet above); the estimate bounds what the
@@ -1077,28 +1077,28 @@ def test_weyl_memory_bound_counts_the_characters(monkeypatch):
     # before the grid is built
     def no_grid(radius):
         raise AssertionError("grid built")
-    monkeypatch.setattr(dyn, "WEYL_MEMORY_BUDGET", 16 << 20)
-    monkeypatch.setattr(dyn, "half_grid", no_grid)
+    monkeypatch.setattr(weyl, "WEYL_MEMORY_BUDGET", 16 << 20)
+    monkeypatch.setattr(weyl, "half_grid", no_grid)
     with pytest.raises(WeylSizeError, match="no N is accepted at radius 120$") as got:
         equidistribution_report("skew", 10**4, radius=120)
     assert got.value.by_radius
 
 
 def test_weyl_report_sums_each_pair_once(monkeypatch):
-    import nilflow.dynamics as dyn
-    chars = dyn.half_grid(3)
+    import nilflow.weyl as weyl
+    chars = weyl.half_grid(3)
     assert len(chars) == 24 and {(-p, -q) for p, q in chars}.isdisjoint(chars)
     assert sorted(chars + [(-p, -q) for p, q in chars]) == sorted(character_grid(3))
     # the kernel is asked for one character of each pair +-(p, q), and the
     # report writes its modulus under the keys of both
     asked = []
     for name in ("weyl_sums_skew_product", "weyl_sums_nilflow"):
-        def counted(*args, _kernel=getattr(dyn, name)):
+        def counted(*args, _kernel=getattr(weyl, name)):
             asked.append(len(args[-2]))  # (..., chars, n_iter)
             return _kernel(*args)
-        monkeypatch.setattr(dyn, name, counted)
+        monkeypatch.setattr(weyl, name, counted)
     for kind in ("skew", "nilflow"):
-        moduli = dyn.equidistribution_report(kind, 10**4, radius=3, threshold=1.0)["moduli"]
+        moduli = weyl.equidistribution_report(kind, 10**4, radius=3, threshold=1.0)["moduli"]
         assert sorted(moduli) == sorted(f"{p},{q}" for p, q in character_grid(3))
         for p, q in character_grid(3):
             assert moduli[f"{p},{q}"] == moduli[f"{-p},{-q}"], (kind, p, q)
@@ -1106,11 +1106,11 @@ def test_weyl_report_sums_each_pair_once(monkeypatch):
 
 
 def test_weyl_rerun_past_the_budget_names_the_rerun(monkeypatch):
-    import nilflow.dynamics as dyn
+    import nilflow.weyl as weyl
     from nilflow.dynamics import WeylSizeError, _block_bytes, equidistribution_report
     # N = 10^4 fits in blocks of 100 points, its x10 rerun does not; the
     # table at N reaches the threshold, so the rerun is refused by name
-    monkeypatch.setattr(dyn, "WEYL_MEMORY_BUDGET", _block_bytes(100, 3))
+    monkeypatch.setattr(weyl, "WEYL_MEMORY_BUDGET", _block_bytes(100, 3))
     with pytest.raises(WeylSizeError, match=r"^the x10 rerun of N = 10000, .* the largest "
                                             r"N whose rerun fits at radius 3 is 1000$") as got:
         equidistribution_report("skew", 10**4, radius=3, threshold=1e-9)

@@ -10,8 +10,10 @@ from nilflow.freegroup import (
     broken_line,
     broken_line_counts,
     concat,
+    fixed_point_pieces,
     fixed_point_prefix,
     invert_word,
+    iter_broken_line_counts,
     parse_substitution,
     reduce_word,
 )
@@ -119,6 +121,33 @@ def test_fixed_point_prefix_matches_the_letterwise_route(text):
     while len(word) < 5000:
         word = _apply_by_letters(endo, word)
     assert fixed_point_prefix(endo, 5000) == word[:5000]
+
+
+@pytest.mark.parametrize("text", ["a->ab;b->a", "a->aab;b->a", f"a->{'a' * 420}b;b->a"])
+def test_fixed_point_pieces_are_the_prefix(text):
+    endo = parse_substitution(text)
+    for n in (1, 2, len(endo.image_a), 10**4):
+        pieces = list(fixed_point_pieces(endo, n))
+        assert all(pieces) and "".join(pieces) == fixed_point_prefix(endo, n), n
+        assert list(iter_broken_line_counts(iter(pieces))) == broken_line_counts(
+            fixed_point_prefix(endo, n)), n
+
+
+def test_fixed_point_pieces_of_a_fixed_letter():
+    # a->ab;b->b has the fixed point ab^(n-1), sigma^k(a) = ab^k: the walk is
+    # n - 4096 levels deep, and b is not walked down any of them
+    endo = parse_substitution("a->ab;b->b")
+    assert "".join(fixed_point_pieces(endo, 20_000)) == "a" + "b" * 19_999
+
+
+def test_fixed_point_pieces_refuse_when_called():
+    # the errors of fixed_point_prefix, before any piece is asked for
+    with pytest.raises(ValueError, match="positive"):
+        fixed_point_pieces(GENERATOR_SUBSTITUTIONS["s5"], 5)
+    with pytest.raises(ValueError, match="prolongable"):
+        fixed_point_pieces(parse_substitution("a->b;b->ab"), 5)
+    with pytest.raises(ValueError, match="positive"):
+        list(iter_broken_line_counts(iter(["ab", "aB"])))
 
 
 def test_apply_checks_letters_of_a_positive_substitution():

@@ -3,13 +3,19 @@
 numpy belongs to the Weyl-sum layer only: every other command runs in an
 interpreter where importing numpy raises, and writes the same bytes as in a
 normal one.  The records are ``NamedTuple``s, so importing the package loads
-neither ``dataclasses`` nor the ``inspect`` it pulls in.
+neither ``dataclasses`` nor the ``inspect`` it pulls in.  ``nilflow.dynamics``
+still answers for every name it held before the sections, the plane suite and
+the Weyl sums moved to modules of their own, and no module's compile peak is
+far above that of ``scalar.py``.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -109,3 +115,77 @@ def test_record_fields_repr_and_immutability(cls, names):
     for name in names:
         with pytest.raises(AttributeError):
             setattr(record, name, -1)
+
+
+# every name nilflow.dynamics held before the sections, the plane suite and
+# the Weyl sums moved to modules of their own, dunders left out
+DYNAMICS_NAMES = [
+    "AlgebraVector", "Branch", "DiagonalSection", "EigenData", "FIBONACCI", "Fraction",
+    "GOLDEN", "GOLDEN_SKEW", "GOLDEN_STRIP", "GroupPoint", "HALF", "HALF_INV_PHI3",
+    "INV_PHI", "INV_PHI2", "INV_PHI4", "NamedTuple", "PHI", "PHI2", "PHI3",
+    "PiecewiseTorusMap", "QuadraticNumber", "RegionCoeffs", "ReturnRecord",
+    "SectionPoint", "SigmaSection", "WEYL_MEMORY_BUDGET", "WeylSizeError",
+    "_GOLDEN_COUNTS", "_GOLDEN_RETURN", "_affine_branch", "_block_bytes",
+    "_block_moduli", "_blocks", "_field", "_floor_parts", "_in_field", "_largest_n",
+    "_mod1", "_one_context", "_over", "_rational", "_sign_parts", "_skew_shifts",
+    "_triple", "_turns", "affine_identity_check", "annotations",
+    "central_shift_conjugation_holds", "conjugation_suite", "counterexample_suite",
+    "eigen_data", "equidistribution_report", "exp_point", "factor",
+    "fibonacci_chart_equivalence", "floor_mod1", "flow", "flow_of",
+    "gamma_from_integers", "gamma_zero", "golden", "golden_like", "golden_skew_step",
+    "half_grid", "iet_orbit_check", "in_d1", "in_d2", "math", "nonresonance_report",
+    "off_field_step", "psi_identity_check", "psi_value", "r1_prime", "r2_prime",
+    "random", "region_invariance_audit", "renormalization_check", "rprime_return_audit",
+    "section_samples", "self_induction_check", "sigma_diagonal_conjugacy_check",
+    "strip_family", "strip_return_count", "surface_quadric", "t_phi_affine",
+    "weyl_sums_nilflow", "weyl_sums_skew_exact", "weyl_sums_skew_product",
+]
+MOVED = {
+    "sections": [
+        "DiagonalSection", "GOLDEN_SKEW", "ReturnRecord", "SectionPoint",
+        "SigmaSection", "fibonacci_chart_equivalence", "golden_like",
+        "golden_skew_step", "iet_orbit_check", "section_samples",
+        "self_induction_check", "sigma_diagonal_conjugacy_check",
+    ],
+    "plane": [
+        "RegionCoeffs", "affine_identity_check", "central_shift_conjugation_holds",
+        "conjugation_suite", "counterexample_suite", "gamma_zero", "in_d1", "in_d2",
+        "nonresonance_report", "r1_prime", "r2_prime", "region_invariance_audit",
+        "rprime_return_audit", "t_phi_affine",
+    ],
+    "weyl": [
+        "WEYL_MEMORY_BUDGET", "WeylSizeError", "_block_bytes", "_block_moduli",
+        "_blocks", "_largest_n", "_mod1", "_skew_shifts", "_turns",
+        "equidistribution_report", "half_grid", "off_field_step", "weyl_sums_nilflow",
+        "weyl_sums_skew_exact", "weyl_sums_skew_product",
+    ],
+}
+
+
+def test_dynamics_reexports_every_name():
+    for name in DYNAMICS_NAMES:
+        assert hasattr(dyn, name), name
+    for modname, names in MOVED.items():
+        module = importlib.import_module(f"nilflow.{modname}")
+        for name in names:
+            assert name in DYNAMICS_NAMES, name
+            obj = vars(module)[name]  # defined there, not imported
+            assert getattr(dyn, name) is obj, (modname, name)
+            if isinstance(obj, (type, types.FunctionType)):
+                assert obj.__module__ == module.__name__, (modname, name)
+
+
+def test_no_module_compiles_past_scalar():
+    # without a bytecode cache every process compiles each module from
+    # source; the largest compile peak sets the import-time memory peak
+    peaks = {}
+    for path in sorted((SRC / "nilflow").glob("*.py")):
+        source = path.read_text()
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    limit = 1.25 * peaks["scalar.py"]
+    assert {name: peak for name, peak in peaks.items() if peak > limit} == {}, peaks

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 
+from nilflow import plane
 from nilflow import verification as ver
 from nilflow.factorization import (
     eigen_data,
@@ -280,7 +281,7 @@ def test_plane_suite_witness(monkeypatch):
     def upper_half_off(x, y):
         tx, ty = t_phi(x, y)
         return tx, ty + (y > 0)
-    monkeypatch.setattr(dyn, "t_phi_affine", upper_half_off)
+    monkeypatch.setattr(plane, "t_phi_affine", upper_half_off)
     result = ver.check_plane_suite(10)
     assert not result.passed and not result.details["affine_identity"]
     witness = result.details["witness"]
@@ -300,7 +301,7 @@ def test_plane_suite_witness(monkeypatch):
 
     def upper_half_fails(x, g, y):  # depends on y, which the witness must carry
         return y.z <= 0 and holds(x, g, y)
-    monkeypatch.setattr(dyn, "central_shift_conjugation_holds", upper_half_fails)
+    monkeypatch.setattr(plane, "central_shift_conjugation_holds", upper_half_fails)
     result = ver.check_plane_suite(10)
     assert not result.passed and not result.details["cx_conjugation"]
     witness = result.details["witness"]
